@@ -9,13 +9,14 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
 - the quotient drift field J in three cross-validating forms (spectral
   closed form, log-volume gradient route, general-metric conjugation) and
   the fiber Ito-correction identity (`geom`),
-- deterministic counter-keyed noise, Euler-Maruyama and Heun integrators,
-  and a quadratic-variation Monte Carlo oracle (`sde`),
+- deterministic counter-keyed noise, Euler-Maruyama and Heun integrators
+  for one path or a batch of paths, RK4, and a quadratic-variation Monte
+  Carlo oracle (`sde`),
 - named diffusions: Brownian motion on O(n), Stiefel, Grassmann, flag,
   Poincare half-plane, the SPD cone under the trace metric, Wishart
   processes, factor-noise SPD diffusions, eigenvalue SDEs, vertical
-  Brownian motion, and the mean-curvature ODE (`processes`, batched
-  variants in `ensembles`),
+  Brownian motion, and the mean-curvature ODE (`processes`, each defined
+  once and run over a path axis by `ensembles`),
 - the eigenvalue interaction field of controlled flows, its negative
   definite Jacobian with a sum-of-squares certificate, schedule
   integration, and reachability probes (`control`),
@@ -23,20 +24,19 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
   (`reporting`), with self-check suites (`verify`) and a CLI (`cli`).
 """
 
-from .matcore import (LieBasis, Spectrum, eigh_desc, expm, fd_gradient,
-                      gl_basis, require_full_rank, require_orthogonal,
-                      require_skew, require_spd, require_symmetric, sl2_basis,
-                      skew_part, so_basis, so_pairs, solve_lyapunov, sqrtm_spd,
-                      sym_part)
+from .matcore import (LieBasis, Spectrum, eigh_desc, fd_gradient,
+                      require_orthogonal, require_skew, require_spd,
+                      require_symmetric, sl2_basis, skew_part, so_basis,
+                      so_pairs, solve_lyapunov, sqrtm_spd, sym_part)
 from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
                    drift_J_spectral, fiber_dim, horizontal_from_sym_solve,
                    horizontal_project, ito_correction_sum, mean_curvature,
                    metric_gram, orbit_log_volume, sff_vertical, vertical_onb,
                    vertical_project)
 from .sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                  gaussian_increment, integrate, qv_oracle, run_paths,
-                  skew_increment, worker_count)
-from .processes import (EigenPath, ProcessConfig, bm_bures_wasserstein,
+                  gaussian_increment, integrate, integrate_batch, qv_oracle,
+                  rk4, skew_increment)
+from .processes import (ProcessConfig, bm_bures_wasserstein,
                         bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                         bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
                         flag_projection, halfplane_start, invariant_bm,
@@ -55,9 +55,8 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "LieBasis", "Spectrum", "eigh_desc", "expm", "fd_gradient", "gl_basis",
-    "require_full_rank", "require_orthogonal", "require_skew", "require_spd",
-    "require_symmetric", "sl2_basis", "skew_part", "so_basis", "so_pairs",
+    "LieBasis", "Spectrum", "eigh_desc", "fd_gradient",
+    "require_orthogonal", "require_skew", "require_spd", "require_symmetric", "sl2_basis", "skew_part", "so_basis", "so_pairs",
     "solve_lyapunov", "sqrtm_spd", "sym_part",
     "KAPPA_DRIFT", "MetricR", "drift_J_R", "drift_J_gradient",
     "drift_J_spectral", "fiber_dim", "horizontal_from_sym_solve",
@@ -65,9 +64,9 @@ __all__ = [
     "metric_gram", "orbit_log_volume", "sff_vertical", "vertical_onb",
     "vertical_project",
     "NoiseSource", "Path", "QvEstimate", "SdeProblem", "TimeGrid",
-    "gaussian_increment", "integrate", "qv_oracle", "run_paths",
-    "skew_increment", "worker_count",
-    "EigenPath", "ProcessConfig", "bm_bures_wasserstein",
+    "gaussian_increment", "integrate", "integrate_batch", "qv_oracle", "rk4",
+    "skew_increment",
+    "ProcessConfig", "bm_bures_wasserstein",
     "bm_cartan_hadamard", "bm_grassmann", "bm_orthogonal", "bm_poincare",
     "bm_stiefel", "eigen_drift", "eigen_sde", "flag_projection",
     "halfplane_start", "invariant_bm", "mcf_ode", "rect_factor",

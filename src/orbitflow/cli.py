@@ -1,28 +1,27 @@
 """Command line front end: simulate / drift / verify / control / oracle.
 
 Every run is reproducible: paths draw noise keyed by (seed, stream, path,
-step), so CSV artifacts are byte-identical for any worker count, and each
-output directory carries a manifest with the resolved config and content
+step), so path p's CSV is the same bytes whatever the number of paths, and
+each output directory carries a manifest with the resolved config and content
 hashes of the inputs.  Exit codes: 0 success, 1 suite or run failure,
 2 config error.
 """
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from .control import integrate_control, load_schedule
 from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_log_volume
-from .matcore import fd_gradient, require_spd, sqrtm_spd
+from .matcore import fd_gradient, require_spd, so_basis, sqrtm_spd
 from .processes import (ProcessConfig, bm_bures_wasserstein, bm_cartan_hadamard,
                         bm_grassmann, bm_orthogonal, bm_poincare, bm_stiefel,
                         eigen_sde, sphere_vertical_bm, vertical_bm, wishart)
 from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
                         read_matrix_csv, write_manifest, write_matrix_csv)
-from .sde import qv_oracle, worker_count
+from .sde import qv_oracle
 from .verify import SUITE_NAMES, run_suite
 
 PROCESSES = ("on-bm", "stiefel", "grassmann", "poincare", "cartan-hadamard",
@@ -83,21 +82,6 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _run_indexed(fn, n_paths: int, workers: int) -> list:
-    out = [None] * n_paths
-    if workers <= 1 or n_paths <= 1:
-        for p in range(n_paths):
-            out[p] = fn(p)
-        return out
-
-    def job(p):
-        out[p] = fn(p)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(job, range(n_paths)))
-    return out
-
-
 def _simulate_path(process: str, p: int, n: int, k: int, cfg: ProcessConfig,
                    opts: dict):
     """Run one path; returns (times, states, kind) with kind matrix|eigen."""
@@ -114,7 +98,7 @@ def _simulate_path(process: str, p: int, n: int, k: int, cfg: ProcessConfig,
     elif process == "wishart":
         path = wishart(n, k, cfg, path_index=p)[1]
     elif process == "bw-bm":
-        path = bm_bures_wasserstein(opts["p0"], cfg, k=k, path_index=p)
+        path = bm_bures_wasserstein(opts["p0"], cfg, path_index=p)
     elif process == "vertical-bm":
         path = vertical_bm(opts["m0"], cfg, path_index=p)[1]
     elif process == "sphere-vertical":
@@ -181,9 +165,18 @@ def cmd_simulate(args) -> int:
     inputs = {}
     opts = {"reproject": args.reproject, "route": args.route}
     if process == "bw-bm":
+        if k != n:
+            raise ConfigError(f"bw-bm needs k = n (square noise); got n={n}, k={k}")
         if args.P0:
             opts["p0"] = _read_matrix(args.P0)
             inputs["P0"] = FsPath(args.P0).read_bytes()
+            if opts["p0"].shape != (n, n):
+                raise ConfigError(f"--P0 {args.P0} is {opts['p0'].shape[0]}x"
+                                  f"{opts['p0'].shape[1]}, need {n}x{n} for n={n}")
+            try:
+                require_spd(opts["p0"])
+            except ValueError as exc:
+                raise ConfigError(f"--P0 {args.P0}: {exc}") from exc
         else:
             opts["p0"] = np.eye(n)
     if process == "vertical-bm":
@@ -206,9 +199,11 @@ def cmd_simulate(args) -> int:
 
     cfg = ProcessConfig(t_end=t_end, dt=dt, seed=seed, stream=stream)
     try:
-        results = _run_indexed(
-            lambda p: _simulate_path(process, p, n, k, cfg, opts),
-            n_paths, worker_count())
+        cfg.grid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        results = [_simulate_path(process, p, n, k, cfg, opts) for p in range(n_paths)]
     except (ValueError, FloatingPointError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
         return 1
@@ -339,16 +334,10 @@ def cmd_oracle(args) -> int:
             diffusion = lambda t, s, dw: dw
             shape = (n, k)
         elif args.kind == "skew":
-            tri = n * (n - 1) // 2
-            iu = np.triu_indices(n, k=1)
-
-            def diffusion(t, s, dw):
-                a = np.zeros((n, n))
-                a[iu] = np.ravel(dw) / np.sqrt(2.0)
-                return a - a.T
-
+            basis = so_basis(n)
+            diffusion = lambda t, s, dw: basis.combine(dw)
             state = np.eye(n)
-            shape = (tri,)
+            shape = (basis.dim,)
         else:  # sphere
             state = np.zeros((n, 1))
             state[0, 0] = 1.0

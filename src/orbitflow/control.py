@@ -14,7 +14,7 @@ import numpy as np
 
 from .matcore import as_matrix, require_spd, sqrtm_spd, sym_part
 from .geom import MetricR, drift_J_R
-from .processes import Path
+from .sde import Path, rk4
 
 
 def alpha(lam) -> np.ndarray:
@@ -202,20 +202,6 @@ def load_schedule(path) -> ControlSchedule:
         return parse_schedule(fh.read())
 
 
-def _rk4_segment(p0: np.ndarray, f, duration: float, substeps: int) -> np.ndarray:
-    h = duration / substeps
-    p = p0
-    states = np.empty((substeps,) + p0.shape)
-    for m in range(substeps):
-        k1 = f(p)
-        k2 = f(sym_part(p + 0.5 * h * k1))
-        k3 = f(sym_part(p + 0.5 * h * k2))
-        k4 = f(sym_part(p + h * k3))
-        p = sym_part(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        states[m] = p
-    return states
-
-
 def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path:
     """RK4 integration of dP/dt = drift under the scheduled metrics.
 
@@ -232,7 +218,7 @@ def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path
     for seg in schedule.segments:
         metric = MetricR(seg.R)
         f = lambda q: drift_J_R(q, metric)
-        seg_states = _rk4_segment(p, f, seg.duration, substeps)
+        seg_states = rk4(f, p, seg.duration, substeps)[1:]
         h = seg.duration / substeps
         for m in range(substeps):
             t += h
@@ -312,7 +298,7 @@ def reach_probe(p0, u, cone_coeffs, t_budget: float | None = None,
             m = sqrtm_spd(q)
             return sym_part(m @ cmat @ m.T)
 
-        p = _rk4_segment(p, fdir, leg_time, substeps)[-1]
+        p = rk4(fdir, p, leg_time, substeps)[-1]
         elapsed += leg_time
 
     # express the endpoint in the probe frame to read off eigenvalue moves

@@ -1,213 +1,81 @@
-"""Vectorized multi-path runners for the Monte Carlo verification suites.
+"""Final states of many paths of the named processes, for the Monte Carlo
+verification suites.
 
-These duplicate the stepping rules of the single-path processes with the
-path axis vectorized, drawing noise from the same per-(path, step, entry)
-streams.  They return final states (plus alive masks where paths can stop);
-full trajectories of large ensembles are deliberately not stored.
+Each ensemble builds its process's problem in `processes`, runs it over a
+path axis with `sde.integrate_batch` and applies the process's pushforward.
+Row p equals the single-path run with path_index=p bit for bit; a path whose
+guard trips keeps its last valid state.  Full trajectories of large
+ensembles are deliberately not stored.
 """
 
 import numpy as np
 
-from .matcore import require_spd, sl2_basis
-from .processes import ProcessConfig, halfplane_start
+from .processes import (ProcessConfig, bures_wasserstein_problem,
+                        cartan_hadamard_problem, eigen_problem, gram,
+                        grassmann_ito_problem, orthogonal_problem,
+                        poincare_problem, sl2_to_halfplane, sphere_problem,
+                        squared_norm, wishart_problem)
+from .sde import SdeProblem, integrate_batch
 
 
-def _skew_block(source, step: int, paths: int, n: int, dt: float) -> np.ndarray:
-    """(paths, n, n) skew increments with upper entries N(0, dt/2)."""
-    tri = n * (n - 1) // 2
-    z = source.normals_block(step, paths, tri) * np.sqrt(dt / 2.0)
-    a = np.zeros((paths, n, n))
-    iu = np.triu_indices(n, k=1)
-    a[:, iu[0], iu[1]] = z
-    return a - a.transpose(0, 2, 1)
-
-
-def _gauss_block(source, step: int, paths: int, shape, dt: float) -> np.ndarray:
-    count = int(np.prod(shape))
-    z = source.normals_block(step, paths, count) * np.sqrt(dt)
-    return z.reshape((paths,) + tuple(shape))
+def _run(problem: SdeProblem, cfg: ProcessConfig, paths: int) -> tuple[np.ndarray, np.ndarray]:
+    return integrate_batch(problem, cfg.grid(), cfg.source(), paths)
 
 
 def orthogonal_ensemble(n: int, cfg: ProcessConfig, paths: int,
                         reproject: bool = False) -> np.ndarray:
     """Final states of `paths` Heun paths of Brownian motion on O(n)."""
-    grid = cfg.grid()
-    source = cfg.source()
-    q = np.broadcast_to(np.eye(n), (paths, n, n)).copy()
-    for m in range(grid.steps):
-        a = _skew_block(source, m, paths, n, grid.dt)
-        qa = q @ a
-        q = q + qa + 0.5 * (qa @ a)
-        if reproject:
-            q = 1.5 * q - 0.5 * (q @ (np.transpose(q, (0, 2, 1)) @ q))
-    return q
+    return _run(orthogonal_problem(n, reproject=reproject), cfg, paths)[0]
 
 
 def grassmann_pushforward_ensemble(n: int, k: int, cfg: ProcessConfig,
                                    paths: int) -> np.ndarray:
     """Final projectors Q I_kn Q^T from reprojected O(n) paths."""
-    q = orthogonal_ensemble(n, cfg, paths, reproject=True)
-    qk = q[:, :, :k]
-    return qk @ np.transpose(qk, (0, 2, 1))
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    return gram(orthogonal_ensemble(n, cfg, paths, reproject=True)[..., :k])
 
 
-def grassmann_ito_ensemble(n: int, k: int, cfg: ProcessConfig,
-                           paths: int) -> np.ndarray:
-    """Final projectors from the direct Ito scheme
-    dP = Q (dA I - I dA) Q^T + (k/2 I - n/2 P) dt."""
-    grid = cfg.grid()
-    source = cfg.source()
-    ikn = np.zeros((n, n))
-    ikn[np.arange(k), np.arange(k)] = 1.0
-    p = np.broadcast_to(ikn, (paths, n, n)).copy()
-    eye = np.eye(n)
-    for m in range(grid.steps):
-        a = _skew_block(source, m, paths, n, grid.dt)
-        w, v = np.linalg.eigh(p)
-        u = v[:, :, ::-1]
-        b = a @ ikn - ikn @ a
-        mart = u @ b @ np.transpose(u, (0, 2, 1))
-        p = p + mart + (0.5 * k * eye - 0.5 * n * p) * grid.dt
-        p = 0.5 * (p + np.transpose(p, (0, 2, 1)))
-    return p
+def grassmann_ito_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
+                           guard_tol: float = 1e-2) -> np.ndarray:
+    """Final projectors from the direct Ito scheme."""
+    return _run(grassmann_ito_problem(n, k, guard_tol), cfg, paths)[0]
 
 
 def cartan_hadamard_ensemble(n: int, cfg: ProcessConfig, paths: int,
                              g0=None) -> np.ndarray:
     """Final G states of dG = G dW + G/2 dt (Euler-Maruyama)."""
-    grid = cfg.grid()
-    source = cfg.source()
-    if g0 is None:
-        g = np.broadcast_to(np.eye(n), (paths, n, n)).copy()
-    else:
-        g = np.broadcast_to(np.asarray(g0, dtype=np.float64), (paths, n, n)).copy()
-    for m in range(grid.steps):
-        dw = _gauss_block(source, m, paths, (n, n), grid.dt)
-        g = g + g @ dw + 0.5 * grid.dt * g
-    return g
+    return _run(cartan_hadamard_problem(n, g0), cfg, paths)[0]
 
 
 def wishart_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
                      w0=None) -> np.ndarray:
     """Final Wiener factors W_t; the Wishart states are W W^T."""
-    grid = cfg.grid()
-    source = cfg.source()
-    if w0 is None:
-        w0 = np.eye(n, k)
-    w = np.broadcast_to(np.asarray(w0, dtype=np.float64), (paths, n, k)).copy()
-    for m in range(grid.steps):
-        w = w + _gauss_block(source, m, paths, (n, k), grid.dt)
-    return w
+    return _run(wishart_problem(n, k, w0=w0), cfg, paths)[0]
 
 
-def bw_ensemble(p0, cfg: ProcessConfig, paths: int, k: int | None = None,
+def bw_ensemble(p0, cfg: ProcessConfig, paths: int,
                 eig_floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Final states and alive mask for the SPD-cone Brownian motion.
-
-    Paths whose spectrum hits the rank guard freeze at their last valid
-    state and are reported dead.
-    """
-    p0 = require_spd(p0)
-    n = p0.shape[0]
-    kk = n if k is None else k
-    grid = cfg.grid()
-    source = cfg.source()
-    p = np.broadcast_to(p0, (paths, n, n)).copy()
-    eye = np.eye(n)
-    alive = np.ones(paths, dtype=bool)
-    for m in range(grid.steps):
-        w, v = np.linalg.eigh(p)
-        lam = w[:, ::-1]
-        u = v[:, :, ::-1]
-        ok = (w[:, 0] > eig_floor * np.maximum(w[:, -1], 0.0)) & (w[:, 0] > 0.0)
-        alive &= ok
-        lam_safe = np.maximum(lam, 1e-300)
-        denom = lam_safe[:, :, None] + lam_safe[:, None, :]
-        jd = (lam_safe[:, :, None] / denom).sum(axis=2) - 0.5
-        jmat = (u * jd[:, None, :]) @ np.transpose(u, (0, 2, 1))
-        fac = u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
-        if kk != n:
-            fac = fac[:, :, :kk]
-        dw = _gauss_block(source, m, paths, (n, kk), grid.dt)
-        mart = dw @ np.transpose(fac, (0, 2, 1)) + fac @ np.transpose(dw, (0, 2, 1))
-        step = mart + (kk * eye - jmat) * grid.dt
-        p = np.where(alive[:, None, None], p + step, p)
-        p = 0.5 * (p + np.transpose(p, (0, 2, 1)))
-    return p, alive
+    """Final states and alive mask for the SPD-cone Brownian motion."""
+    return _run(bures_wasserstein_problem(p0, eig_floor), cfg, paths)
 
 
 def poincare_ensemble(cfg: ProcessConfig, paths: int,
                       z0: tuple[float, float] = (0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Final (x, y) points of hyperbolic Brownian motion; mask of valid paths."""
-    grid = cfg.grid()
-    source = cfg.source()
-    basis = np.stack(sl2_basis().mats)
-    m0 = halfplane_start(*z0)
-    mm = np.broadcast_to(m0, (paths, 2, 2)).copy()
-    for m in range(grid.steps):
-        z = source.normals_block(m, paths, 3) * np.sqrt(grid.dt)
-        dw = np.einsum("pa,aij->pij", z, basis)
-        mw = mm @ dw
-        mm = mm + mw + 0.5 * (mw @ dw)
-    a, b = mm[:, 0, 0], mm[:, 0, 1]
-    c, d = mm[:, 1, 0], mm[:, 1, 1]
-    den = c * c + d * d
-    x = (a * c + b * d) / den
-    y = (a * d - b * c) / den
-    ok = np.isfinite(x) & np.isfinite(y) & (y > 0)
-    return np.stack([x, y], axis=1), ok
+    """Final (x, y) points of hyperbolic Brownian motion; alive mask."""
+    m, alive = _run(poincare_problem(z0), cfg, paths)
+    return sl2_to_halfplane(m), alive
 
 
 def eigen_ensemble(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
                    paths: int, lam_floor: float = 1e-12,
                    gap_floor: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Final eigenvalue vectors and alive mask for the eigenvalue diffusions.
-
-    Dead paths (positivity or ordering about to fail) freeze at their last
-    valid state, mirroring the stop-not-clamp rule of the scalar version.
-    """
-    lam0 = np.asarray(lam0, dtype=np.float64)
-    grid = cfg.grid()
-    source = cfg.source()
-    lam = np.broadcast_to(lam0, (paths, k)).copy()
-    alive = np.ones(paths, dtype=bool)
-    idx = np.arange(k)
-    offdiag = idx[:, None] != idx[None, :]
-    for m in range(grid.steps):
-        li = lam[:, :, None]
-        lj = lam[:, None, :]
-        if kind == "wishart":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = (li + lj) / (li - lj)
-        elif kind == "bw":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = lj * (3.0 * li + lj) / (li * li - lj * lj)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        term = np.where(offdiag, term, 0.0)
-        drift = n + term.sum(axis=2)
-        dw = source.normals_block(m, paths, k) * np.sqrt(grid.dt)
-        cand = lam + drift * grid.dt + 2.0 * np.sqrt(np.maximum(lam, 0.0)) * dw
-        ok = np.all(np.isfinite(cand), axis=1) & (cand[:, -1] > lam_floor)
-        if k > 1:
-            ok &= np.all(-np.diff(cand, axis=1) > gap_floor, axis=1)
-        alive &= ok
-        lam = np.where(alive[:, None], cand, lam)
-    return lam, alive
+    """Final eigenvalue vectors and alive mask for the eigenvalue diffusions."""
+    return _run(eigen_problem(kind, lam0, n, k, lam_floor, gap_floor), cfg, paths)
 
 
 def sphere_ensemble(n: int, cfg: ProcessConfig, paths: int,
                     x0=None) -> tuple[np.ndarray, np.ndarray]:
     """Final points and squared radii of the sphere-tangent diffusion."""
-    grid = cfg.grid()
-    source = cfg.source()
-    if x0 is None:
-        x0 = np.zeros(n)
-        x0[0] = 1.0
-    x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (paths, n)).copy()
-    for m in range(grid.steps):
-        dw = source.normals_block(m, paths, n) * np.sqrt(grid.dt)
-        s = np.einsum("pi,pi->p", x, x)
-        rad = np.einsum("pi,pi->p", x, dw) / s
-        x = x + dw - x * rad[:, None]
-    return x, np.einsum("pi,pi->p", x, x)
+    x = _run(sphere_problem(n, x0), cfg, paths)[0]
+    return x, squared_norm(x)

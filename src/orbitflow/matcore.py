@@ -7,9 +7,9 @@ rather than wrapper classes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 # Shared tolerances. SPD and rank checks are relative to the largest
 # eigenvalue/singular value; the others are absolute on unit-scale residuals.
@@ -28,14 +28,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def mT(a) -> np.ndarray:
+    """Transpose over the last two axes of a stack of matrices."""
+    return np.swapaxes(a, -1, -2)
+
+
 def sym_part(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    return 0.5 * (a + a.T)
+    """Symmetric part over the last two axes (any leading batch axes)."""
+    a = np.asarray(a, dtype=np.float64)
+    return 0.5 * (a + mT(a))
 
 
 def skew_part(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    return 0.5 * (a - a.T)
+    a = np.asarray(a, dtype=np.float64)
+    return 0.5 * (a - mT(a))
 
 
 def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
@@ -76,15 +82,6 @@ def require_orthogonal(q, tol: float = TAU_ORTH) -> np.ndarray:
     return q
 
 
-def require_full_rank(m, tol: float = TAU_RANK) -> np.ndarray:
-    """Validate that all singular values exceed tol * sigma_max."""
-    m = as_matrix(m)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= tol * sv[0]:
-        raise ValueError("matrix is rank deficient")
-    return m
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -101,11 +98,6 @@ def eigh_desc(s) -> Spectrum:
     s = require_symmetric(s, tol=1e-10)
     w, v = np.linalg.eigh(s)
     return Spectrum(eigenvalues=w[::-1].copy(), vectors=v[:, ::-1].copy())
-
-
-def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
-    return np.asarray(scipy.linalg.expm(as_matrix(a)), dtype=np.float64)
 
 
 def sqrtm_spd(p) -> np.ndarray:
@@ -204,13 +196,15 @@ class LieBasis:
     def dim(self) -> int:
         return len(self.mats)
 
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        return np.stack(self.mats)
+
     def combine(self, coeffs) -> np.ndarray:
-        """Linear combination sum_a coeffs[a] * mats[a]."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        out = np.zeros_like(self.mats[0])
-        for c, mat in zip(coeffs, self.mats):
-            out += c * mat
-        return out
+        """Linear combination sum_a coeffs[..., a] * mats[a] over any leading
+        axes of coeffs."""
+        return np.einsum("...a,aij->...ij", np.asarray(coeffs, dtype=np.float64),
+                         self._stacked)
 
 
 def so_pairs(n: int) -> list[tuple[int, int]]:
@@ -240,14 +234,3 @@ def sl2_basis() -> LieBasis:
     y = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
     z = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
     return LieBasis(name="sl2", mats=(x, y, z))
-
-
-def gl_basis(n: int) -> LieBasis:
-    """Standard entrywise basis E_ab of all n x n matrices."""
-    mats = []
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n))
-            e[a, b] = 1.0
-            mats.append(e)
-    return LieBasis(name=f"gl({n})", mats=tuple(mats))

@@ -1,25 +1,28 @@
 """Named stochastic processes and deterministic flows on matrix manifolds.
 
-Single-path implementations built on the `sde` kernel.  Group-valued
-diffusions integrate the right-invariant Stratonovich equation dX = X o dW
-with the Heun scheme; quotient-valued processes are either pushforwards of a
-group path or direct Ito schemes whose correction terms were fixed by the
-quadratic-variation oracle (see the constants verification suite for the
-adjudicated values).
+Each process is defined once, by a problem builder (`*_problem`) whose drift,
+diffusion, guard and post_step accept states with any leading batch axes and
+give the same bits on a batch as on one slice.  The single-path functions
+here run that problem through `sde.integrate`; `ensembles` runs the same
+problem over a path axis with `sde.integrate_batch`.  The builders validate
+their inputs; the step functions do not.
+
+Group-valued diffusions integrate the right-invariant Stratonovich equation
+dX = X o dW with the Heun scheme; quotient-valued processes are either
+pushforwards of a group path or direct Ito schemes whose correction terms
+were fixed by the quadratic-variation oracle (see the constants verification
+suite for the adjudicated values).
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import LieBasis, as_matrix, eigh_desc, require_orthogonal, require_spd, \
-    sl2_basis, so_basis, sqrtm_spd, sym_part
+from .matcore import LieBasis, as_matrix, eigh_desc, mT, require_orthogonal, \
+    require_spd, sl2_basis, so_basis, sym_part
 from .geom import MetricR, drift_J_R, drift_J_spectral, vertical_project
-from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate
-
-# Re-exported name for eigenvalue trajectories; same layout as Path with the
-# states holding eigenvalue vectors.
-EigenPath = Path
+from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
 
 
 @dataclass(frozen=True)
@@ -56,37 +59,61 @@ class _ZeroNoise(NoiseSource):
         return np.zeros((n_paths, count))
 
 
-def _orth_defect(q: np.ndarray) -> float:
-    n = q.shape[0]
-    return float(np.linalg.norm(q.T @ q - np.eye(n)))
+def _run(problem: SdeProblem, cfg: ProcessConfig, path_index: int) -> Path:
+    return integrate(problem, cfg.grid(), cfg.source(), path_index)
 
 
-def _newton_orth(q: np.ndarray) -> np.ndarray:
-    # one Newton step toward the orthogonal polar factor: Q (3 I - Q^T Q) / 2
-    return 1.5 * q - 0.5 * (q @ (q.T @ q))
+def _pushforward(path: Path, states: np.ndarray) -> Path:
+    """The same path (times and stop record) with mapped states."""
+    return dataclasses.replace(path, states=states)
 
 
-def invariant_bm(basis: LieBasis, x0, cfg: ProcessConfig, guard=None,
-                 guard_name: str = "group guard", post_step=None,
-                 path_index: int = 0) -> Path:
+def gram(x) -> np.ndarray:
+    """X X^T over the last two axes."""
+    return np.einsum("...ij,...kj->...ik", x, x)
+
+
+def _dot(a, b) -> np.ndarray:
+    return (a * b).sum(axis=-1)
+
+
+def squared_norm(x) -> np.ndarray:
+    """|x|^2 over the last axis."""
+    return _dot(x, x)
+
+
+# --- group-valued diffusions -------------------------------------------------
+
+def invariant_problem(basis: LieBasis, x0, guard=None, guard_name: str = "group guard",
+                      post_step=None) -> SdeProblem:
     """Right-invariant Brownian motion dX = X o dW on a matrix group.
 
     dW = sum_a B_a dW^a over the given Lie-algebra basis with independent
     standard Wiener coefficients; Heun (Stratonovich) stepping.
     """
-    x0 = as_matrix(x0)
 
     def diffusion(t, x, dw):
         return x @ basis.combine(dw)
 
-    problem = SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(basis.dim,),
-                         scheme="heun", guard=guard, guard_name=guard_name,
-                         post_step=post_step)
-    return integrate(problem, cfg.grid(), cfg.source(), path_index)
+    return SdeProblem(x0=as_matrix(x0), diffusion=diffusion, noise_shape=(basis.dim,),
+                      scheme="heun", guard=guard, guard_name=guard_name,
+                      post_step=post_step)
 
 
-def bm_orthogonal(n: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
-                  reproject: bool = False, path_index: int = 0) -> Path:
+def invariant_bm(basis: LieBasis, x0, cfg: ProcessConfig, guard=None,
+                 guard_name: str = "group guard", post_step=None,
+                 path_index: int = 0) -> Path:
+    """One path of `invariant_problem`."""
+    return _run(invariant_problem(basis, x0, guard, guard_name, post_step), cfg, path_index)
+
+
+def _newton_orth(q: np.ndarray) -> np.ndarray:
+    # one Newton step toward the orthogonal polar factor: Q (3 I - Q^T Q) / 2
+    return 1.5 * q - 0.5 * (q @ (mT(q) @ q))
+
+
+def orthogonal_problem(n: int, guard_tol: float = 1e-2,
+                       reproject: bool = False) -> SdeProblem:
     """Brownian motion on O(n), started at the identity.
 
     The raw Heun step drifts off the group at fourth order in the increment;
@@ -94,11 +121,20 @@ def bm_orthogonal(n: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
     reproject=True a Newton correction toward the orthogonal polar factor is
     applied each step.
     """
-    guard = lambda q: _orth_defect(q) <= guard_tol
-    post = _newton_orth if reproject else None
-    return invariant_bm(so_basis(n), np.eye(n), cfg, guard=guard,
-                        guard_name="orthogonality guard", post_step=post,
-                        path_index=path_index)
+    eye = np.eye(n)
+
+    def guard(q):
+        return np.linalg.norm(mT(q) @ q - eye, axis=(-2, -1)) <= guard_tol
+
+    return invariant_problem(so_basis(n), eye, guard=guard,
+                             guard_name="orthogonality guard",
+                             post_step=_newton_orth if reproject else None)
+
+
+def bm_orthogonal(n: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
+                  reproject: bool = False, path_index: int = 0) -> Path:
+    """One path of `orthogonal_problem`."""
+    return _run(orthogonal_problem(n, guard_tol, reproject), cfg, path_index)
 
 
 def bm_stiefel(n: int, k: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
@@ -111,9 +147,38 @@ def bm_stiefel(n: int, k: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, path_index=path_index)
-    return Path(times=qp.times, states=qp.states[:, :, :k].copy(),
-                path_index=qp.path_index, stopped_step=qp.stopped_step,
-                stop_reason=qp.stop_reason)
+    return _pushforward(qp, qp.states[:, :, :k].copy())
+
+
+def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem:
+    """Direct Euler-Maruyama on the Grassmann projector P,
+        dP = Q (dA I_kn - I_kn dA) Q^T + (k/2 I - n/2 P) dt,
+    with Q the eigenframe of the current P (eigenvalues descending) and dA
+    the skew increment.  The drift constants come from the
+    quadratic-variation oracle; they make tr P a conserved quantity in
+    expectation, which the stated -2nP correction in circulation fails to do.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    ikn = np.diag((np.arange(n) < k).astype(np.float64))
+    eye = np.eye(n)
+    basis = so_basis(n)
+
+    def diffusion(t, p, dw):
+        a = basis.combine(dw)
+        u = np.linalg.eigh(p)[1][..., ::-1]
+        return u @ (a @ ikn - ikn @ a) @ mT(u)
+
+    def drift(t, p):
+        return 0.5 * k * eye - 0.5 * n * p
+
+    def guard(p):
+        return ((np.linalg.norm(p @ p - p, axis=(-2, -1)) <= guard_tol)
+                & (np.abs(np.trace(p, axis1=-2, axis2=-1) - k) <= guard_tol))
+
+    return SdeProblem(x0=ikn, drift=drift, diffusion=diffusion,
+                      noise_shape=(basis.dim,), scheme="euler", guard=guard,
+                      guard_name="projector guard", post_step=sym_part)
 
 
 def bm_grassmann(n: int, k: int, cfg: ProcessConfig, route: str = "pushforward",
@@ -124,47 +189,17 @@ def bm_grassmann(n: int, k: int, cfg: ProcessConfig, route: str = "pushforward",
         P = Q I_kn Q^T  (I_kn = diag of k ones),
     which keeps P an exact projector up to the orthogonality of Q.
 
-    route="ito": direct Euler-Maruyama on P,
-        dP = Q (dA I_kn - I_kn dA) Q^T + (k/2 I - n/2 P) dt,
-    with Q the eigenframe of the current P.  The drift constants come from
-    the quadratic-variation oracle; they make tr P a conserved quantity in
-    expectation, which the stated -2nP correction in circulation fails to do.
+    route="ito": one path of `grassmann_ito_problem`.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if route == "pushforward":
         qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, reproject=True,
                            path_index=path_index)
-        states = np.einsum("mij,mkj->mik", qp.states[:, :, :k], qp.states[:, :, :k])
-        return Path(times=qp.times, states=states, path_index=qp.path_index,
-                    stopped_step=qp.stopped_step, stop_reason=qp.stop_reason)
+        return _pushforward(qp, gram(qp.states[..., :k]))
     if route != "ito":
         raise ValueError(f"unknown route {route!r}")
-
-    ikn = np.zeros((n, n))
-    ikn[np.arange(k), np.arange(k)] = 1.0
-    tri = n * (n - 1) // 2
-    iu = np.triu_indices(n, k=1)
-
-    def diffusion(t, p, dw):
-        a = np.zeros((n, n))
-        a[iu] = dw / np.sqrt(2.0)
-        a = a - a.T
-        u = eigh_desc(sym_part(p)).vectors
-        b = a @ ikn - ikn @ a
-        return u @ b @ u.T
-
-    def drift(t, p):
-        return 0.5 * k * np.eye(n) - 0.5 * n * p
-
-    def guard(p):
-        return (np.linalg.norm(p @ p - p) <= guard_tol
-                and abs(np.trace(p) - k) <= guard_tol)
-
-    problem = SdeProblem(x0=ikn, drift=drift, diffusion=diffusion,
-                         noise_shape=(tri,), scheme="euler", guard=guard,
-                         guard_name="projector guard", post_step=sym_part)
-    return integrate(problem, cfg.grid(), cfg.source(), path_index)
+    return _run(grassmann_ito_problem(n, k, guard_tol), cfg, path_index)
 
 
 def flag_projection(q, dims) -> tuple:
@@ -182,12 +217,13 @@ def flag_projection(q, dims) -> tuple:
     return tuple(q[:, :d] @ q[:, :d].T for d in dims)
 
 
-def sl2_to_halfplane(m: np.ndarray) -> tuple[float, float]:
-    """Moebius action of a real 2x2 matrix on the base point i."""
-    a, b = m[0]
-    c, d = m[1]
+def sl2_to_halfplane(m) -> np.ndarray:
+    """Moebius action of real 2x2 matrices (any leading axes) on the base
+    point i; returns the points (x, y) along a last axis of length 2."""
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
     den = c * c + d * d
-    return ((a * c + b * d) / den, (a * d - b * c) / den)
+    return np.stack([(a * c + b * d) / den, (a * d - b * c) / den], axis=-1)
 
 
 def halfplane_start(x: float, y: float) -> np.ndarray:
@@ -198,42 +234,40 @@ def halfplane_start(x: float, y: float) -> np.ndarray:
     return np.array([[s, x / s], [0.0, 1.0 / s]])
 
 
+def poincare_problem(z0: tuple[float, float] = (0.0, 1.0), det_tol: float = 1e-2,
+                     y_floor: float = 1e-8) -> SdeProblem:
+    """Hyperbolic Brownian motion on the upper half-plane, as the invariant
+    diffusion on the determinant-one group with the three-generator basis
+    (boost, dilation, rotation); `sl2_to_halfplane` projects its states
+    through the Moebius action, and the rotation generator spans the fiber
+    over the base point.
+    """
+
+    def guard(m):
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        height = det / (m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2)
+        return (np.abs(det - 1.0) <= det_tol) & (height > y_floor)
+
+    return invariant_problem(sl2_basis(), halfplane_start(*z0), guard=guard,
+                             guard_name="half-plane guard")
+
+
 def bm_poincare(cfg: ProcessConfig, z0: tuple[float, float] = (0.0, 1.0),
                 det_tol: float = 1e-2, y_floor: float = 1e-8,
                 path_index: int = 0) -> Path:
-    """Hyperbolic Brownian motion on the upper half-plane.
-
-    Simulates the invariant diffusion on the determinant-one group with the
-    three-generator basis (boost, dilation, rotation) and projects through
-    the Moebius action; the rotation generator spans the fiber over the base
-    point.  States are (x, y) pairs.
-    """
-    m0 = halfplane_start(*z0)
-
-    def guard(m):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > det_tol:
-            return False
-        return det / (m[1, 0] ** 2 + m[1, 1] ** 2) > y_floor
-
-    mp = invariant_bm(sl2_basis(), m0, cfg, guard=guard,
-                      guard_name="half-plane guard", path_index=path_index)
-    states = np.empty((mp.states.shape[0], 2))
-    for i, m in enumerate(mp.states):
-        states[i] = sl2_to_halfplane(m)
-    return Path(times=mp.times, states=states, path_index=mp.path_index,
-                stopped_step=mp.stopped_step, stop_reason=mp.stop_reason)
+    """One path of `poincare_problem`; states are (x, y) pairs."""
+    mp = _run(poincare_problem(z0, det_tol, y_floor), cfg, path_index)
+    return _pushforward(mp, sl2_to_halfplane(mp.states))
 
 
-def bm_cartan_hadamard(n: int, cfg: ProcessConfig, g0=None,
-                       det_floor: float = 1e-12,
-                       path_index: int = 0) -> tuple[Path, Path]:
-    """Brownian motion on the full matrix group and its SPD image G G^T.
+# --- SPD-cone diffusions -----------------------------------------------------
 
-    Ito form dG = G dW + G/2 dt (the drift is the Stratonovich correction
-    dW dW = I dt contracted once); the image satisfies
-    dP = G (dW + dW^T) G^T + (n + 1) P dt, so E[tr P_t] grows like
-    exp((n + 1) t).
+def cartan_hadamard_problem(n: int, g0=None, det_floor: float = 1e-12) -> SdeProblem:
+    """Brownian motion on the full matrix group, Ito form dG = G dW + G/2 dt
+    (the drift is the Stratonovich correction dW dW = I dt contracted once).
+
+    The image P = G G^T satisfies dP = G (dW + dW^T) G^T + (n + 1) P dt, so
+    E[tr P_t] grows like exp((n + 1) t).
     """
     g0 = np.eye(n) if g0 is None else as_matrix(g0)
 
@@ -244,15 +278,19 @@ def bm_cartan_hadamard(n: int, cfg: ProcessConfig, g0=None,
         return g @ dw
 
     def guard(g):
-        return np.all(np.isfinite(g)) and abs(np.linalg.det(g)) > det_floor
+        return np.isfinite(g).all(axis=(-2, -1)) & (np.abs(np.linalg.det(g)) > det_floor)
 
-    problem = SdeProblem(x0=g0, drift=drift, diffusion=diffusion,
-                         noise_shape=(n, n), scheme="euler", guard=guard,
-                         guard_name="invertibility guard")
-    gp = integrate(problem, cfg.grid(), cfg.source(), path_index)
-    spd = np.einsum("mij,mkj->mik", gp.states, gp.states)
-    return gp, Path(times=gp.times, states=spd, path_index=gp.path_index,
-                    stopped_step=gp.stopped_step, stop_reason=gp.stop_reason)
+    return SdeProblem(x0=g0, drift=drift, diffusion=diffusion,
+                      noise_shape=(n, n), scheme="euler", guard=guard,
+                      guard_name="invertibility guard")
+
+
+def bm_cartan_hadamard(n: int, cfg: ProcessConfig, g0=None,
+                       det_floor: float = 1e-12,
+                       path_index: int = 0) -> tuple[Path, Path]:
+    """One path of `cartan_hadamard_problem` and its SPD image G G^T."""
+    gp = _run(cartan_hadamard_problem(n, g0, det_floor), cfg, path_index)
+    return gp, _pushforward(gp, gram(gp.states))
 
 
 def rect_factor(p, k: int) -> np.ndarray:
@@ -264,15 +302,14 @@ def rect_factor(p, k: int) -> np.ndarray:
     return dec.vectors[:, :k] * np.sqrt(np.maximum(lam[:k], 0.0))
 
 
-def wishart(n: int, k: int, cfg: ProcessConfig, p0=None, w0=None,
-            path_index: int = 0) -> tuple[Path, Path]:
-    """Wishart process: P = W W^T along an n x k matrix Wiener path.
+def wishart_problem(n: int, k: int, p0=None, w0=None) -> SdeProblem:
+    """Wishart process: P = W W^T along an n x k matrix Wiener path W.
 
     The Wiener path is exact (cumulative increments), so P is a Gram matrix
     at every grid point and stays positive semidefinite by construction.
     Ito form: dP = dW W^T + W dW^T + k I dt, the additive constant being the
     column count k (the square-dimension constant in circulation is only
-    correct for k = n).
+    correct for k = n).  The start is w0, else a factor of p0, else I_nk.
     """
     if w0 is not None:
         w0 = as_matrix(w0)
@@ -286,47 +323,79 @@ def wishart(n: int, k: int, cfg: ProcessConfig, p0=None, w0=None,
     def diffusion(t, w, dw):
         return dw
 
-    problem = SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k),
-                         scheme="euler")
-    wp = integrate(problem, cfg.grid(), cfg.source(), path_index)
-    spd = np.einsum("mij,mkj->mik", wp.states, wp.states)
-    return wp, Path(times=wp.times, states=spd, path_index=wp.path_index,
-                    stopped_step=wp.stopped_step, stop_reason=wp.stop_reason)
+    return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k),
+                      scheme="euler")
 
 
-def bm_bures_wasserstein(p0, cfg: ProcessConfig, k: int | None = None,
-                         eig_floor: float = 1e-8, path_index: int = 0) -> Path:
+def wishart(n: int, k: int, cfg: ProcessConfig, p0=None, w0=None,
+            path_index: int = 0) -> tuple[Path, Path]:
+    """One factor path of `wishart_problem` and its Wishart image W W^T."""
+    wp = _run(wishart_problem(n, k, p0, w0), cfg, path_index)
+    return wp, _pushforward(wp, gram(wp.states))
+
+
+def _spectrum_cache():
+    """Descending eigenpairs of the last state asked for.  Euler evaluates
+    drift and diffusion at the state the guard accepted one step earlier, so
+    one decomposition per step serves all three."""
+    last = [None, None]
+
+    def spectrum(p):
+        if last[0] is not p:
+            w, v = np.linalg.eigh(p)
+            last[0], last[1] = p, (w[..., ::-1], v[..., ::-1])
+        return last[1]
+
+    return spectrum
+
+
+def bures_wasserstein_problem(p0, eig_floor: float = 1e-8) -> SdeProblem:
     """Brownian motion on the SPD cone for the quotient metric.
 
     Euler-Maruyama on
-        dP = dW M^T + M dW^T + (k I - J(P)) dt,   M M^T = P,
-    where J is the spectral quotient drift; subtracting J removes the drift
-    that orbit-valued noise would otherwise push onto the image.  Paths stop
-    when the spectrum hits the rank guard.
+        dP = dW M^T + M dW^T + (n I - J(P)) dt,   M = U diag(sqrt(lam)),
+    with P = U diag(lam) U^T (eigenvalues descending), dW an n x n Wiener
+    increment and J the spectral quotient drift; subtracting J removes the
+    drift that orbit-valued noise would otherwise push onto the image.  The
+    factor is square: noise of width k < n needs a rank-k P, which the rank
+    guard excludes.  The eigenvector factor and the symmetric square root
+    give the same law but different paths from the same noise.  Paths stop
+    when lam_min <= eig_floor * lam_max.
     """
     p0 = require_spd(p0)
     n = p0.shape[0]
-    kk = n if k is None else k
+    eye = np.eye(n)
+    spectrum = _spectrum_cache()
 
     def drift(t, p):
-        return kk * np.eye(n) - drift_J_spectral(p)
+        lam, u = spectrum(p)
+        d = (lam[..., :, None] / (lam[..., :, None] + lam[..., None, :])).sum(axis=-1) - 0.5
+        return n * eye - (u * d[..., None, :]) @ mT(u)
 
     def diffusion(t, p, dw):
-        m = sqrtm_spd(sym_part(p)) if kk == n else rect_factor(sym_part(p), kk)
-        return dw @ m.T + m @ dw.T
+        lam, u = spectrum(p)
+        mdw = dw @ mT(u * np.sqrt(np.maximum(lam, 0.0))[..., None, :])
+        return mdw + mT(mdw)
 
     def guard(p):
-        w = np.linalg.eigvalsh(sym_part(p))
-        return w[0] > eig_floor * max(w[-1], 0.0) and w[-1] > 0.0
+        lam, _ = spectrum(p)
+        return (lam[..., -1] > eig_floor * np.maximum(lam[..., 0], 0.0)) & (lam[..., 0] > 0.0)
 
-    problem = SdeProblem(x0=p0, drift=drift, diffusion=diffusion,
-                         noise_shape=(n, kk), scheme="euler", guard=guard,
-                         guard_name="rank guard", post_step=sym_part)
-    return integrate(problem, cfg.grid(), cfg.source(), path_index)
+    return SdeProblem(x0=p0, drift=drift, diffusion=diffusion,
+                      noise_shape=(n, n), scheme="euler", guard=guard,
+                      guard_name="rank guard", post_step=sym_part)
 
 
-def eigen_drift(kind: str, lam: np.ndarray, n: int) -> np.ndarray:
-    """Drift of the eigenvalue diffusions.
+def bm_bures_wasserstein(p0, cfg: ProcessConfig, eig_floor: float = 1e-8,
+                         path_index: int = 0) -> Path:
+    """One path of `bures_wasserstein_problem`."""
+    return _run(bures_wasserstein_problem(p0, eig_floor), cfg, path_index)
+
+
+# --- eigenvalue diffusions ---------------------------------------------------
+
+def eigen_drift(kind: str, lam, n: int) -> np.ndarray:
+    """Drift of the eigenvalue diffusions (lam may carry leading axes).
 
     kind="wishart": d_i = n + sum_{j != i} (l_i + l_j) / (l_i - l_j)
     kind="bw":      d_i = n + sum_{j != i} l_j (3 l_i + l_j) / (l_i^2 - l_j^2)
@@ -334,24 +403,22 @@ def eigen_drift(kind: str, lam: np.ndarray, n: int) -> np.ndarray:
     The two differ exactly by the spectral quotient drift
     sum_{j != i} l_i / (l_i + l_j).
     """
-    m = lam.shape[0]
-    out = np.full(m, float(n))
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            if kind == "wishart":
-                out[i] += (lam[i] + lam[j]) / (lam[i] - lam[j])
-            elif kind == "bw":
-                out[i] += lam[j] * (3.0 * lam[i] + lam[j]) / (lam[i] ** 2 - lam[j] ** 2)
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-    return out
+    lam = np.asarray(lam, dtype=np.float64)
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "wishart":
+            term = (li + lj) / (li - lj)
+        elif kind == "bw":
+            term = lj * (3.0 * li + lj) / (li * li - lj * lj)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    term = np.where(np.eye(lam.shape[-1], dtype=bool), 0.0, term)
+    return n + term.sum(axis=-1)
 
 
-def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
-              lam_floor: float = 1e-12, gap_floor: float = 1e-10,
-              path_index: int = 0) -> EigenPath:
+def eigen_problem(kind: str, lam0, n: int, k: int, lam_floor: float = 1e-12,
+                  gap_floor: float = 1e-10) -> SdeProblem:
     """Autonomous eigenvalue diffusion d l_i = 2 sqrt(l_i) d b_i + drift dt.
 
     lam0 holds the k nonzero eigenvalues in strictly descending order; the
@@ -359,6 +426,8 @@ def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
     or the strict ordering is about to fail, since the interaction terms are
     singular at collisions.
     """
+    if kind not in ("wishart", "bw"):
+        raise ValueError(f"unknown kind {kind!r}")
     lam0 = np.asarray(lam0, dtype=np.float64)
     if lam0.shape != (k,):
         raise ValueError("lam0 must hold k eigenvalues")
@@ -372,15 +441,23 @@ def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
         return 2.0 * np.sqrt(np.maximum(lam, 0.0)) * dw
 
     def guard(lam):
-        if not np.all(np.isfinite(lam)) or lam[-1] <= lam_floor:
-            return False
-        return k == 1 or np.all(-np.diff(lam) > gap_floor)
+        gaps = lam[..., :-1] - lam[..., 1:]
+        return (np.isfinite(lam).all(axis=-1) & (lam[..., -1] > lam_floor)
+                & (gaps > gap_floor).all(axis=-1))
 
-    problem = SdeProblem(x0=lam0, drift=drift, diffusion=diffusion,
-                         noise_shape=(k,), scheme="euler", guard=guard,
-                         guard_name="spectrum guard")
-    return integrate(problem, cfg.grid(), cfg.source(), path_index)
+    return SdeProblem(x0=lam0, drift=drift, diffusion=diffusion,
+                      noise_shape=(k,), scheme="euler", guard=guard,
+                      guard_name="spectrum guard")
 
+
+def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
+              lam_floor: float = 1e-12, gap_floor: float = 1e-10,
+              path_index: int = 0) -> Path:
+    """One path of `eigen_problem`; states are eigenvalue vectors."""
+    return _run(eigen_problem(kind, lam0, n, k, lam_floor, gap_floor), cfg, path_index)
+
+
+# --- fiber-valued noise and the quotient flow --------------------------------
 
 def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
                 rank_tol: float = 1e-8, path_index: int = 0) -> tuple[Path, Path]:
@@ -388,7 +465,8 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
 
     The image has no martingale part (vertical pushforwards cancel in
     X K X^T + X K^T X^T), so it tracks the deterministic quotient flow up to
-    an O(sqrt(dt)) discretization halo.
+    an O(sqrt(dt)) discretization halo.  Single path only: the vertical
+    projection works on one matrix.
     """
     m0 = as_matrix(m0)
     gi = None if metric is None else metric.factor_inv
@@ -403,40 +481,39 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
 
     problem = SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
                          scheme="euler", guard=guard, guard_name="rank guard")
-    xp = integrate(problem, cfg.grid(), cfg.source(), path_index)
-    image = np.einsum("mij,mkj->mik", xp.states, xp.states)
-    return xp, Path(times=xp.times, states=image, path_index=xp.path_index,
-                    stopped_step=xp.stopped_step, stop_reason=xp.stop_reason)
+    xp = _run(problem, cfg, path_index)
+    return xp, _pushforward(xp, gram(xp.states))
+
+
+def sphere_problem(n: int, x0=None, norm_floor: float = 1e-8) -> SdeProblem:
+    """Sphere-tangent noise on a radial line: dX = (I - x x^T / |x|^2) dW.
+
+    The squared radius S = |X|^2 then grows at the deterministic rate n - 1
+    (the full quadratic variation of the projected increments, with no 1/2:
+    the radial martingale part is annihilated by the projector).  The default
+    start is the first unit vector.
+    """
+    if x0 is None:
+        x0 = np.zeros(n)
+        x0[0] = 1.0
+
+    def diffusion(t, x, dw):
+        rad = _dot(x, dw) / squared_norm(x)
+        return dw - x * rad[..., None]
+
+    def guard(x):
+        return squared_norm(x) > norm_floor ** 2
+
+    return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(n,),
+                      scheme="euler", guard=guard, guard_name="origin guard")
 
 
 def sphere_vertical_bm(n: int, cfg: ProcessConfig, x0=None,
                        norm_floor: float = 1e-8,
                        path_index: int = 0) -> tuple[Path, np.ndarray]:
-    """Sphere-tangent noise on a radial line: dX = (I - x x^T / |x|^2) dW.
-
-    The squared radius S = |X|^2 then grows at the deterministic rate n - 1
-    (the full quadratic variation of the projected increments, with no 1/2:
-    the radial martingale part is annihilated by the projector).  Returns the
-    path and the S trajectory.
-    """
-    if x0 is None:
-        x0 = np.zeros(n)
-        x0[0] = 1.0
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-
-    def diffusion(t, x, dw):
-        s = float(x @ x)
-        return dw - x * (float(x @ dw) / s)
-
-    def guard(x):
-        return float(x @ x) > norm_floor ** 2
-
-    problem = SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(n,),
-                         scheme="euler", guard=guard, guard_name="origin guard")
-    xp = integrate(problem, cfg.grid(), cfg.source(), path_index)
-    s = np.einsum("mi,mi->m", xp.states, xp.states)
-    return xp, s
+    """One path of `sphere_problem` and its squared-radius trajectory S."""
+    xp = _run(sphere_problem(n, x0, norm_floor), cfg, path_index)
+    return xp, squared_norm(xp.states)
 
 
 def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path:
@@ -450,16 +527,4 @@ def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path
     if steps < 1:
         raise ValueError("steps must be at least 1")
     f = (lambda p: drift_J_spectral(p)) if metric is None else (lambda p: drift_J_R(p, metric))
-    h = t_end / steps
-    states = np.empty((steps + 1,) + p0.shape)
-    states[0] = p0
-    p = p0.copy()
-    for m in range(steps):
-        k1 = f(p)
-        k2 = f(sym_part(p + 0.5 * h * k1))
-        k3 = f(sym_part(p + 0.5 * h * k2))
-        k4 = f(sym_part(p + h * k3))
-        p = sym_part(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        states[m + 1] = p
-    times = np.linspace(0.0, t_end, steps + 1)
-    return Path(times=times, states=states)
+    return Path(times=np.linspace(0.0, t_end, steps + 1), states=rk4(f, p0, t_end, steps))

@@ -1,33 +1,22 @@
-"""Stochastic integration kernel: deterministic noise streams, Euler-Maruyama
-and Heun steppers with state guards, and a quadratic-variation oracle.
+"""Integration kernel: deterministic noise streams, Euler-Maruyama and Heun
+steppers with state guards for one path or a batch of paths, the RK4 used by
+the deterministic flows, and a quadratic-variation oracle.
 
 Noise determinism contract: the standard normal attached to
 (seed, stream, path, step, entry) is a pure function of those indices,
 realized through a counter-based bit generator.  It does not depend on how
-many paths are simulated, on worker-thread count, or on evaluation order.
+many paths are simulated or on evaluation order.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from .matcore import so_basis, sym_part
+
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
-
-
-def worker_count(default: int = 1) -> int:
-    """Worker cap for path-parallel runs, from ORBITFLOW_THREADS if set."""
-    raw = os.environ.get("ORBITFLOW_THREADS")
-    if raw is None:
-        return default
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ORBITFLOW_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -53,8 +42,15 @@ class TimeGrid:
 
     @classmethod
     def regular(cls, t_end: float, dt: float, t0: float = 0.0) -> "TimeGrid":
-        steps = int(round((t_end - t0) / dt))
-        return cls(t0=t0, dt=dt, steps=max(steps, 1))
+        """Grid from t0 to t_end; (t_end - t0) / dt must be a positive whole
+        number to 1e-9 (relative), so the grid never ends short of or past
+        t_end."""
+        ratio = (t_end - t0) / dt
+        steps = int(round(ratio))
+        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+            raise ValueError(f"t={t_end:g} is not a whole number of dt={dt:g} steps "
+                             f"from t0={t0:g} (ratio {ratio:.12g})")
+        return cls(t0=t0, dt=dt, steps=steps)
 
 
 class NoiseSource:
@@ -107,29 +103,24 @@ def gaussian_increment(source: NoiseSource, path: int, step: int, shape, dt: flo
 
 
 def skew_increment(source: NoiseSource, path: int, step: int, n: int, dt: float) -> np.ndarray:
-    """Skew-symmetric increment with upper-triangle entries i.i.d. N(0, dt/2).
-
-    Equals the coefficient expansion sum_{i<j} (E_ij - E_ji)/sqrt(2) * g_ij
-    with g_ij i.i.d. N(0, dt).
-    """
-    tri = n * (n - 1) // 2
-    g = source.normals(path, step, tri) * np.sqrt(dt / 2.0)
-    a = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    a[iu] = g
-    return a - a.T
+    """Skew-symmetric increment sum_{i<j} (E_ij - E_ji)/sqrt(2) * g_ij with
+    g_ij i.i.d. N(0, dt), i.e. upper-triangle entries i.i.d. N(0, dt/2)."""
+    basis = so_basis(n)
+    return basis.combine(gaussian_increment(source, path, step, (basis.dim,), dt))
 
 
 @dataclass
 class SdeProblem:
-    """Problem description for `integrate`.
+    """Problem description for `integrate` and `integrate_batch`.
 
     drift(t, x) -> array or None; diffusion(t, x, dw) -> array or None (the
     full diffusion contribution b(x) dw, not the coefficient); noise_shape is
     the shape of dw per step.  scheme is "euler" (Ito) or "heun"
     (Stratonovich predictor-corrector).  guard(x) -> bool is checked on every
     proposed state; on failure the path stops at the last valid state rather
-    than clamping.
+    than clamping.  For `integrate_batch` every function must also accept
+    states with a leading path axis, and the guard then returns one bool per
+    path.
     """
 
     x0: np.ndarray
@@ -170,77 +161,106 @@ class Path:
         return self.states[-1]
 
 
-def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
-              path_index: int = 0) -> Path:
-    """Integrate one path of the problem over the grid.
+def _advance(problem: SdeProblem, t0: float, t1: float, x: np.ndarray, dw,
+             dt: float) -> np.ndarray:
+    """One Euler or Heun step from x, then post_step.  x may carry leading
+    batch axes; the arithmetic is the same either way.
 
     Euler-Maruyama:  x' = x + drift(t, x) dt + diffusion(t, x, dw)
     Heun:            predictor as above, then the average of drift/diffusion
                      evaluated at the current and predicted states with the
                      same increment (Stratonovich reading).
     """
+    d0 = None if problem.drift is None else problem.drift(t0, x)
+    s0 = None if problem.diffusion is None else problem.diffusion(t0, x, dw)
+    nxt = x
+    if d0 is not None:
+        nxt = nxt + d0 * dt
+    if s0 is not None:
+        nxt = nxt + s0
+    if problem.scheme == "heun":
+        pred = nxt
+        nxt = x
+        if d0 is not None:
+            nxt = nxt + 0.5 * (d0 + problem.drift(t1, pred)) * dt
+        if s0 is not None:
+            nxt = nxt + 0.5 * (s0 + problem.diffusion(t1, pred, dw))
+    if problem.post_step is not None:
+        nxt = problem.post_step(nxt)
+    return nxt
+
+
+def _check_source(problem: SdeProblem, source) -> None:
     if problem.noise_shape and source is None:
         raise ValueError("problem has noise but no noise source was given")
-    dt = grid.dt
+
+
+def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
+              path_index: int = 0) -> Path:
+    """Integrate one path of the problem over the grid (see `_advance`)."""
+    _check_source(problem, source)
     x = problem.x0.copy()
     states = np.empty((grid.steps + 1,) + x.shape)
     states[0] = x
     times = grid.times()
-    stopped_step = None
-    reason = None
     for m in range(grid.steps):
-        t = times[m]
+        dw = None
         if problem.noise_shape:
-            dw = gaussian_increment(source, path_index, m, problem.noise_shape, dt)
-        else:
-            dw = None
-        d0 = problem.drift(t, x) if problem.drift is not None else None
-        s0 = problem.diffusion(t, x, dw) if problem.diffusion is not None else None
-        pred = x.copy()
-        if d0 is not None:
-            pred = pred + d0 * dt
-        if s0 is not None:
-            pred = pred + s0
-        if problem.scheme == "euler":
-            nxt = pred
-        else:
-            t1 = times[m + 1]
-            nxt = x.copy()
-            if problem.drift is not None:
-                nxt = nxt + 0.5 * (d0 + problem.drift(t1, pred)) * dt
-            if problem.diffusion is not None:
-                nxt = nxt + 0.5 * (s0 + problem.diffusion(t1, pred, dw))
-        if problem.post_step is not None:
-            nxt = problem.post_step(nxt)
+            dw = gaussian_increment(source, path_index, m, problem.noise_shape, grid.dt)
+        nxt = _advance(problem, times[m], times[m + 1], x, dw, grid.dt)
         if problem.guard is not None and not problem.guard(nxt):
-            stopped_step = m
-            reason = problem.guard_name
-            states = states[: m + 1]
-            times = times[: m + 1]
-            break
+            return Path(times=times[: m + 1], states=states[: m + 1], path_index=path_index,
+                        stopped_step=m, stop_reason=problem.guard_name)
         x = nxt
         states[m + 1] = x
-    return Path(times=times, states=states, path_index=path_index,
-                stopped_step=stopped_step, stop_reason=reason)
+    return Path(times=times, states=states, path_index=path_index)
 
 
-def run_paths(problem: SdeProblem, grid: TimeGrid, source: NoiseSource,
-              n_paths: int, workers: int | None = None) -> list[Path]:
-    """Integrate paths 0..n_paths-1, optionally across a thread pool.
+def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
+                    n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Final states of paths 0..n_paths-1 and the mask of paths that never
+    tripped the guard; only the current states are kept.
 
-    Results are identical for any worker count: each path consumes only its
-    own noise indices and the output list is assembled in path order.
+    The problem's drift, diffusion, guard and post_step receive the states
+    with a leading path axis.  Row p draws the noise of path p, so it equals
+    integrate(problem, grid, source, p).final bit for bit as long as the
+    problem's functions give the same bits on a batch as on one slice.  A path
+    whose guard trips keeps its last valid state.
     """
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or n_paths <= 1:
-        return [integrate(problem, grid, source, p) for p in range(n_paths)]
-    out: list[Path | None] = [None] * n_paths
-    def job(p: int) -> None:
-        out[p] = integrate(problem, grid, source, p)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(job, range(n_paths)))
-    return out  # type: ignore[return-value]
+    _check_source(problem, source)
+    x = np.broadcast_to(problem.x0, (n_paths,) + problem.x0.shape).copy()
+    alive = np.ones(n_paths, dtype=bool)
+    count = int(np.prod(problem.noise_shape))
+    times = grid.times()
+    for m in range(grid.steps):
+        dw = None
+        if problem.noise_shape:
+            z = source.normals_block(m, n_paths, count)
+            dw = (np.sqrt(grid.dt) * z).reshape((n_paths,) + problem.noise_shape)
+        nxt = _advance(problem, times[m], times[m + 1], x, dw, grid.dt)
+        if problem.guard is not None:
+            alive &= problem.guard(nxt)
+            if not alive.all():
+                nxt = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), nxt, x)
+        x = nxt
+    return x, alive
+
+
+def rk4(f, x0: np.ndarray, duration: float, steps: int) -> np.ndarray:
+    """Classical RK4 for a symmetric-matrix flow dP/dt = f(P); every stage
+    and step is symmetrized.  Returns the states at the steps+1 grid points."""
+    h = duration / steps
+    states = np.empty((steps + 1,) + x0.shape)
+    states[0] = x0
+    p = x0
+    for m in range(steps):
+        k1 = f(p)
+        k2 = f(sym_part(p + 0.5 * h * k1))
+        k3 = f(sym_part(p + 0.5 * h * k2))
+        k4 = f(sym_part(p + h * k3))
+        p = sym_part(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        states[m + 1] = p
+    return states
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .ensembles import (bw_ensemble, eigen_ensemble, grassmann_ito_ensemble,
 from .geom import (MetricR, drift_J_R, drift_J_spectral, horizontal_project,
                    ito_correction_sum, metric_gram, orbit_log_volume,
                    vertical_project)
-from .matcore import sqrtm_spd, sym_part
+from .matcore import so_basis, sqrtm_spd, sym_part
 from .processes import ProcessConfig, mcf_ode, vertical_bm
 from .reporting import ConstantsEntry, ConstantsReport
 from .sde import qv_oracle
@@ -67,14 +67,6 @@ def _seeded_spd(rng, n, spread=1.0):
 
 # --- constants -------------------------------------------------------------
 
-def _skew_from_flat(g, n):
-    # upper entries g/sqrt(2); with g ~ N(0, dt) this matches skew_increment
-    a = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    a[iu] = np.ravel(g) / np.sqrt(2.0)
-    return a - a.T
-
-
 def constants_suite(samples: int = 8000, seed: int = 0):
     """Adjudicate the stated Ito-correction constants against qv_oracle.
 
@@ -86,7 +78,6 @@ def constants_suite(samples: int = 8000, seed: int = 0):
     n = 3
     k = 2
     dt = 1e-3
-    tri = n * (n - 1) // 2
 
     # sphere: tangent-projected noise at a unit point; radial slope n-1
     x = np.zeros((n, 1))
@@ -95,8 +86,9 @@ def constants_suite(samples: int = 8000, seed: int = 0):
                           dt, samples, seed=seed)
     # orthogonal frame: dX = dA at Q = I; the plain product dA dA picks up
     # the Ito coefficient -(n-1)/2, the outer product its normalization
-    qv_skew = qv_oracle(lambda t, s, dw: _skew_from_flat(dw, n), np.eye(n),
-                        (tri,), dt, samples, seed=seed + 1)
+    skew = so_basis(n)
+    qv_skew = qv_oracle(lambda t, s, dw: skew.combine(dw), np.eye(n),
+                        (skew.dim,), dt, samples, seed=seed + 1)
     # rectangular and square Wiener contractions dW dW^T
     qv_rect = qv_oracle(lambda t, s, dw: dw, np.zeros((n, k)), (n, k),
                         dt, samples, seed=seed + 2)
@@ -278,8 +270,10 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
         f"max |P^2 - P| = {defect:.2e} (tol 1e-3), max |tr P - k| = {tr_defect:.2e} (tol 1e-6)"))
 
     # the direct Ito route conserves tr P exactly; its projector defect is
-    # O(sqrt(dt)) by construction, so only the trace is asserted here
-    p = grassmann_ito_ensemble(3, 1, cfg, paths=4)
+    # O(sqrt(dt)) by construction and passes the default 1e-2 projector
+    # guard within tens of steps, so the guard is widened to let the paths
+    # run to t = 0.5 and only the trace is asserted here
+    p = grassmann_ito_ensemble(3, 1, cfg, paths=4, guard_tol=0.25)
     tr_defect = max(abs(np.trace(pi) - 1.0) for pi in p)
     checks.append(CheckResult(
         "grassmann ito-route trace", tr_defect <= 1e-12,

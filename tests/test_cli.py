@@ -60,6 +60,42 @@ def test_simulate_validates_widths(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("t,dt", [("1", "0.3"), ("1e-4", "1e-3")])
+def test_simulate_rejects_partial_final_step(tmp_path, capsys, t, dt):
+    # the grid would end short of or past --t, so nothing is written
+    out = tmp_path / "o"
+    rc = main(["simulate", "--process", "wishart", "--t", t, "--dt", dt,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"t={float(t):g}" in err and f"dt={float(dt):g}" in err
+    assert not out.exists()
+
+
+def test_simulate_accepts_rounded_whole_step_count(tmp_path):
+    # 0.1 / 1e-3 is 100.00000000000001 in floating point
+    out = tmp_path / "o"
+    assert main(["simulate", "--process", "wishart", "--t", "0.1", "--dt", "1e-3",
+                 "--out", str(out)]) == 0
+    assert len(read_path_csv(str(out / "path_0000.csv"))[0]) == 101
+
+
+def test_simulate_bw_bm_needs_square_noise(tmp_path, capsys):
+    rc = main(["simulate", "--process", "bw-bm", "--n", "3", "--k", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "n=3, k=2" in capsys.readouterr().err
+    rc = main(["simulate", "--process", "bw-bm", "--n", "3", "--P0", _spd_csv(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "2x2, need 3x3" in capsys.readouterr().err
+    bad = _spd_csv(tmp_path, "bad.csv", "1, 0\n0, -1\n")
+    rc = main(["simulate", "--process", "bw-bm", "--n", "2", "--P0", bad,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
 def test_config_file_syntax_error_returns_two(tmp_path, capsys):
     cfg = _write(tmp_path / "bad.cfg", "process wishart\n")
     assert main(["simulate", "--config", cfg]) == 2

@@ -1,0 +1,97 @@
+"""Each ensemble runs its process's own problem over a path axis: row p of an
+ensemble equals the single-path run with path_index=p bit for bit, and a
+path whose guard trips keeps its last valid state."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from orbitflow import ensembles, processes
+from orbitflow.processes import ProcessConfig
+
+PATHS = 5
+CFG = ProcessConfig(t_end=0.2, dt=1e-3, seed=3, stream=1)
+P0 = np.diag([3.0, 2.0, 1.0])
+LAM0 = [5.0, 2.0, 1.0]
+
+# name -> (ensemble run, single-path run of path p)
+CASES = {
+    "orthogonal": (
+        lambda: ensembles.orthogonal_ensemble(3, CFG, PATHS),
+        lambda p: processes.bm_orthogonal(3, CFG, path_index=p)),
+    "grassmann-pushforward": (
+        lambda: ensembles.grassmann_pushforward_ensemble(4, 2, CFG, PATHS),
+        lambda p: processes.bm_grassmann(4, 2, CFG, path_index=p)),
+    "grassmann-ito": (
+        lambda: ensembles.grassmann_ito_ensemble(3, 1, CFG, PATHS),
+        lambda p: processes.bm_grassmann(3, 1, CFG, route="ito", path_index=p)),
+    "cartan-hadamard": (
+        lambda: ensembles.cartan_hadamard_ensemble(3, CFG, PATHS),
+        lambda p: processes.bm_cartan_hadamard(3, CFG, path_index=p)[0]),
+    "wishart": (
+        lambda: ensembles.wishart_ensemble(3, 2, CFG, PATHS),
+        lambda p: processes.wishart(3, 2, CFG, path_index=p)[0]),
+    "bw": (
+        lambda: ensembles.bw_ensemble(P0, CFG, PATHS),
+        lambda p: processes.bm_bures_wasserstein(P0, CFG, path_index=p)),
+    "poincare": (
+        lambda: ensembles.poincare_ensemble(CFG, PATHS, z0=(0.3, 1.2)),
+        lambda p: processes.bm_poincare(CFG, z0=(0.3, 1.2), path_index=p)),
+    "eigen-wishart": (
+        lambda: ensembles.eigen_ensemble("wishart", LAM0, 3, 3, CFG, PATHS),
+        lambda p: processes.eigen_sde("wishart", LAM0, 3, 3, CFG, path_index=p)),
+    "eigen-bw": (
+        lambda: ensembles.eigen_ensemble("bw", LAM0, 3, 3, CFG, PATHS),
+        lambda p: processes.eigen_sde("bw", LAM0, 3, 3, CFG, path_index=p)),
+    "sphere": (
+        lambda: ensembles.sphere_ensemble(3, CFG, PATHS)[0],
+        lambda p: processes.sphere_vertical_bm(3, CFG, path_index=p)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ensemble_rows_equal_single_paths(name):
+    run_ensemble, run_single = CASES[name]
+    out = run_ensemble()
+    rows, alive = out if isinstance(out, tuple) else (out, None)
+    for p in range(PATHS):
+        path = run_single(p)
+        assert_array_equal(rows[p], path.final)
+        if alive is not None:
+            assert alive[p] == (not path.stopped)
+
+
+def test_sphere_ensemble_radii_equal_single_paths():
+    _, radii = ensembles.sphere_ensemble(3, CFG, PATHS)
+    for p in range(PATHS):
+        assert radii[p] == processes.sphere_vertical_bm(3, CFG, path_index=p)[1][-1]
+
+
+def test_tripped_guard_freezes_at_last_valid_state():
+    # nearly equal starting eigenvalues: the interaction drift pushes the
+    # pair across the gap floor within a few steps on most paths
+    cfg = ProcessConfig(t_end=0.05, dt=1e-3, seed=0)
+    lam0 = [1.0 + 1e-3, 1.0]
+    rows, alive = ensembles.eigen_ensemble("bw", lam0, 2, 2, cfg, PATHS)
+    problem = processes.eigen_problem("bw", lam0, 2, 2)
+    assert not alive.all()
+    for p in range(PATHS):
+        path = processes.eigen_sde("bw", lam0, 2, 2, cfg, path_index=p)
+        assert path.stopped == (not alive[p])
+        assert_array_equal(rows[p], path.final)
+        assert problem.guard(rows[p])
+
+
+def test_tripped_rank_guard_keeps_spd_state():
+    # a nearly singular start trips the rank guard on some paths; the
+    # frozen states stay positive definite
+    cfg = ProcessConfig(t_end=0.05, dt=1e-3, seed=1)
+    p0 = np.diag([1.0, 2e-6])
+    rows, alive = ensembles.bw_ensemble(p0, cfg, PATHS)
+    assert not alive.all()
+    for p in range(PATHS):
+        path = processes.bm_bures_wasserstein(p0, cfg, path_index=p)
+        assert path.stopped == (not alive[p])
+        assert_array_equal(rows[p], path.final)
+        w = np.linalg.eigvalsh(rows[p])
+        assert w[0] > 1e-8 * w[-1]

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from orbitflow.matcore import so_basis
 from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                           gaussian_increment, integrate, qv_oracle, run_paths,
-                           skew_increment, worker_count)
+                           gaussian_increment, integrate, integrate_batch,
+                           qv_oracle, rk4, skew_increment)
 
 
 # ---------------------------------------------------------------------------
-# grid and worker plumbing
+# grid
 
 
 def test_time_grid_basics():
@@ -26,17 +26,18 @@ def test_time_grid_basics():
         TimeGrid(t0=0.0, dt=0.1, steps=0)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ORBITFLOW_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(default=3) == 3
-    monkeypatch.setenv("ORBITFLOW_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("ORBITFLOW_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("ORBITFLOW_THREADS", "two")
+def test_time_grid_rejects_partial_steps():
+    # a grid never ends short of or past the requested end time
+    with pytest.raises(ValueError, match="t=1 is not a whole number of dt=0.3"):
+        TimeGrid.regular(1.0, 0.3)
     with pytest.raises(ValueError):
-        worker_count()
+        TimeGrid.regular(1e-4, 1e-3)
+    with pytest.raises(ValueError):
+        TimeGrid.regular(0.0, 1e-3)
+    # quotients within rounding of a whole number are whole: 0.1 / 1e-3 is
+    # 100.00000000000001 in floating point
+    assert TimeGrid.regular(0.1, 1e-3).steps == 100
+    assert TimeGrid.regular(0.5, 0.1).steps == 5
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +198,30 @@ def test_post_step_runs_before_guard():
     assert path.final[0] == 1.5
 
 
-def test_run_paths_matches_single_calls_any_worker_count():
+def test_batch_rows_match_single_paths_and_freeze_at_last_valid_state():
+    # row p of the batch is path p; a tripped guard freezes the row at the
+    # last state that passed, exactly as the single path stops there
     prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: -x,
-                      diffusion=lambda t, x, dw: dw, noise_shape=(2,))
+                      diffusion=lambda t, x, dw: dw, noise_shape=(2,),
+                      guard=lambda x: np.abs(x).max(axis=-1) < 1.0)
     grid = TimeGrid(0.0, 0.05, 20)
     src = NoiseSource(33)
-    serial = run_paths(prob, grid, src, n_paths=6, workers=1)
-    threaded = run_paths(prob, grid, src, n_paths=6, workers=4)
+    final, alive = integrate_batch(prob, grid, src, n_paths=6)
+    assert final.shape == (6, 2) and not alive.all() and alive.any()
     for p in range(6):
-        assert serial[p].path_index == p
-        assert_array_equal(serial[p].states, threaded[p].states)
-        assert_array_equal(serial[p].states,
-                           integrate(prob, grid, src, path_index=p).states)
+        single = integrate(prob, grid, src, path_index=p)
+        assert_array_equal(final[p], single.final)
+        assert alive[p] == (not single.stopped)
+
+
+def test_rk4_matches_closed_form_flow():
+    # dP/dt = J(P) doubles diag(3, 1) at t = 4; RK4 error is far below 1e-6
+    from orbitflow.geom import drift_J_spectral
+    p0 = np.diag([3.0, 1.0])
+    states = rk4(drift_J_spectral, p0, 4.0, 400)
+    assert states.shape == (401, 2, 2)
+    assert_array_equal(states[0], p0)
+    assert_allclose(states[-1], 2.0 * p0, rtol=0, atol=1e-6)
 
 
 def test_scalar_brownian_second_moment():
@@ -216,8 +229,7 @@ def test_scalar_brownian_second_moment():
     prob = SdeProblem(x0=np.zeros((1,)), diffusion=lambda t, x, dw: dw,
                       noise_shape=(1,))
     grid = TimeGrid(0.0, 0.125, 8)
-    paths = run_paths(prob, grid, NoiseSource(12), n_paths=4000, workers=1)
-    x1 = np.array([p.final[0] for p in paths])
+    x1 = integrate_batch(prob, grid, NoiseSource(12), n_paths=4000)[0][:, 0]
     m2 = np.mean(x1 ** 2)
     se = np.std(x1 ** 2) / np.sqrt(x1.size)
     assert abs(m2 - 1.0) <= 3.0 * se
@@ -234,10 +246,8 @@ def test_heun_reads_noise_as_stratonovich():
                           noise_shape=(1,), scheme=scheme)
 
     src = NoiseSource(77)
-    euler = np.array([p.final[0]
-                      for p in run_paths(make("euler"), grid, src, n_paths, workers=1)])
-    heun = np.array([p.final[0]
-                     for p in run_paths(make("heun"), grid, src, n_paths, workers=1)])
+    euler = integrate_batch(make("euler"), grid, src, n_paths)[0][:, 0]
+    heun = integrate_batch(make("heun"), grid, src, n_paths)[0][:, 0]
     se_e = np.std(euler) / np.sqrt(n_paths)
     se_h = np.std(heun) / np.sqrt(n_paths)
     assert abs(euler.mean() - 1.0) <= 3.0 * se_e + 5.0 * dt
