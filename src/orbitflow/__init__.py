@@ -9,9 +9,9 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
 - the quotient drift field J in three cross-validating forms (spectral
   closed form, log-volume gradient route, general-metric conjugation) and
   the fiber Ito-correction identity (`geom`),
-- deterministic counter-keyed noise, Euler-Maruyama and Heun integrators
-  for one path or a batch of paths, RK4, and a quadratic-variation Monte
-  Carlo oracle (`sde`),
+- deterministic counter-keyed noise, one Euler-Maruyama integrator for one
+  path or a batch of paths, RK4, and a quadratic-variation Monte Carlo
+  oracle (`sde`),
 - named diffusions: Brownian motion on O(n), Stiefel, Grassmann, flag,
   Poincare half-plane, the SPD cone under the trace metric, Wishart
   processes, factor-noise SPD diffusions, eigenvalue SDEs, vertical

@@ -86,7 +86,7 @@ def _simulate_path(process: str, p: int, n: int, k: int, cfg: ProcessConfig,
                    opts: dict):
     """Run one path; returns (times, states, kind) with kind matrix|eigen."""
     if process == "on-bm":
-        path = bm_orthogonal(n, cfg, reproject=opts["reproject"], path_index=p)
+        path = bm_orthogonal(n, cfg, path_index=p)
     elif process == "stiefel":
         path = bm_stiefel(n, k, cfg, path_index=p)
     elif process == "grassmann":
@@ -147,8 +147,22 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --process (or process= in the config file)")
     if process not in PROCESSES:
         raise ConfigError(f"unknown process {process!r}; choose from {', '.join(PROCESSES)}")
-    n = _resolve(args, file_cfg, "n", int, 2)
-    k = _resolve(args, file_cfg, "k", int, n if process in _NEEDS_WIDE_K else 1)
+    n = _resolve(args, file_cfg, "n", int, None)
+    k = _resolve(args, file_cfg, "k", int, None)
+    inputs = {}
+    opts = {"route": args.route}
+    if process == "vertical-bm" and args.M0:
+        # the factor's shape sets n and k; an explicit n or k must agree
+        opts["m0"] = _read_matrix(args.M0)
+        inputs["M0"] = FsPath(args.M0).read_bytes()
+        shape = opts["m0"].shape
+        asked = (shape[0] if n is None else n, shape[1] if k is None else k)
+        if asked != shape:
+            raise ConfigError(f"--M0 {args.M0} is {shape[0]}x{shape[1]}, but n and k "
+                              f"ask for {asked[0]}x{asked[1]}")
+        n, k = shape
+    n = 2 if n is None else n
+    k = (n if process in _NEEDS_WIDE_K else 1) if k is None else k
     t_end = _resolve(args, file_cfg, "t", float, 1.0)
     dt = _resolve(args, file_cfg, "dt", float, 1e-3)
     n_paths = _resolve(args, file_cfg, "paths", int, 1)
@@ -162,8 +176,6 @@ def cmd_simulate(args) -> int:
     if n < 1 or k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
 
-    inputs = {}
-    opts = {"reproject": args.reproject, "route": args.route}
     if process == "bw-bm":
         if k != n:
             raise ConfigError(f"bw-bm needs k = n (square noise); got n={n}, k={k}")
@@ -179,13 +191,8 @@ def cmd_simulate(args) -> int:
                 raise ConfigError(f"--P0 {args.P0}: {exc}") from exc
         else:
             opts["p0"] = np.eye(n)
-    if process == "vertical-bm":
-        if args.M0:
-            opts["m0"] = _read_matrix(args.M0)
-            inputs["M0"] = FsPath(args.M0).read_bytes()
-            n, k = opts["m0"].shape
-        else:
-            opts["m0"] = np.eye(n, k)
+    if process == "vertical-bm" and not args.M0:
+        opts["m0"] = np.eye(n, k)
     if process in _EIGEN:
         opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0
                         else np.arange(k, 0, -1, dtype=float))
@@ -386,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--route", choices=("pushforward", "ito"), default="pushforward",
                      help="grassmann integration route")
     sim.add_argument("--reproject", action="store_true",
-                     help="orthogonality cleanup each step (on-bm)")
+                     help="no effect, kept for old scripts: every on-bm step "
+                          "stays on O(n) to rounding")
     sim.add_argument("--P0", default=None, help="initial SPD matrix CSV (bw-bm)")
     sim.add_argument("--M0", default=None, help="initial factor CSV (vertical-bm)")
     sim.add_argument("--lam0", default=None, help="initial eigenvalues, comma separated")

@@ -22,18 +22,17 @@ def _run(problem: SdeProblem, cfg: ProcessConfig, paths: int) -> tuple[np.ndarra
     return integrate_batch(problem, cfg.grid(), cfg.source(), paths)
 
 
-def orthogonal_ensemble(n: int, cfg: ProcessConfig, paths: int,
-                        reproject: bool = False) -> np.ndarray:
-    """Final states of `paths` Heun paths of Brownian motion on O(n)."""
-    return _run(orthogonal_problem(n, reproject=reproject), cfg, paths)[0]
+def orthogonal_ensemble(n: int, cfg: ProcessConfig, paths: int) -> np.ndarray:
+    """Final states of `paths` paths of Brownian motion on O(n)."""
+    return _run(orthogonal_problem(n), cfg, paths)[0]
 
 
 def grassmann_pushforward_ensemble(n: int, k: int, cfg: ProcessConfig,
                                    paths: int) -> np.ndarray:
-    """Final projectors Q I_kn Q^T from reprojected O(n) paths."""
+    """Final projectors Q I_kn Q^T from O(n) paths."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return gram(orthogonal_ensemble(n, cfg, paths, reproject=True)[..., :k])
+    return gram(orthogonal_ensemble(n, cfg, paths)[..., :k])
 
 
 def grassmann_ito_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,

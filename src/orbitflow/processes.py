@@ -8,10 +8,11 @@ problem over a path axis with `sde.integrate_batch`.  The builders validate
 their inputs; the step functions do not.
 
 Group-valued diffusions integrate the right-invariant Stratonovich equation
-dX = X o dW with the Heun scheme; quotient-valued processes are either
-pushforwards of a group path or direct Ito schemes whose correction terms
-were fixed by the quadratic-variation oracle (see the constants verification
-suite for the adjudicated values).
+dX = X o dW by Cayley group steps, which keep O(n) and SL(2) exact to
+rounding; quotient-valued processes are either pushforwards of a group path
+or direct Ito schemes whose correction terms were fixed by the
+quadratic-variation oracle (see the constants verification suite for the
+adjudicated values).
 """
 
 import dataclasses
@@ -84,57 +85,52 @@ def squared_norm(x) -> np.ndarray:
 
 # --- group-valued diffusions -------------------------------------------------
 
-def invariant_problem(basis: LieBasis, x0, guard=None, guard_name: str = "group guard",
-                      post_step=None) -> SdeProblem:
+def invariant_problem(basis: LieBasis, x0, guard=None,
+                      guard_name: str = "group guard") -> SdeProblem:
     """Right-invariant Brownian motion dX = X o dW on a matrix group.
 
     dW = sum_a B_a dW^a over the given Lie-algebra basis with independent
-    standard Wiener coefficients; Heun (Stratonovich) stepping.
+    standard Wiener coefficients.  Each step multiplies by the Cayley map of
+    the increment A, cay(A) = (I - A/2)^-1 (I + A/2), written as the Euler
+    increment X (cay(A) - I) = X (I - A/2)^-1 A.  cay agrees with exp through
+    second order, which gives the Stratonovich law at weak order one, and it
+    maps every quadratic Lie algebra (so(n), and sl(2) = sp(2)) into its
+    group exactly, so such paths stay on the group to rounding.
     """
+    x0 = as_matrix(x0)
+    eye = np.eye(x0.shape[-1])
 
     def diffusion(t, x, dw):
-        return x @ basis.combine(dw)
+        a = basis.combine(dw)
+        return x @ np.linalg.solve(eye - 0.5 * a, a)
 
-    return SdeProblem(x0=as_matrix(x0), diffusion=diffusion, noise_shape=(basis.dim,),
-                      scheme="heun", guard=guard, guard_name=guard_name,
-                      post_step=post_step)
+    return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(basis.dim,),
+                      guard=guard, guard_name=guard_name)
 
 
 def invariant_bm(basis: LieBasis, x0, cfg: ProcessConfig, guard=None,
-                 guard_name: str = "group guard", post_step=None,
-                 path_index: int = 0) -> Path:
+                 guard_name: str = "group guard", path_index: int = 0) -> Path:
     """One path of `invariant_problem`."""
-    return _run(invariant_problem(basis, x0, guard, guard_name, post_step), cfg, path_index)
+    return _run(invariant_problem(basis, x0, guard, guard_name), cfg, path_index)
 
 
-def _newton_orth(q: np.ndarray) -> np.ndarray:
-    # one Newton step toward the orthogonal polar factor: Q (3 I - Q^T Q) / 2
-    return 1.5 * q - 0.5 * (q @ (mT(q) @ q))
-
-
-def orthogonal_problem(n: int, guard_tol: float = 1e-2,
-                       reproject: bool = False) -> SdeProblem:
-    """Brownian motion on O(n), started at the identity.
-
-    The raw Heun step drifts off the group at fourth order in the increment;
-    by default the drift is only guarded (stop, not clamp).  With
-    reproject=True a Newton correction toward the orthogonal polar factor is
-    applied each step.
-    """
+def orthogonal_problem(n: int, guard_tol: float = 1e-2) -> SdeProblem:
+    """Brownian motion on O(n), started at the identity.  The Cayley step
+    keeps Q orthogonal to rounding; the orthogonality guard stays as a check
+    and stops (never clamps) a path that leaves the group."""
     eye = np.eye(n)
 
     def guard(q):
         return np.linalg.norm(mT(q) @ q - eye, axis=(-2, -1)) <= guard_tol
 
     return invariant_problem(so_basis(n), eye, guard=guard,
-                             guard_name="orthogonality guard",
-                             post_step=_newton_orth if reproject else None)
+                             guard_name="orthogonality guard")
 
 
 def bm_orthogonal(n: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
-                  reproject: bool = False, path_index: int = 0) -> Path:
+                  path_index: int = 0) -> Path:
     """One path of `orthogonal_problem`."""
-    return _run(orthogonal_problem(n, guard_tol, reproject), cfg, path_index)
+    return _run(orthogonal_problem(n, guard_tol), cfg, path_index)
 
 
 def bm_stiefel(n: int, k: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
@@ -177,7 +173,7 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
                 & (np.abs(np.trace(p, axis1=-2, axis2=-1) - k) <= guard_tol))
 
     return SdeProblem(x0=ikn, drift=drift, diffusion=diffusion,
-                      noise_shape=(basis.dim,), scheme="euler", guard=guard,
+                      noise_shape=(basis.dim,), guard=guard,
                       guard_name="projector guard", post_step=sym_part)
 
 
@@ -185,17 +181,16 @@ def bm_grassmann(n: int, k: int, cfg: ProcessConfig, route: str = "pushforward",
                  guard_tol: float = 1e-2, path_index: int = 0) -> Path:
     """Brownian motion on the Grassmannian in projector coordinates.
 
-    route="pushforward": map a reprojected O(n) path Q through
+    route="pushforward": map an O(n) path Q through
         P = Q I_kn Q^T  (I_kn = diag of k ones),
-    which keeps P an exact projector up to the orthogonality of Q.
+    which keeps P a projector to rounding, as Q is orthogonal to rounding.
 
     route="ito": one path of `grassmann_ito_problem`.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if route == "pushforward":
-        qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, reproject=True,
-                           path_index=path_index)
+        qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, path_index=path_index)
         return _pushforward(qp, gram(qp.states[..., :k]))
     if route != "ito":
         raise ValueError(f"unknown route {route!r}")
@@ -281,7 +276,7 @@ def cartan_hadamard_problem(n: int, g0=None, det_floor: float = 1e-12) -> SdePro
         return np.isfinite(g).all(axis=(-2, -1)) & (np.abs(np.linalg.det(g)) > det_floor)
 
     return SdeProblem(x0=g0, drift=drift, diffusion=diffusion,
-                      noise_shape=(n, n), scheme="euler", guard=guard,
+                      noise_shape=(n, n), guard=guard,
                       guard_name="invertibility guard")
 
 
@@ -323,8 +318,7 @@ def wishart_problem(n: int, k: int, p0=None, w0=None) -> SdeProblem:
     def diffusion(t, w, dw):
         return dw
 
-    return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k),
-                      scheme="euler")
+    return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k))
 
 
 def wishart(n: int, k: int, cfg: ProcessConfig, p0=None, w0=None,
@@ -382,7 +376,7 @@ def bures_wasserstein_problem(p0, eig_floor: float = 1e-8) -> SdeProblem:
         return (lam[..., -1] > eig_floor * np.maximum(lam[..., 0], 0.0)) & (lam[..., 0] > 0.0)
 
     return SdeProblem(x0=p0, drift=drift, diffusion=diffusion,
-                      noise_shape=(n, n), scheme="euler", guard=guard,
+                      noise_shape=(n, n), guard=guard,
                       guard_name="rank guard", post_step=sym_part)
 
 
@@ -446,7 +440,7 @@ def eigen_problem(kind: str, lam0, n: int, k: int, lam_floor: float = 1e-12,
                 & (gaps > gap_floor).all(axis=-1))
 
     return SdeProblem(x0=lam0, drift=drift, diffusion=diffusion,
-                      noise_shape=(k,), scheme="euler", guard=guard,
+                      noise_shape=(k,), guard=guard,
                       guard_name="spectrum guard")
 
 
@@ -480,7 +474,7 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
         return sv[-1] > rank_tol * sv[0]
 
     problem = SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
-                         scheme="euler", guard=guard, guard_name="rank guard")
+                         guard=guard, guard_name="rank guard")
     xp = _run(problem, cfg, path_index)
     return xp, _pushforward(xp, gram(xp.states))
 
@@ -505,7 +499,7 @@ def sphere_problem(n: int, x0=None, norm_floor: float = 1e-8) -> SdeProblem:
         return squared_norm(x) > norm_floor ** 2
 
     return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(n,),
-                      scheme="euler", guard=guard, guard_name="origin guard")
+                      guard=guard, guard_name="origin guard")
 
 
 def sphere_vertical_bm(n: int, cfg: ProcessConfig, x0=None,

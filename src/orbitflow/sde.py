@@ -1,5 +1,5 @@
-"""Integration kernel: deterministic noise streams, Euler-Maruyama and Heun
-steppers with state guards for one path or a batch of paths, the RK4 used by
+"""Integration kernel: deterministic noise streams, one Euler-Maruyama
+stepper with state guards for one path or a batch of paths, the RK4 used by
 the deterministic flows, and a quadratic-variation oracle.
 
 Noise determinism contract: the standard normal attached to
@@ -114,28 +114,24 @@ class SdeProblem:
     """Problem description for `integrate` and `integrate_batch`.
 
     drift(t, x) -> array or None; diffusion(t, x, dw) -> array or None (the
-    full diffusion contribution b(x) dw, not the coefficient); noise_shape is
-    the shape of dw per step.  scheme is "euler" (Ito) or "heun"
-    (Stratonovich predictor-corrector).  guard(x) -> bool is checked on every
-    proposed state; on failure the path stops at the last valid state rather
-    than clamping.  For `integrate_batch` every function must also accept
-    states with a leading path axis, and the guard then returns one bool per
-    path.
+    whole noise increment of one step, not a coefficient: b(x) dw for an Ito
+    equation, or a group step such as X (cay(dW) - I)); noise_shape is the
+    shape of dw per step.  guard(x) -> bool is checked on every proposed
+    state; on failure the path stops at the last valid state rather than
+    clamping.  For `integrate_batch` every function must also accept states
+    with a leading path axis, and the guard then returns one bool per path.
     """
 
     x0: np.ndarray
     drift: object = None
     diffusion: object = None
     noise_shape: tuple = ()
-    scheme: str = "euler"
     guard: object = None
     guard_name: str = "state guard"
     post_step: object = None  # optional state correction applied before the guard
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=np.float64)
-        if self.scheme not in ("euler", "heun"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -161,30 +157,18 @@ class Path:
         return self.states[-1]
 
 
-def _advance(problem: SdeProblem, t0: float, t1: float, x: np.ndarray, dw,
+def _advance(problem: SdeProblem, t: float, x: np.ndarray, dw,
              dt: float) -> np.ndarray:
-    """One Euler or Heun step from x, then post_step.  x may carry leading
+    """One Euler-Maruyama step from x, then post_step.  x may carry leading
     batch axes; the arithmetic is the same either way.
 
-    Euler-Maruyama:  x' = x + drift(t, x) dt + diffusion(t, x, dw)
-    Heun:            predictor as above, then the average of drift/diffusion
-                     evaluated at the current and predicted states with the
-                     same increment (Stratonovich reading).
+        x' = x + drift(t, x) dt + diffusion(t, x, dw)
     """
-    d0 = None if problem.drift is None else problem.drift(t0, x)
-    s0 = None if problem.diffusion is None else problem.diffusion(t0, x, dw)
     nxt = x
-    if d0 is not None:
-        nxt = nxt + d0 * dt
-    if s0 is not None:
-        nxt = nxt + s0
-    if problem.scheme == "heun":
-        pred = nxt
-        nxt = x
-        if d0 is not None:
-            nxt = nxt + 0.5 * (d0 + problem.drift(t1, pred)) * dt
-        if s0 is not None:
-            nxt = nxt + 0.5 * (s0 + problem.diffusion(t1, pred, dw))
+    if problem.drift is not None:
+        nxt = nxt + problem.drift(t, x) * dt
+    if problem.diffusion is not None:
+        nxt = nxt + problem.diffusion(t, x, dw)
     if problem.post_step is not None:
         nxt = problem.post_step(nxt)
     return nxt
@@ -207,7 +191,7 @@ def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = 
         dw = None
         if problem.noise_shape:
             dw = gaussian_increment(source, path_index, m, problem.noise_shape, grid.dt)
-        nxt = _advance(problem, times[m], times[m + 1], x, dw, grid.dt)
+        nxt = _advance(problem, times[m], x, dw, grid.dt)
         if problem.guard is not None and not problem.guard(nxt):
             return Path(times=times[: m + 1], states=states[: m + 1], path_index=path_index,
                         stopped_step=m, stop_reason=problem.guard_name)
@@ -237,7 +221,7 @@ def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | N
         if problem.noise_shape:
             z = source.normals_block(m, n_paths, count)
             dw = (np.sqrt(grid.dt) * z).reshape((n_paths,) + problem.noise_shape)
-        nxt = _advance(problem, times[m], times[m + 1], x, dw, grid.dt)
+        nxt = _advance(problem, times[m], x, dw, grid.dt)
         if problem.guard is not None:
             alive &= problem.guard(nxt)
             if not alive.all():

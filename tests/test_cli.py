@@ -187,6 +187,56 @@ def test_simulate_vertical_bm_reads_factor_shape(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["n"] == 3 and man["config"]["k"] == 2
     assert "M0" in man["inputs"]
+    # an n and k that agree with the factor are accepted
+    assert main(["simulate", "--process", "vertical-bm", "--M0", m0, "--n", "3",
+                 "--k", "2", "--t", "0.01", "--dt", "1e-3",
+                 "--out", str(tmp_path / "run2")]) == 0
+
+
+@pytest.mark.parametrize("flags,cfg_text,asked", [
+    (["--n", "5", "--k", "1"], "", "5x1"),
+    (["--n", "4"], "", "4x2"),
+    (["--k", "1"], "", "3x1"),
+    ([], "n = 5\n", "5x2"),
+])
+def test_simulate_vertical_bm_rejects_n_k_that_disagree_with_factor(
+        tmp_path, capsys, flags, cfg_text, asked):
+    # an explicit n or k is never silently replaced by the shape of --M0
+    m0 = _write(tmp_path / "M0.csv", "1, 0\n0, 1\n1, 1\n")
+    cfg = _write(tmp_path / "run.cfg", cfg_text)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--process", "vertical-bm", "--M0", m0, "--config", cfg,
+               "--t", "0.01", "--dt", "1e-3", "--out", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "is 3x2" in err and f"ask for {asked}" in err
+    assert not out.exists()
+
+
+def test_simulate_reproject_flag_changes_nothing(tmp_path):
+    # every on-bm step stays on O(n) to rounding, so --reproject is a no-op
+    args = ["simulate", "--process", "on-bm", "--n", "3", "--paths", "2",
+            "--t", "0.1", "--dt", "1e-3"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--reproject", "--out", str(tmp_path / "flag")]) == 0
+    names = ["path_0000.csv", "path_0001.csv", "manifest.json"]
+    assert sorted(f.name for f in (tmp_path / "flag").iterdir()) == sorted(names)
+    for name in names:
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "flag" / name).read_bytes())
+
+
+def test_simulate_exits_zero_when_guards_stop_every_path(tmp_path, capsys):
+    # a guard stop is a recorded outcome, not a run failure: both paths start
+    # 1e-8 from an eigenvalue collision and stop at step 0
+    out = tmp_path / "run"
+    rc = main(["simulate", "--process", "eigen-bw", "--lam0", "1.0,0.99999999",
+               "--paths", "2", "--t", "0.01", "--dt", "1e-3", "--out", str(out)])
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["stopped"] == [
+        {"path": p, "step": 0, "reason": "spectrum guard"} for p in (0, 1)]
+    assert "path 1 stopped at step 0: spectrum guard" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

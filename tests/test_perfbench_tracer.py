@@ -47,4 +47,4 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tr.counts["ensembles.path_steps"] == 40
     summary = tr.summary()
     assert summary["processes.bm_orthogonal"]["calls"] == 1
-    assert summary["processes.diffusion"]["calls"] == 20  # Heun: two per step
+    assert summary["processes.diffusion"]["calls"] == 10  # one per step

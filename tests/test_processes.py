@@ -10,8 +10,10 @@ from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                                  bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
                                  flag_projection, halfplane_start, mcf_ode,
+                                 orthogonal_problem, poincare_problem,
                                  rect_factor, sl2_to_halfplane,
                                  sphere_vertical_bm, vertical_bm, wishart)
+from orbitflow.sde import integrate, integrate_batch
 
 
 def _cfg(t_end, dt, seed=0, **kw):
@@ -34,10 +36,28 @@ def test_orthogonal_bm_stays_near_group():
     assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-3
 
 
-def test_orthogonal_bm_reprojection_kills_defect():
-    path = bm_orthogonal(3, _cfg(0.2, 1e-3, seed=2), reproject=True)
-    q = path.final
-    assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-10
+def test_cayley_steps_stay_on_the_group():
+    # cay(A) is orthogonal for skew A and has determinant one for traceless
+    # 2x2 A, so 1000 steps leave only rounding: defects <= 1e-12 all along
+    cfg = _cfg(1.0, 1e-3, seed=2)
+    for n in (3, 4):
+        q = bm_orthogonal(n, cfg).states
+        defect = np.linalg.norm(np.swapaxes(q, 1, 2) @ q - np.eye(n), axis=(1, 2))
+        assert defect.max() <= 1e-12
+    m = integrate(poincare_problem(), cfg.grid(), cfg.source()).states
+    assert np.abs(np.linalg.det(m) - 1.0).max() <= 1e-12
+
+
+def test_orthogonal_bm_trace_law():
+    # E[tr Q_t] = n exp(-(n - 1) t / 4) for Brownian motion on O(n) with the
+    # Frobenius-orthonormal skew basis; 4000 paths, within 4 standard errors
+    n, t_end, n_paths = 3, 0.5, 4000
+    cfg = _cfg(t_end, 1e-3, seed=0)
+    q, alive = integrate_batch(orthogonal_problem(n), cfg.grid(), cfg.source(), n_paths)
+    assert alive.all()
+    tr = np.einsum("pii->p", q)
+    se = tr.std() / np.sqrt(n_paths)
+    assert abs(tr.mean() - n * np.exp(-(n - 1) * t_end / 4.0)) <= 4.0 * se
 
 
 def test_stiefel_full_width_equals_orthogonal():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from orbitflow.matcore import so_basis
+from orbitflow.matcore import LieBasis, so_basis
+from orbitflow.processes import invariant_problem
 from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
                            gaussian_increment, integrate, integrate_batch,
                            qv_oracle, rk4, skew_increment)
@@ -128,11 +129,11 @@ def test_skew_increment_matches_coefficient_expansion():
 # steppers
 
 
-def _doubling_problem(scheme="euler"):
+def _doubling_problem():
     # drift-only image flow with closed form P_t = (1 + t / tr P0) P0
     from orbitflow.geom import drift_J_spectral
     p0 = np.diag([3.0, 1.0])
-    return SdeProblem(x0=p0, drift=lambda t, x: drift_J_spectral(x), scheme=scheme)
+    return SdeProblem(x0=p0, drift=lambda t, x: drift_J_spectral(x))
 
 
 def test_integrate_requires_source_when_noisy():
@@ -140,11 +141,6 @@ def test_integrate_requires_source_when_noisy():
                       noise_shape=(1,))
     with pytest.raises(ValueError):
         integrate(prob, TimeGrid(0.0, 0.1, 2))
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        SdeProblem(x0=np.zeros(1), scheme="rk4")
 
 
 def test_constant_problem_stays_put():
@@ -155,16 +151,9 @@ def test_constant_problem_stays_put():
 
 def test_zero_noise_euler_matches_closed_form_at_first_order():
     grid = TimeGrid.regular(0.5, 1e-3)
-    path = integrate(_doubling_problem("euler"), grid)
+    path = integrate(_doubling_problem(), grid)
     want = (1.0 + 0.5 / 4.0) * np.diag([3.0, 1.0])
     assert np.abs(path.final - want).max() <= 5e-3  # O(dt) Euler bias
-
-
-def test_zero_noise_heun_is_second_order():
-    grid = TimeGrid.regular(0.5, 1e-3)
-    path = integrate(_doubling_problem("heun"), grid)
-    want = (1.0 + 0.5 / 4.0) * np.diag([3.0, 1.0])
-    assert np.abs(path.final - want).max() <= 1e-5
 
 
 def test_integrate_is_deterministic():
@@ -235,23 +224,23 @@ def test_scalar_brownian_second_moment():
     assert abs(m2 - 1.0) <= 3.0 * se
 
 
-def test_heun_reads_noise_as_stratonovich():
-    # dX = X dW: the Ito reading keeps E[X_t] = 1 while the Stratonovich
-    # (Heun) reading gives E[X_t] = exp(t / 2)
+def test_cayley_step_reads_noise_as_stratonovich():
+    # dX = X dW: the Ito reading (Euler on x dw) keeps E[X_t] = 1 while the
+    # Cayley group step reads it as Stratonovich, E[X_t] = exp(t / 2); its
+    # per-step mean is exp(dt / 2) + O(dt^2), so the bias stays below 5 dt
     t_end, dt, n_paths = 0.5, 1.0 / 100.0, 1000
     grid = TimeGrid.regular(t_end, dt)
-
-    def make(scheme):
-        return SdeProblem(x0=np.ones(1), diffusion=lambda t, x, dw: x * dw,
-                          noise_shape=(1,), scheme=scheme)
-
     src = NoiseSource(77)
-    euler = integrate_batch(make("euler"), grid, src, n_paths)[0][:, 0]
-    heun = integrate_batch(make("heun"), grid, src, n_paths)[0][:, 0]
+    ito = SdeProblem(x0=np.ones(1), diffusion=lambda t, x, dw: x * dw,
+                     noise_shape=(1,))
+    euler = integrate_batch(ito, grid, src, n_paths)[0][:, 0]
+    line = LieBasis(name="line", mats=(np.array([[1.0]]),))
+    cayley = integrate_batch(invariant_problem(line, np.ones((1, 1))), grid, src,
+                             n_paths)[0][:, 0, 0]
     se_e = np.std(euler) / np.sqrt(n_paths)
-    se_h = np.std(heun) / np.sqrt(n_paths)
+    se_c = np.std(cayley) / np.sqrt(n_paths)
     assert abs(euler.mean() - 1.0) <= 3.0 * se_e + 5.0 * dt
-    assert abs(heun.mean() - np.exp(t_end / 2.0)) <= 3.0 * se_h + 5.0 * dt
+    assert abs(cayley.mean() - np.exp(t_end / 2.0)) <= 3.0 * se_c + 5.0 * dt
 
 
 # ---------------------------------------------------------------------------
