@@ -30,6 +30,7 @@ PROCESSES = ("on-bm", "stiefel", "grassmann", "poincare", "cartan-hadamard",
 
 _EIGEN = ("eigen-wishart", "eigen-bw")
 _NEEDS_WIDE_K = ("wishart", "bw-bm", "vertical-bm") + _EIGEN
+_ON_GROUP = ("on-bm", "stiefel", "grassmann")  # driven by Brownian motion on O(n)
 
 
 class ConfigError(Exception):
@@ -175,6 +176,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"need t > 0, dt > 0, paths >= 1; got t={t_end}, dt={dt}, paths={n_paths}")
     if n < 1 or k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
+    if process in _ON_GROUP and n < 2:
+        raise ConfigError(f"{process} runs Brownian motion on O(n), which needs n >= 2; "
+                          f"got n={n}")
 
     if process == "bw-bm":
         if k != n:
@@ -341,7 +345,10 @@ def cmd_oracle(args) -> int:
             diffusion = lambda t, s, dw: dw
             shape = (n, k)
         elif args.kind == "skew":
-            basis = so_basis(n)
+            try:
+                basis = so_basis(n)
+            except ValueError as exc:
+                raise ConfigError(f"oracle --kind skew: {exc}") from exc
             diffusion = lambda t, s, dw: basis.combine(dw)
             state = np.eye(n)
             shape = (basis.dim,)

@@ -214,6 +214,8 @@ def so_pairs(n: int) -> list[tuple[int, int]]:
 
 def so_basis(n: int) -> LieBasis:
     """Frobenius-orthonormal basis of the skew matrices: (E_ij - E_ji)/sqrt(2)."""
+    if n < 2:
+        raise ValueError(f"so(n) needs n >= 2; got n={n}")
     mats = []
     for i, j in so_pairs(n):
         a = np.zeros((n, n))

@@ -53,11 +53,9 @@ class ProcessConfig:
 class _ZeroNoise(NoiseSource):
     """Noise source that supplies zeros; used by the zero_noise diagnostics."""
 
-    def normals(self, path, step, count):
-        return np.zeros(count)
-
-    def normals_block(self, step, n_paths, count):
-        return np.zeros((n_paths, count))
+    @staticmethod
+    def _to_normal(words):
+        return np.zeros(words.shape)
 
 
 def _run(problem: SdeProblem, cfg: ProcessConfig, path_index: int) -> Path:

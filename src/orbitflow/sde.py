@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import so_basis, sym_part
+from .matcore import sym_part
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
@@ -56,11 +56,16 @@ class TimeGrid:
 class NoiseSource:
     """Counter-based standard-normal supply keyed by (seed, stream).
 
-    Per step, a Philox stream keyed (seed, stream) with counter word set to the
-    step index supplies 64-bit words; path p owns the contiguous word block
-    [p * count, (p + 1) * count) which is mapped to normals through the inverse
-    normal CDF.  Earlier paths' values never depend on how many paths are
-    drawn, which gives thread-layout independence for free.
+    Step m's words come from the Philox stream keyed (seed, stream) whose
+    counter's last word is m; they are read in blocks of four, block b at
+    counter [b + 1, 0, 0, m].  Path p owns the contiguous words
+    [p * count, (p + 1) * count) of every step, which the inverse normal CDF
+    maps to normals.  Philox is counter-based, so a path's words are addressed
+    directly: one generator per path starts at the block holding word
+    p * count and, for each step, moves to that step's counter and reads
+    p * count % 4 + count words, dropping the leading p * count % 4.  A draw
+    costs O(count) per step whatever p is, and earlier paths' values never
+    depend on how many paths are drawn.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -69,9 +74,14 @@ class NoiseSource:
         self.seed = int(seed)
         self.stream = int(stream)
 
-    def _raw(self, step: int, nwords: int) -> np.ndarray:
-        bg = np.random.Philox(key=[self.seed, self.stream], counter=[0, 0, 0, step])
-        return bg.random_raw(nwords)
+    def _generator(self, path: int, step: int, count: int) -> tuple:
+        """Philox generator whose next word, after dropping the returned
+        skip, is word path * count of step `step`; returns (generator, skip)."""
+        start = path * count
+        # numpy generates the first block at counter + 1, so this counter
+        # makes block start // 4 the first one read
+        bg = np.random.Philox(key=[self.seed, self.stream], counter=[start // 4, 0, 0, step])
+        return bg, start % 4
 
     @staticmethod
     def _to_normal(words: np.ndarray) -> np.ndarray:
@@ -80,9 +90,20 @@ class NoiseSource:
 
     def normals(self, path: int, step: int, count: int) -> np.ndarray:
         """Standard normals for one (path, step); shape (count,)."""
-        if count == 0:
-            return np.empty(0)
-        words = self._raw(step, (path + 1) * count)[path * count:]
+        bg, skip = self._generator(path, step, count)
+        return self._to_normal(bg.random_raw(skip + count)[skip:])
+
+    def path_normals(self, path: int, steps: int, count: int) -> np.ndarray:
+        """Standard normals of one path at steps 0..steps-1 from one
+        generator; shape (steps, count).  Row m is bit-identical to
+        normals(path, m, count)."""
+        bg, skip = self._generator(path, 0, count)
+        state = bg.state  # taken with an empty buffer, so every reset drops buffered words
+        words = np.empty((steps, count), dtype=np.uint64)
+        for m in range(steps):
+            state["state"]["counter"][3] = m
+            bg.state = state
+            words[m] = bg.random_raw(skip + count)[skip:]
         return self._to_normal(words)
 
     def normals_block(self, step: int, n_paths: int, count: int) -> np.ndarray:
@@ -90,23 +111,8 @@ class NoiseSource:
         (n_paths, count).  Row p is bit-identical to normals(p, step, count)."""
         if count == 0:
             return np.empty((n_paths, 0))
-        words = self._raw(step, n_paths * count)
+        words = self._generator(0, step, count)[0].random_raw(n_paths * count)
         return self._to_normal(words).reshape(n_paths, count)
-
-
-def gaussian_increment(source: NoiseSource, path: int, step: int, shape, dt: float) -> np.ndarray:
-    """Matrix of independent N(0, dt) entries for the given (path, step)."""
-    shape = tuple(shape)
-    count = int(np.prod(shape)) if shape else 1
-    z = source.normals(path, step, count)
-    return (np.sqrt(dt) * z).reshape(shape)
-
-
-def skew_increment(source: NoiseSource, path: int, step: int, n: int, dt: float) -> np.ndarray:
-    """Skew-symmetric increment sum_{i<j} (E_ij - E_ji)/sqrt(2) * g_ij with
-    g_ij i.i.d. N(0, dt), i.e. upper-triangle entries i.i.d. N(0, dt/2)."""
-    basis = so_basis(n)
-    return basis.combine(gaussian_increment(source, path, step, (basis.dim,), dt))
 
 
 @dataclass
@@ -181,16 +187,24 @@ def _check_source(problem: SdeProblem, source) -> None:
 
 def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
               path_index: int = 0) -> Path:
-    """Integrate one path of the problem over the grid (see `_advance`)."""
+    """Integrate one path of the problem over the grid (see `_advance`).
+
+    The path's increments for every step are drawn before the loop, with one
+    `NoiseSource.path_normals` call (one generator for the path); step m uses
+    row m, which equals normals(path_index, m, count) scaled by sqrt(dt).
+    """
     _check_source(problem, source)
     x = problem.x0.copy()
     states = np.empty((grid.steps + 1,) + x.shape)
     states[0] = x
     times = grid.times()
+    dws = None
+    if problem.noise_shape:
+        count = int(np.prod(problem.noise_shape))
+        dws = (np.sqrt(grid.dt) * source.path_normals(path_index, grid.steps, count)
+               ).reshape((grid.steps,) + problem.noise_shape)
     for m in range(grid.steps):
-        dw = None
-        if problem.noise_shape:
-            dw = gaussian_increment(source, path_index, m, problem.noise_shape, grid.dt)
+        dw = None if dws is None else dws[m]
         nxt = _advance(problem, times[m], x, dw, grid.dt)
         if problem.guard is not None and not problem.guard(nxt):
             return Path(times=times[: m + 1], states=states[: m + 1], path_index=path_index,

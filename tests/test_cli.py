@@ -72,6 +72,18 @@ def test_simulate_rejects_partial_final_step(tmp_path, capsys, t, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("process", ["on-bm", "stiefel", "grassmann"])
+def test_simulate_rejects_trivial_orthogonal_group(tmp_path, capsys, process):
+    # O(1) has no skew directions to drive a Brownian motion
+    out = tmp_path / "o"
+    rc = main(["simulate", "--process", process, "--n", "1", "--t", "0.01",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n=1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_accepts_rounded_whole_step_count(tmp_path):
     # 0.1 / 1e-3 is 100.00000000000001 in floating point
     out = tmp_path / "o"
@@ -337,6 +349,13 @@ def test_oracle_qv_prints_contractions(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "E[dX dX^T]/dt" in out and "E[dX dX]/dt" in out
+
+
+def test_oracle_qv_skew_rejects_n_one(capsys):
+    rc = main(["oracle", "--target", "qv", "--kind", "skew", "--n", "1",
+               "--samples", "10"])
+    assert rc == 2
+    assert "n=1" in capsys.readouterr().err
 
 
 def test_oracle_fd_gradient(tmp_path, capsys):

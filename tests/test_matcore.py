@@ -173,6 +173,13 @@ def test_so_basis_orthonormal(n):
         assert_array_equal(a, -a.T)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_so_basis_rejects_empty_algebra(n):
+    # so(0) and so(1) have no basis matrices to combine
+    with pytest.raises(ValueError, match=f"n={n}"):
+        so_basis(n)
+
+
 def test_basis_combine():
     basis = so_basis(3)
     coeffs = np.array([1.0, -2.0, 0.5])

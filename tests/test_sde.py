@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from orbitflow.matcore import LieBasis, so_basis
 from orbitflow.processes import invariant_problem
 from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                           gaussian_increment, integrate, integrate_batch,
-                           qv_oracle, rk4, skew_increment)
+                           integrate, integrate_batch, qv_oracle, rk4)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +75,51 @@ def test_block_rows_match_per_path_draws():
     assert_array_equal(wide[:6], block)
 
 
+def _keyed_normals(seed, stream, path, step, count):
+    # the keying definition: step `step` reads the Philox stream keyed
+    # (seed, stream) with counter [0, 0, 0, step] from its first word, and
+    # path `path` owns words [path * count, (path + 1) * count)
+    bg = np.random.Philox(key=[seed, stream], counter=[0, 0, 0, step])
+    return NoiseSource._to_normal(bg.random_raw((path + 1) * count)[path * count:])
+
+
+@pytest.mark.parametrize("count", [1, 3, 6, 9])
+@pytest.mark.parametrize("path", [0, 1, 2, 3, 7, 199, 20000])
+def test_directly_addressed_draws_match_the_keying_definition(path, count):
+    # path * count % 4 takes all four values over these cases
+    src = NoiseSource(seed=17, stream=5)
+    rows = src.path_normals(path, 6, count)
+    assert rows.shape == (6, count)
+    for step in range(6):
+        want = _keyed_normals(17, 5, path, step, count)
+        assert_array_equal(src.normals(path, step, count), want)
+        assert_array_equal(rows[step], want)
+    assert_array_equal(src.normals(path, 4099, count),
+                       _keyed_normals(17, 5, path, 4099, count))
+
+
+def test_a_path_draw_uses_one_generator_and_reads_only_its_words(monkeypatch):
+    made, reads = [], []
+
+    class Spy(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def random_raw(self, size=None, output=True):
+            reads.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "Philox", Spy)
+    src = NoiseSource(seed=2)
+    src.path_normals(path=7, steps=5, count=6)
+    assert len(made) == 1 and reads == [7 * 6 % 4 + 6] * 5
+    made.clear()
+    reads.clear()
+    src.normals(path=20000, step=3, count=9)
+    assert len(made) == 1 and reads == [9]
+
+
 def test_normal_marginals():
     # inverse-CDF mapping of counter words should give clean N(0, 1) stats
     z = NoiseSource(seed=0).normals_block(step=0, n_paths=200, count=500).ravel()
@@ -90,10 +134,9 @@ def test_normal_marginals():
 
 
 def test_gaussian_increment_statistics():
-    src = NoiseSource(seed=3)
+    # one path's 2 x 3 increments over 2000 steps are i.i.d. N(0, dt)
     dt = 0.01
-    draws = np.array([gaussian_increment(src, p, 0, (2, 3), dt) for p in range(2000)])
-    assert draws.shape == (2000, 2, 3)
+    draws = np.sqrt(dt) * NoiseSource(seed=3).path_normals(0, 2000, 6).reshape(2000, 2, 3)
     n = draws.size
     assert abs(draws.mean()) <= 4.0 * np.sqrt(dt / n)
     assert abs(draws.var() - dt) <= 0.05 * dt
@@ -101,28 +144,20 @@ def test_gaussian_increment_statistics():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_skew_increment_shape_and_norm(n):
+    # the skew increment sum_a g_a A_a, g_a i.i.d. N(0, dt), has
+    # E ||dA||_F^2 = dim so(n) * dt
     src = NoiseSource(seed=4)
+    basis = so_basis(n)
     dt = 0.05
     total = 0.0
     reps = 3000
     for p in range(reps):
-        a = src.normals  # keep the call sites obvious
-        m = skew_increment(src, p, 0, n, dt)
+        m = basis.combine(np.sqrt(dt) * src.normals(p, 0, basis.dim))
         assert_array_equal(m, -m.T)
         assert np.all(np.diag(m) == 0.0)
         total += np.trace(m @ m.T)
     want = n * (n - 1) / 2.0 * dt
     assert abs(total / reps - want) <= 0.05 * want
-
-
-def test_skew_increment_matches_coefficient_expansion():
-    # same draw expressed through the orthonormal skew basis, bit for bit
-    src = NoiseSource(seed=9)
-    n, dt = 4, 0.02
-    basis = so_basis(n)
-    m = skew_increment(src, path=5, step=3, n=n, dt=dt)
-    g = src.normals(5, 3, basis.dim) * np.sqrt(dt)
-    assert_allclose(m, basis.combine(g), rtol=0, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +200,31 @@ def test_integrate_is_deterministic():
     assert_array_equal(a.states, b.states)
     c = integrate(prob, grid, NoiseSource(21), path_index=4)
     assert np.any(c.states != a.states)
+
+
+def test_integrate_draws_a_path_once_and_steps_with_its_rows():
+    calls = []
+
+    class Counting(NoiseSource):
+        def normals(self, path, step, count):
+            calls.append("normals")
+            return super().normals(path, step, count)
+
+        def path_normals(self, path, steps, count):
+            calls.append(("path_normals", path, steps, count))
+            return super().path_normals(path, steps, count)
+
+    prob = SdeProblem(x0=np.eye(2), drift=lambda t, x: -0.5 * x,
+                      diffusion=lambda t, x, dw: x @ dw, noise_shape=(2, 2))
+    grid = TimeGrid(0.0, 0.01, 40)
+    path = integrate(prob, grid, Counting(8, stream=3), path_index=5)
+    assert calls == [("path_normals", 5, 40, 4)]
+    # the same problem stepped by hand with the per-step keyed draws
+    x = prob.x0
+    for m, t in enumerate(grid.times()[:-1]):
+        dw = (np.sqrt(grid.dt) * _keyed_normals(8, 3, 5, m, 4)).reshape(2, 2)
+        x = x + prob.drift(t, x) * grid.dt + prob.diffusion(t, x, dw)
+        assert_array_equal(path.states[m + 1], x)
 
 
 def test_guard_stops_without_clamping():
