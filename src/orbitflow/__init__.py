@@ -12,7 +12,7 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
 - deterministic counter-keyed noise, one Euler-Maruyama integrator for one
   path or a batch of paths, RK4, and a quadratic-variation Monte Carlo
   oracle (`sde`),
-- named diffusions: Brownian motion on O(n), Stiefel, Grassmann, flag,
+- named diffusions: Brownian motion on O(n), Stiefel, Grassmann, the
   Poincare half-plane, the SPD cone under the trace metric, Wishart
   processes, factor-noise SPD diffusions, eigenvalue SDEs, vertical
   Brownian motion, and the mean-curvature ODE (`processes`, each defined
@@ -25,9 +25,9 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
 """
 
 from .matcore import (LieBasis, Spectrum, eigh_desc, fd_gradient,
-                      require_orthogonal, require_skew, require_spd,
-                      require_symmetric, sl2_basis, skew_part, so_basis,
-                      so_pairs, solve_lyapunov, sqrtm_spd, sym_part)
+                      require_skew, require_spd, require_symmetric, sl2_basis,
+                      skew_part, so_basis, so_pairs, solve_lyapunov, sqrtm_spd,
+                      sym_part)
 from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
                    drift_J_spectral, fiber_dim, horizontal_from_sym_solve,
                    horizontal_project, ito_correction_sum, mean_curvature,
@@ -38,11 +38,10 @@ from .sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
 from .processes import (ProcessConfig, bm_bures_wasserstein,
                         bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                         bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
-                        flag_projection, halfplane_start, invariant_bm,
-                        mcf_ode, rect_factor, sl2_to_halfplane,
-                        sphere_vertical_bm, vertical_bm, wishart)
-from .control import (AccessibleSample, ControlSchedule, ProbeReport,
-                      ScheduleSegment, accessible_sample, alpha,
+                        halfplane_start, invariant_bm, mcf_ode,
+                        sl2_to_halfplane, sphere_vertical_bm, vertical_bm,
+                        wishart)
+from .control import (ControlSchedule, ProbeReport, ScheduleSegment, alpha,
                       alpha_from_pairs, alpha_jacobian, alpha_sos,
                       alpha_sos_sum, integrate_control, load_schedule,
                       parse_schedule, reach_probe)
@@ -55,7 +54,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LieBasis", "Spectrum", "eigh_desc", "fd_gradient",
-    "require_orthogonal", "require_skew", "require_spd", "require_symmetric", "sl2_basis", "skew_part", "so_basis", "so_pairs",
+    "require_skew", "require_spd", "require_symmetric", "sl2_basis",
+    "skew_part", "so_basis", "so_pairs",
     "solve_lyapunov", "sqrtm_spd", "sym_part",
     "KAPPA_DRIFT", "MetricR", "drift_J_R", "drift_J_gradient",
     "drift_J_spectral", "fiber_dim", "horizontal_from_sym_solve",
@@ -66,11 +66,11 @@ __all__ = [
     "integrate", "integrate_batch", "qv_oracle", "rk4",
     "ProcessConfig", "bm_bures_wasserstein",
     "bm_cartan_hadamard", "bm_grassmann", "bm_orthogonal", "bm_poincare",
-    "bm_stiefel", "eigen_drift", "eigen_sde", "flag_projection",
-    "halfplane_start", "invariant_bm", "mcf_ode", "rect_factor",
-    "sl2_to_halfplane", "sphere_vertical_bm", "vertical_bm", "wishart",
-    "AccessibleSample", "ControlSchedule", "ProbeReport", "ScheduleSegment",
-    "accessible_sample", "alpha", "alpha_from_pairs", "alpha_jacobian",
+    "bm_stiefel", "eigen_drift", "eigen_sde", "halfplane_start",
+    "invariant_bm", "mcf_ode", "sl2_to_halfplane", "sphere_vertical_bm",
+    "vertical_bm", "wishart",
+    "ControlSchedule", "ProbeReport", "ScheduleSegment",
+    "alpha", "alpha_from_pairs", "alpha_jacobian",
     "alpha_sos", "alpha_sos_sum", "integrate_control", "load_schedule",
     "parse_schedule", "reach_probe",
     "ConstantsEntry", "ConstantsReport", "build_manifest", "content_hash",

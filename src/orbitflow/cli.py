@@ -174,6 +174,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --out DIR")
     if t_end <= 0 or dt <= 0 or n_paths < 1:
         raise ConfigError(f"need t > 0, dt > 0, paths >= 1; got t={t_end}, dt={dt}, paths={n_paths}")
+    if seed < 0 or stream < 0:
+        raise ConfigError(f"need seed >= 0 and stream >= 0; got seed={seed}, stream={stream}")
     if n < 1 or k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
     if process in _ON_GROUP and n < 2:
@@ -280,6 +282,8 @@ def cmd_drift(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"need seed >= 0; got seed={args.seed}")
         kwargs["seed"] = args.seed
     result, report = run_suite(args.suite, **kwargs)
     if report is not None:
@@ -338,8 +342,12 @@ def _print_qv(name: str, mean: np.ndarray, se: np.ndarray) -> None:
 
 def cmd_oracle(args) -> int:
     if args.target == "qv":
-        n = args.n or 2
-        k = args.k or n
+        n = 2 if args.n is None else args.n
+        k = n if args.k is None else args.k
+        if n < 1 or k < 1 or args.samples < 1 or args.dt <= 0 or args.seed < 0:
+            raise ConfigError(f"oracle needs n >= 1, k >= 1, samples >= 1, dt > 0 and "
+                              f"seed >= 0; got n={n}, k={k}, samples={args.samples}, "
+                              f"dt={args.dt:g}, seed={args.seed}")
         if args.kind == "wiener":
             state = np.zeros((n, k))
             diffusion = lambda t, s, dw: dw
@@ -370,7 +378,12 @@ def cmd_oracle(args) -> int:
     m = _read_matrix(args.input) if args.input else None
     if m is None:
         raise ConfigError("oracle --target fd-gradient needs --input M.csv")
-    metric = MetricR(_read_matrix(args.R)) if args.R else None
+    metric = None
+    if args.R:
+        try:
+            metric = MetricR(_read_matrix(args.R))
+        except ValueError as exc:
+            raise ConfigError(f"--R {args.R}: {exc}") from exc
     try:
         grad = fd_gradient(lambda x: orbit_log_volume(x, metric), m)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Controllability layer: the eigenvalue interaction field, its Jacobian and
-sum-of-squares certificate, accessible-direction sampling, schedule
-integration, and a reachability probe along commuting controls.
+sum-of-squares certificate, schedule integration, and a reachability probe
+along commuting controls.
 
 The central object is the vector field
     alpha(lam)_i = sum_{j != i} 1 / (lam_i + lam_j)
@@ -104,40 +104,6 @@ def alpha_sos_sum(lam) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AccessibleSample:
-    """A sampled accessible direction with its generating frame and spectrum."""
-
-    direction: np.ndarray
-    frame: np.ndarray
-    spectrum: np.ndarray
-
-
-def accessible_sample(p, count: int, seed: int = 0,
-                      spread: float = 0.75) -> list[AccessibleSample]:
-    """Seeded sample of accessible flow directions at the base point P.
-
-    Each direction is M (V diag(alpha(mu)) V^T) M^T with M M^T = P, a Haar
-    orthogonal V, and a log-normal positive spectrum mu; every draw is
-    symmetric positive definite.  The construction commutes with the choice
-    of factor M: replacing M by M Q re-parametrizes V only.
-    """
-    p = require_spd(p)
-    n = p.shape[0]
-    m = sqrtm_spd(p)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        z = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        v = q * np.sign(np.diagonal(r))  # fix QR sign convention
-        mu = np.sort(np.exp(spread * rng.standard_normal(n)))[::-1]
-        c = (v * alpha(mu)) @ v.T
-        out.append(AccessibleSample(direction=sym_part(m @ c @ m.T),
-                                    frame=v, spectrum=mu))
-    return out
-
-
-@dataclass(frozen=True)
 class ScheduleSegment:
     """One piecewise-constant control: hold the metric R for `duration`."""
 
@@ -210,6 +176,8 @@ def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path
     so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
     rounding.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1; got substeps={substeps}")
     p0 = require_spd(p0)
     times = [0.0]
     states = [p0]
@@ -247,20 +215,19 @@ class ProbeReport:
     minkowski_residual: float
     loewner_min: float
     duration: float
-    truncated: bool
 
 
-def reach_probe(p0, u, cone_coeffs, t_budget: float | None = None,
-                stiff: float = 1e8, substeps: int = 256) -> ProbeReport:
+def reach_probe(p0, u, cone_coeffs) -> ProbeReport:
     """Drive P along commuting controls toward a cone direction.
 
     cone_coeffs[(i, j)] >= 0 weight the generators e_i + e_j of the target
     log-spectrum move sum c_ij (e_i + e_j) in the frame u.  Each active pair
-    runs for unit duration with the control spectrum (1/(2 c_ij)) on the pair
-    and `stiff` elsewhere, making the realized interaction field approximate
-    c_ij (e_i + e_j).  All controls share the eigenframe u, so the flow stays
-    diagonal in that frame and the eigenvalue logs integrate the interaction
-    field directly.
+    runs for unit duration (256 RK4 steps) with the control spectrum
+    (1/(2 c_ij)) on the pair and 1e8 elsewhere, making the realized
+    interaction field approximate c_ij (e_i + e_j); the probe's duration is
+    the number of active pairs.  All controls share the eigenframe u, so the
+    flow stays diagonal in that frame and the eigenvalue logs integrate the
+    interaction field directly.
     """
     p0 = require_spd(p0)
     n = p0.shape[0]
@@ -278,19 +245,9 @@ def reach_probe(p0, u, cone_coeffs, t_budget: float | None = None,
         target[j] += c
         legs.append((i, j, c))
 
-    total = float(len(legs))
-    truncated = False
-    if t_budget is not None and total > t_budget:
-        truncated = True
     p = p0
-    elapsed = 0.0
     for (i, j, c) in legs:
-        leg_time = 1.0
-        if t_budget is not None and elapsed + leg_time > t_budget:
-            leg_time = max(t_budget - elapsed, 0.0)
-        if leg_time <= 0.0:
-            break
-        mu = np.full(n, stiff)
+        mu = np.full(n, 1e8)
         mu[i] = mu[j] = 1.0 / (2.0 * c)
         cmat = (u * alpha(mu)) @ u.T
 
@@ -298,8 +255,7 @@ def reach_probe(p0, u, cone_coeffs, t_budget: float | None = None,
             m = sqrtm_spd(q)
             return sym_part(m @ cmat @ m.T)
 
-        p = rk4(fdir, p, leg_time, substeps)[-1]
-        elapsed += leg_time
+        p = rk4(fdir, p, 1.0, 256)[-1]
 
     # express the endpoint in the probe frame to read off eigenvalue moves
     in_frame = u.T @ p @ u
@@ -308,11 +264,11 @@ def reach_probe(p0, u, cone_coeffs, t_budget: float | None = None,
     frame_offdiag = float(np.abs(off).max() / max(np.abs(diag).max(), 1e-300))
     lam0_frame = np.diagonal(u.T @ p0 @ u)
     log_gain = np.log(np.maximum(diag, 1e-300)) - np.log(np.maximum(lam0_frame, 1e-300))
-    log_err = float(np.abs(log_gain - target).max()) if not truncated else float("nan")
+    log_err = float(np.abs(log_gain - target).max())
     nominal = u @ np.diag(np.exp(target)) @ u.T
     minkowski = float(np.linalg.norm((p - p0) - nominal))
     loewner_min = float(np.linalg.eigvalsh(sym_part(p - p0))[0]) if legs else 0.0
     return ProbeReport(endpoint=p, target=target, log_gain=log_gain,
                        log_gain_error=log_err, frame_offdiag=frame_offdiag,
                        minkowski_residual=minkowski, loewner_min=loewner_min,
-                       duration=elapsed, truncated=truncated)
+                       duration=float(len(legs)))

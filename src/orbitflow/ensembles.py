@@ -41,10 +41,9 @@ def grassmann_ito_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
     return _run(grassmann_ito_problem(n, k, guard_tol), cfg, paths)[0]
 
 
-def cartan_hadamard_ensemble(n: int, cfg: ProcessConfig, paths: int,
-                             g0=None) -> np.ndarray:
+def cartan_hadamard_ensemble(n: int, cfg: ProcessConfig, paths: int) -> np.ndarray:
     """Final G states of dG = G dW + G/2 dt (Euler-Maruyama)."""
-    return _run(cartan_hadamard_problem(n, g0), cfg, paths)[0]
+    return _run(cartan_hadamard_problem(n), cfg, paths)[0]
 
 
 def wishart_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
@@ -53,10 +52,9 @@ def wishart_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
     return _run(wishart_problem(n, k, w0=w0), cfg, paths)[0]
 
 
-def bw_ensemble(p0, cfg: ProcessConfig, paths: int,
-                eig_floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def bw_ensemble(p0, cfg: ProcessConfig, paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final states and alive mask for the SPD-cone Brownian motion."""
-    return _run(bures_wasserstein_problem(p0, eig_floor), cfg, paths)
+    return _run(bures_wasserstein_problem(p0), cfg, paths)
 
 
 def poincare_ensemble(cfg: ProcessConfig, paths: int,
@@ -67,14 +65,12 @@ def poincare_ensemble(cfg: ProcessConfig, paths: int,
 
 
 def eigen_ensemble(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
-                   paths: int, lam_floor: float = 1e-12,
-                   gap_floor: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                   paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final eigenvalue vectors and alive mask for the eigenvalue diffusions."""
-    return _run(eigen_problem(kind, lam0, n, k, lam_floor, gap_floor), cfg, paths)
+    return _run(eigen_problem(kind, lam0, n, k), cfg, paths)
 
 
-def sphere_ensemble(n: int, cfg: ProcessConfig, paths: int,
-                    x0=None) -> tuple[np.ndarray, np.ndarray]:
+def sphere_ensemble(n: int, cfg: ProcessConfig, paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final points and squared radii of the sphere-tangent diffusion."""
-    x = _run(sphere_problem(n, x0), cfg, paths)[0]
+    x = _run(sphere_problem(n), cfg, paths)[0]
     return x, squared_norm(x)

@@ -213,22 +213,22 @@ def orbit_log_volume(m, metric: MetricR | None = None) -> float:
     return 0.5 * float(logdet)
 
 
-def drift_J_spectral(p, rank_tol: float = TAU_RANK) -> np.ndarray:
+def drift_J_spectral(p) -> np.ndarray:
     """Quotient drift field in closed spectral form.
 
     For P = U diag(lam) U^T with positive eigenvalues the drift is
         U diag( sum_{j != i} lam_i / (lam_i + lam_j) ) U^T.
-    Trailing (near-)zero eigenvalues are held at zero, with the sums running
-    over the positive part of the spectrum only.
+    Trailing eigenvalues at most TAU_RANK * lam_max are held at zero, with
+    the sums running over the positive part of the spectrum only.
     """
     dec = eigh_desc(p)
     lam = dec.eigenvalues
     n = lam.shape[0]
     if lam[0] <= 0.0:
         raise ValueError("drift needs a nonzero positive semidefinite matrix")
-    if lam[-1] < -rank_tol * lam[0]:
+    if lam[-1] < -TAU_RANK * lam[0]:
         raise ValueError("negative eigenvalue outside rank tolerance")
-    pos = lam > rank_tol * lam[0]
+    pos = lam > TAU_RANK * lam[0]
     d = np.zeros(n)
     idx = np.flatnonzero(pos)
     for i in idx:
@@ -241,7 +241,7 @@ def drift_J_spectral(p, rank_tol: float = TAU_RANK) -> np.ndarray:
     return sym_part((u * d) @ u.T)
 
 
-def drift_J_gradient(m, metric: MetricR | None = None, h: float | None = None) -> np.ndarray:
+def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
     """Quotient drift via the log-volume gradient route (finite differences).
 
     Computes V = grad orbit_log_volume at the metric-flattened point G M and
@@ -256,7 +256,7 @@ def drift_J_gradient(m, metric: MetricR | None = None, h: float | None = None) -
     def logvol(x):
         return orbit_log_volume(x, None)
 
-    v = fd_gradient(logvol, mt, h=h)
+    v = fd_gradient(logvol, mt)
     j = KAPPA_DRIFT * (v @ mt.T + mt @ v.T)
     gi = met.factor_inv
     return sym_part(gi @ j @ gi.T)

@@ -2,7 +2,7 @@
 finite-difference gradients, and the Lie-algebra bases used by the geometry layer.
 
 Everything operates on plain float64 ndarrays; the role-specific types
-(symmetric, skew, SPD, orthogonal) are enforced by the require_* validators
+(symmetric, skew, SPD) are enforced by the require_* validators
 rather than wrapper classes.
 """
 
@@ -12,10 +12,8 @@ from functools import cached_property
 import numpy as np
 
 # Shared tolerances. SPD and rank checks are relative to the largest
-# eigenvalue/singular value; the others are absolute on unit-scale residuals.
+# eigenvalue/singular value; TAU_LYAP is absolute on unit-scale residuals.
 TAU_SPD = 1e-10
-TAU_ORTH = 1e-8
-TAU_EIG = 1e-10
 TAU_LYAP = 1e-10
 TAU_RANK = 1e-8
 
@@ -72,25 +70,12 @@ def require_spd(a, tol: float = TAU_SPD) -> np.ndarray:
     return s
 
 
-def require_orthogonal(q, tol: float = TAU_ORTH) -> np.ndarray:
-    q = as_matrix(q)
-    n = q.shape[0]
-    if q.shape[1] != n:
-        raise ValueError("orthogonal check needs a square matrix")
-    if np.abs(q.T @ q - np.eye(n)).max() > tol:
-        raise ValueError("matrix is not orthogonal")
-    return q
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
 
     eigenvalues: np.ndarray   # shape (n,), descending
     vectors: np.ndarray       # shape (n, n), columns match eigenvalues
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.T
 
 
 def eigh_desc(s) -> Spectrum:
@@ -150,7 +135,7 @@ def solve_lyapunov(p, b) -> np.ndarray:
     return x
 
 
-def fd_gradient(f, m, h: float | None = None) -> np.ndarray:
+def fd_gradient(f, m) -> np.ndarray:
     """Entrywise central-difference gradient of a scalar field on matrices.
 
     Parameters
@@ -159,16 +144,14 @@ def fd_gradient(f, m, h: float | None = None) -> np.ndarray:
         Maps an (n, k) array to a finite float.
     m : (n, k) array
         Point at which to differentiate.
-    h : float, optional
-        Step size; defaults to 1e-5 * (1 + max|m|).
 
     Returns
     -------
-    g : (n, k) array with g[a, b] = (f(m + h E_ab) - f(m - h E_ab)) / (2 h).
+    g : (n, k) array with g[a, b] = (f(m + h E_ab) - f(m - h E_ab)) / (2 h),
+        with the step h = 1e-5 * (1 + max|m|).
     """
     m = as_matrix(m)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.abs(m).max()))
+    h = 1e-5 * (1.0 + float(np.abs(m).max()))
     g = np.empty_like(m)
     pert = m.copy()
     for a in range(m.shape[0]):

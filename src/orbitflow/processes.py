@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import LieBasis, as_matrix, eigh_desc, mT, require_orthogonal, \
-    require_spd, sl2_basis, so_basis, sym_part
+from .matcore import LieBasis, as_matrix, mT, require_spd, sl2_basis, so_basis, \
+    sym_part
 from .geom import MetricR, drift_J_R, drift_J_spectral, vertical_project
 from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
 
@@ -112,35 +112,34 @@ def invariant_bm(basis: LieBasis, x0, cfg: ProcessConfig, guard=None,
     return _run(invariant_problem(basis, x0, guard, guard_name), cfg, path_index)
 
 
-def orthogonal_problem(n: int, guard_tol: float = 1e-2) -> SdeProblem:
+def orthogonal_problem(n: int) -> SdeProblem:
     """Brownian motion on O(n), started at the identity.  The Cayley step
     keeps Q orthogonal to rounding; the orthogonality guard stays as a check
-    and stops (never clamps) a path that leaves the group."""
+    and stops (never clamps) a path once ||Q^T Q - I||_F exceeds 1e-2."""
     eye = np.eye(n)
 
     def guard(q):
-        return np.linalg.norm(mT(q) @ q - eye, axis=(-2, -1)) <= guard_tol
+        return np.linalg.norm(mT(q) @ q - eye, axis=(-2, -1)) <= 1e-2
 
     return invariant_problem(so_basis(n), eye, guard=guard,
                              guard_name="orthogonality guard")
 
 
-def bm_orthogonal(n: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
-                  path_index: int = 0) -> Path:
+def bm_orthogonal(n: int, cfg: ProcessConfig, path_index: int = 0) -> Path:
     """One path of `orthogonal_problem`."""
-    return _run(orthogonal_problem(n, guard_tol), cfg, path_index)
+    return _run(orthogonal_problem(n), cfg, path_index)
 
 
-def bm_stiefel(n: int, k: int, cfg: ProcessConfig, guard_tol: float = 1e-2,
-               path_index: int = 0) -> Path:
+def bm_stiefel(n: int, k: int, cfg: ProcessConfig, path_index: int = 0) -> Path:
     """Brownian motion on the Stiefel manifold of orthonormal k-frames.
 
     Pushforward of the O(n) path through column truncation; for k = n the
-    path coincides with bm_orthogonal exactly.
+    path coincides with bm_orthogonal exactly.  The O(n) path's guard (1e-2)
+    applies.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, path_index=path_index)
+    qp = bm_orthogonal(n, cfg, path_index=path_index)
     return _pushforward(qp, qp.states[:, :, :k].copy())
 
 
@@ -151,6 +150,7 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
     the skew increment.  The drift constants come from the
     quadratic-variation oracle; they make tr P a conserved quantity in
     expectation, which the stated -2nP correction in circulation fails to do.
+    Paths stop when ||P^2 - P||_F or |tr P - k| exceeds guard_tol.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -176,38 +176,23 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
 
 
 def bm_grassmann(n: int, k: int, cfg: ProcessConfig, route: str = "pushforward",
-                 guard_tol: float = 1e-2, path_index: int = 0) -> Path:
+                 path_index: int = 0) -> Path:
     """Brownian motion on the Grassmannian in projector coordinates.
 
     route="pushforward": map an O(n) path Q through
         P = Q I_kn Q^T  (I_kn = diag of k ones),
     which keeps P a projector to rounding, as Q is orthogonal to rounding.
 
-    route="ito": one path of `grassmann_ito_problem`.
+    route="ito": one path of `grassmann_ito_problem` with guard_tol 1e-2.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if route == "pushforward":
-        qp = bm_orthogonal(n, cfg, guard_tol=guard_tol, path_index=path_index)
+        qp = bm_orthogonal(n, cfg, path_index=path_index)
         return _pushforward(qp, gram(qp.states[..., :k]))
     if route != "ito":
         raise ValueError(f"unknown route {route!r}")
-    return _run(grassmann_ito_problem(n, k, guard_tol), cfg, path_index)
-
-
-def flag_projection(q, dims) -> tuple:
-    """Nested-subspace projectors of a flag from an orthogonal matrix.
-
-    dims are strictly increasing subspace dimensions; component i is the
-    projector onto the span of the first dims[i] columns of q.
-    """
-    q = require_orthogonal(q)
-    dims = [int(d) for d in dims]
-    if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])) or not dims:
-        raise ValueError("dims must be strictly increasing and non-empty")
-    if dims[-1] > q.shape[0]:
-        raise ValueError("dims exceed the ambient dimension")
-    return tuple(q[:, :d] @ q[:, :d].T for d in dims)
+    return _run(grassmann_ito_problem(n, k), cfg, path_index)
 
 
 def sl2_to_halfplane(m) -> np.ndarray:
@@ -227,42 +212,42 @@ def halfplane_start(x: float, y: float) -> np.ndarray:
     return np.array([[s, x / s], [0.0, 1.0 / s]])
 
 
-def poincare_problem(z0: tuple[float, float] = (0.0, 1.0), det_tol: float = 1e-2,
-                     y_floor: float = 1e-8) -> SdeProblem:
+def poincare_problem(z0: tuple[float, float] = (0.0, 1.0)) -> SdeProblem:
     """Hyperbolic Brownian motion on the upper half-plane, as the invariant
     diffusion on the determinant-one group with the three-generator basis
     (boost, dilation, rotation); `sl2_to_halfplane` projects its states
     through the Moebius action, and the rotation generator spans the fiber
-    over the base point.
+    over the base point.  Paths stop when |det - 1| exceeds 1e-2 or the
+    height falls to 1e-8.
     """
 
     def guard(m):
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         height = det / (m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2)
-        return (np.abs(det - 1.0) <= det_tol) & (height > y_floor)
+        return (np.abs(det - 1.0) <= 1e-2) & (height > 1e-8)
 
     return invariant_problem(sl2_basis(), halfplane_start(*z0), guard=guard,
                              guard_name="half-plane guard")
 
 
 def bm_poincare(cfg: ProcessConfig, z0: tuple[float, float] = (0.0, 1.0),
-                det_tol: float = 1e-2, y_floor: float = 1e-8,
                 path_index: int = 0) -> Path:
     """One path of `poincare_problem`; states are (x, y) pairs."""
-    mp = _run(poincare_problem(z0, det_tol, y_floor), cfg, path_index)
+    mp = _run(poincare_problem(z0), cfg, path_index)
     return _pushforward(mp, sl2_to_halfplane(mp.states))
 
 
 # --- SPD-cone diffusions -----------------------------------------------------
 
-def cartan_hadamard_problem(n: int, g0=None, det_floor: float = 1e-12) -> SdeProblem:
+def cartan_hadamard_problem(n: int) -> SdeProblem:
     """Brownian motion on the full matrix group, Ito form dG = G dW + G/2 dt
-    (the drift is the Stratonovich correction dW dW = I dt contracted once).
+    (the drift is the Stratonovich correction dW dW = I dt contracted once),
+    started at the identity.
 
     The image P = G G^T satisfies dP = G (dW + dW^T) G^T + (n + 1) P dt, so
-    E[tr P_t] grows like exp((n + 1) t).
+    E[tr P_t] grows like exp((n + 1) t).  Paths stop when G has a non-finite
+    entry or |det G| falls to 1e-12.
     """
-    g0 = np.eye(n) if g0 is None else as_matrix(g0)
 
     def drift(t, g):
         return 0.5 * g
@@ -271,47 +256,35 @@ def cartan_hadamard_problem(n: int, g0=None, det_floor: float = 1e-12) -> SdePro
         return g @ dw
 
     def guard(g):
-        return np.isfinite(g).all(axis=(-2, -1)) & (np.abs(np.linalg.det(g)) > det_floor)
+        return np.isfinite(g).all(axis=(-2, -1)) & (np.abs(np.linalg.det(g)) > 1e-12)
 
-    return SdeProblem(x0=g0, drift=drift, diffusion=diffusion,
+    return SdeProblem(x0=np.eye(n), drift=drift, diffusion=diffusion,
                       noise_shape=(n, n), guard=guard,
                       guard_name="invertibility guard")
 
 
-def bm_cartan_hadamard(n: int, cfg: ProcessConfig, g0=None,
-                       det_floor: float = 1e-12,
+def bm_cartan_hadamard(n: int, cfg: ProcessConfig,
                        path_index: int = 0) -> tuple[Path, Path]:
     """One path of `cartan_hadamard_problem` and its SPD image G G^T."""
-    gp = _run(cartan_hadamard_problem(n, g0, det_floor), cfg, path_index)
+    gp = _run(cartan_hadamard_problem(n), cfg, path_index)
     return gp, _pushforward(gp, gram(gp.states))
 
 
-def rect_factor(p, k: int) -> np.ndarray:
-    """An n x k factor M with M M^T = P for P of rank at most k."""
-    dec = eigh_desc(p)
-    lam = dec.eigenvalues
-    if np.any(lam[:k] < 0) or (lam.shape[0] > k and abs(lam[k:]).max() > 1e-8 * max(lam[0], 1.0)):
-        raise ValueError("matrix has no factor of the requested width")
-    return dec.vectors[:, :k] * np.sqrt(np.maximum(lam[:k], 0.0))
-
-
-def wishart_problem(n: int, k: int, p0=None, w0=None) -> SdeProblem:
+def wishart_problem(n: int, k: int, w0=None) -> SdeProblem:
     """Wishart process: P = W W^T along an n x k matrix Wiener path W.
 
     The Wiener path is exact (cumulative increments), so P is a Gram matrix
     at every grid point and stays positive semidefinite by construction.
     Ito form: dP = dW W^T + W dW^T + k I dt, the additive constant being the
     column count k (the square-dimension constant in circulation is only
-    correct for k = n).  The start is w0, else a factor of p0, else I_nk.
+    correct for k = n).  The start is w0, else I_nk.  No guard.
     """
-    if w0 is not None:
+    if w0 is None:
+        w0 = np.eye(n, k)
+    else:
         w0 = as_matrix(w0)
         if w0.shape != (n, k):
             raise ValueError("w0 must be n x k")
-    elif p0 is not None:
-        w0 = rect_factor(require_spd(p0) if k == n else sym_part(p0), k)
-    else:
-        w0 = np.eye(n, k)
 
     def diffusion(t, w, dw):
         return dw
@@ -319,10 +292,10 @@ def wishart_problem(n: int, k: int, p0=None, w0=None) -> SdeProblem:
     return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k))
 
 
-def wishart(n: int, k: int, cfg: ProcessConfig, p0=None, w0=None,
+def wishart(n: int, k: int, cfg: ProcessConfig, w0=None,
             path_index: int = 0) -> tuple[Path, Path]:
     """One factor path of `wishart_problem` and its Wishart image W W^T."""
-    wp = _run(wishart_problem(n, k, p0, w0), cfg, path_index)
+    wp = _run(wishart_problem(n, k, w0), cfg, path_index)
     return wp, _pushforward(wp, gram(wp.states))
 
 
@@ -341,7 +314,7 @@ def _spectrum_cache():
     return spectrum
 
 
-def bures_wasserstein_problem(p0, eig_floor: float = 1e-8) -> SdeProblem:
+def bures_wasserstein_problem(p0) -> SdeProblem:
     """Brownian motion on the SPD cone for the quotient metric.
 
     Euler-Maruyama on
@@ -352,7 +325,7 @@ def bures_wasserstein_problem(p0, eig_floor: float = 1e-8) -> SdeProblem:
     factor is square: noise of width k < n needs a rank-k P, which the rank
     guard excludes.  The eigenvector factor and the symmetric square root
     give the same law but different paths from the same noise.  Paths stop
-    when lam_min <= eig_floor * lam_max.
+    when lam_min <= 1e-8 * lam_max.
     """
     p0 = require_spd(p0)
     n = p0.shape[0]
@@ -371,17 +344,16 @@ def bures_wasserstein_problem(p0, eig_floor: float = 1e-8) -> SdeProblem:
 
     def guard(p):
         lam, _ = spectrum(p)
-        return (lam[..., -1] > eig_floor * np.maximum(lam[..., 0], 0.0)) & (lam[..., 0] > 0.0)
+        return (lam[..., -1] > 1e-8 * np.maximum(lam[..., 0], 0.0)) & (lam[..., 0] > 0.0)
 
     return SdeProblem(x0=p0, drift=drift, diffusion=diffusion,
                       noise_shape=(n, n), guard=guard,
                       guard_name="rank guard", post_step=sym_part)
 
 
-def bm_bures_wasserstein(p0, cfg: ProcessConfig, eig_floor: float = 1e-8,
-                         path_index: int = 0) -> Path:
+def bm_bures_wasserstein(p0, cfg: ProcessConfig, path_index: int = 0) -> Path:
     """One path of `bures_wasserstein_problem`."""
-    return _run(bures_wasserstein_problem(p0, eig_floor), cfg, path_index)
+    return _run(bures_wasserstein_problem(p0), cfg, path_index)
 
 
 # --- eigenvalue diffusions ---------------------------------------------------
@@ -409,14 +381,14 @@ def eigen_drift(kind: str, lam, n: int) -> np.ndarray:
     return n + term.sum(axis=-1)
 
 
-def eigen_problem(kind: str, lam0, n: int, k: int, lam_floor: float = 1e-12,
-                  gap_floor: float = 1e-10) -> SdeProblem:
+def eigen_problem(kind: str, lam0, n: int, k: int) -> SdeProblem:
     """Autonomous eigenvalue diffusion d l_i = 2 sqrt(l_i) d b_i + drift dt.
 
     lam0 holds the k nonzero eigenvalues in strictly descending order; the
     additive drift constant is n.  Paths stop (never clamp) when positivity
     or the strict ordering is about to fail, since the interaction terms are
-    singular at collisions.
+    singular at collisions: when an entry is not finite, the smallest
+    eigenvalue falls to 1e-12, or a gap falls to 1e-10.
     """
     if kind not in ("wishart", "bw"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -434,8 +406,8 @@ def eigen_problem(kind: str, lam0, n: int, k: int, lam_floor: float = 1e-12,
 
     def guard(lam):
         gaps = lam[..., :-1] - lam[..., 1:]
-        return (np.isfinite(lam).all(axis=-1) & (lam[..., -1] > lam_floor)
-                & (gaps > gap_floor).all(axis=-1))
+        return (np.isfinite(lam).all(axis=-1) & (lam[..., -1] > 1e-12)
+                & (gaps > 1e-10).all(axis=-1))
 
     return SdeProblem(x0=lam0, drift=drift, diffusion=diffusion,
                       noise_shape=(k,), guard=guard,
@@ -443,22 +415,22 @@ def eigen_problem(kind: str, lam0, n: int, k: int, lam_floor: float = 1e-12,
 
 
 def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
-              lam_floor: float = 1e-12, gap_floor: float = 1e-10,
               path_index: int = 0) -> Path:
     """One path of `eigen_problem`; states are eigenvalue vectors."""
-    return _run(eigen_problem(kind, lam0, n, k, lam_floor, gap_floor), cfg, path_index)
+    return _run(eigen_problem(kind, lam0, n, k), cfg, path_index)
 
 
 # --- fiber-valued noise and the quotient flow --------------------------------
 
 def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
-                rank_tol: float = 1e-8, path_index: int = 0) -> tuple[Path, Path]:
+                path_index: int = 0) -> tuple[Path, Path]:
     """Fiber-valued Brownian motion dX = Pr_vertical(dW) and its image X X^T.
 
     The image has no martingale part (vertical pushforwards cancel in
     X K X^T + X K^T X^T), so it tracks the deterministic quotient flow up to
-    an O(sqrt(dt)) discretization halo.  Single path only: the vertical
-    projection works on one matrix.
+    an O(sqrt(dt)) discretization halo.  Paths stop when the smallest
+    singular value of X falls to 1e-8 times the largest.  Single path only:
+    the vertical projection works on one matrix.
     """
     m0 = as_matrix(m0)
     gi = None if metric is None else metric.factor_inv
@@ -469,7 +441,7 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
 
     def guard(x):
         sv = np.linalg.svd(x, compute_uv=False)
-        return sv[-1] > rank_tol * sv[0]
+        return sv[-1] > 1e-8 * sv[0]
 
     problem = SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
                          guard=guard, guard_name="rank guard")
@@ -477,34 +449,32 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
     return xp, _pushforward(xp, gram(xp.states))
 
 
-def sphere_problem(n: int, x0=None, norm_floor: float = 1e-8) -> SdeProblem:
+def sphere_problem(n: int) -> SdeProblem:
     """Sphere-tangent noise on a radial line: dX = (I - x x^T / |x|^2) dW.
 
     The squared radius S = |X|^2 then grows at the deterministic rate n - 1
     (the full quadratic variation of the projected increments, with no 1/2:
-    the radial martingale part is annihilated by the projector).  The default
-    start is the first unit vector.
+    the radial martingale part is annihilated by the projector).  The start
+    is the first unit vector; paths stop when |X| falls to 1e-8.
     """
-    if x0 is None:
-        x0 = np.zeros(n)
-        x0[0] = 1.0
+    x0 = np.zeros(n)
+    x0[0] = 1.0
 
     def diffusion(t, x, dw):
         rad = _dot(x, dw) / squared_norm(x)
         return dw - x * rad[..., None]
 
     def guard(x):
-        return squared_norm(x) > norm_floor ** 2
+        return squared_norm(x) > 1e-8 ** 2
 
     return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(n,),
                       guard=guard, guard_name="origin guard")
 
 
-def sphere_vertical_bm(n: int, cfg: ProcessConfig, x0=None,
-                       norm_floor: float = 1e-8,
+def sphere_vertical_bm(n: int, cfg: ProcessConfig,
                        path_index: int = 0) -> tuple[Path, np.ndarray]:
     """One path of `sphere_problem` and its squared-radius trajectory S."""
-    xp = _run(sphere_problem(n, x0, norm_floor), cfg, path_index)
+    xp = _run(sphere_problem(n), cfg, path_index)
     return xp, squared_norm(xp.states)
 
 

@@ -1,5 +1,6 @@
 """Artifact emission: CSV path files, dependency-free SVG line charts, run
-manifests with content hashes, and the adjudicated-constants report.
+manifests (config and input hashes, output names), and the
+adjudicated-constants report.
 
 All emitters are deterministic: fixed float formatting (17 significant
 digits for CSV, 6 for SVG coordinates), LF line endings, sorted JSON keys.
@@ -96,10 +97,12 @@ def content_hash(data: bytes) -> str:
 
 def build_manifest(config: dict, inputs: dict | None = None,
                    outputs: list | None = None) -> dict:
-    """Assemble a run manifest: config echo plus content hashes.
+    """Assemble a run manifest: config echo, config and input hashes, and
+    output names.
 
     inputs maps names to bytes (hashed); outputs is a list of emitted file
-    names.  The config itself is hashed from its canonical JSON form.
+    names, recorded sorted and not hashed.  The config itself is hashed from
+    its canonical JSON form.
     """
     cfg_json = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -132,14 +135,14 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def emit_svg(times, series: dict, fh, title: str = "",
-             width: int = 640, height: int = 400) -> None:
+def emit_svg(times, series: dict, fh, title: str = "") -> None:
     """Render line charts as a standalone SVG without any external renderer.
 
     series maps labels to 1-D arrays over `times`.  Output is deterministic:
-    fixed canvas, fixed palette, fixed formatting.
+    fixed 640 x 400 canvas, fixed palette, fixed formatting.
     """
     times = np.asarray(times, dtype=float)
+    width, height = 640, 400
     ml, mr, mt, mb = 56.0, 16.0, 28.0, 40.0
     pw, ph = width - ml - mr, height - mt - mb
     # an empty series dict still yields a valid document with bare axes

@@ -279,16 +279,16 @@ class QvEstimate:
 
 
 def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
-              source: NoiseSource | None = None, seed: int = 0) -> QvEstimate:
+              seed: int = 0) -> QvEstimate:
     """Estimate quadratic-variation contractions of `diffusion` at `state`.
 
-    Draws `samples` fresh increments dw ~ N(0, dt) of `noise_shape`, forms
+    Draws `samples` fresh increments dw ~ N(0, dt) of `noise_shape` from the
+    dedicated oracle stream 104729 of `seed`, forms
     dX = diffusion(0, state, dw), and averages dX dX^T / dt (and the
     transposed/product contractions).  Standard errors shrink as
     samples^(-1/2).
     """
-    if source is None:
-        source = NoiseSource(seed, stream=104729)  # dedicated oracle stream
+    source = NoiseSource(seed, stream=104729)
     state = np.asarray(state, dtype=np.float64)
     nr, nc = state.shape
     sq = nr == nc

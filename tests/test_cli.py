@@ -299,6 +299,31 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
     assert main(["drift", "--which", "spectral", "--input", bad]) == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["oracle", "--target", "qv", "--n", "0", "--samples", "10"], "n=0"),
+    (["oracle", "--target", "qv", "--n", "-2", "--samples", "10"], "n=-2"),
+    (["oracle", "--target", "qv", "--samples", "0"], "samples=0"),
+    (["oracle", "--target", "qv", "--dt", "-1", "--samples", "10"], "dt=-1"),
+    (["oracle", "--target", "qv", "--seed", "-1", "--samples", "10"], "seed=-1"),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--R", "{BAD}"], "BAD.csv"),
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}", "--out", "{OUT}",
+      "--substeps", "0"], "substeps=0"),
+    (["verify", "--suite", "control", "--seed", "-1"], "seed=-1"),
+    (["simulate", "--process", "wishart", "--t", "0.01", "--out", "{OUT}",
+      "--seed", "-1"], "seed=-1"),
+    (["simulate", "--process", "wishart", "--t", "0.01", "--out", "{OUT}",
+      "--stream", "-1"], "stream=-1"),
+])
+def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
+    files = {"{P}": _spd_csv(tmp_path),
+             "{BAD}": _spd_csv(tmp_path, "BAD.csv", "1, 0\n0, -1\n"),
+             "{SCHED}": _write(tmp_path / "sched.txt", "0.2; R = [1, 0, 0, 1]\n"),
+             "{OUT}": str(tmp_path / "out")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_drift_rejects_ragged_csv(tmp_path, capsys):
     bad = _write(tmp_path / "ragged.csv", "1, 0\n2\n")
     assert main(["drift", "--which", "spectral", "--input", bad]) == 2

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from orbitflow.control import (AccessibleSample, ControlSchedule, ProbeReport,
-                               ScheduleSegment, accessible_sample, alpha,
-                               alpha_from_pairs, alpha_jacobian, alpha_sos,
+from orbitflow.control import (ControlSchedule, ProbeReport, ScheduleSegment,
+                               alpha, alpha_from_pairs, alpha_jacobian, alpha_sos,
                                alpha_sos_sum, integrate_control, load_schedule,
                                parse_schedule, reach_probe)
 
@@ -74,23 +73,6 @@ def test_sos_certificate_assembles_jacobian(n):
     assert_allclose(total, -alpha_jacobian(lam), rtol=0, atol=1e-12)
     ranks = [np.linalg.matrix_rank(mk) for mk in alpha_sos(lam)]
     assert ranks == list(range(n - 1, 0, -1))
-
-
-# ---------------------------------------------------------------------------
-# accessible directions
-
-
-def test_accessible_sample_draws_are_spd_and_seeded():
-    p = np.diag([3.0, 1.0])
-    draws = accessible_sample(p, count=5, seed=12)
-    again = accessible_sample(p, count=5, seed=12)
-    assert len(draws) == 5
-    for a, b in zip(draws, again):
-        assert isinstance(a, AccessibleSample)
-        assert_array_equal(a.direction, b.direction)
-        assert np.linalg.eigvalsh(a.direction)[0] > 0.0
-        assert_allclose(a.frame.T @ a.frame, np.eye(2), rtol=0, atol=1e-12)
-        assert np.all(np.diff(a.spectrum) <= 0) and a.spectrum[-1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +163,6 @@ def test_reach_probe_no_controls_is_identity():
     rep = reach_probe(p0, np.eye(2), {})
     assert_array_equal(rep.endpoint, p0)
     assert rep.duration == 0.0 and rep.loewner_min == 0.0
-    assert not rep.truncated
     assert_array_equal(rep.target, np.zeros(2))
 
 
@@ -205,13 +186,6 @@ def test_reach_probe_two_legs_in_a_shared_frame():
     assert_allclose(rep.target, [0.3, 0.5, 0.2], rtol=0, atol=1e-15)
     assert rep.log_gain_error <= 1e-2
     assert rep.duration == 2.0
-
-
-def test_reach_probe_budget_truncation():
-    rep = reach_probe(np.diag([2.0, 1.0]), np.eye(2), {(0, 1): 0.4}, t_budget=0.5)
-    assert rep.truncated
-    assert rep.duration == 0.5
-    assert np.isnan(rep.log_gain_error)
 
 
 def test_reach_probe_rejects_bad_coefficients():

@@ -9,10 +9,10 @@ from orbitflow.geom import MetricR, drift_J_spectral
 from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                                  bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
-                                 flag_projection, halfplane_start, mcf_ode,
+                                 grassmann_ito_problem, halfplane_start, mcf_ode,
                                  orthogonal_problem, poincare_problem,
-                                 rect_factor, sl2_to_halfplane,
-                                 sphere_vertical_bm, vertical_bm, wishart)
+                                 sl2_to_halfplane, sphere_vertical_bm,
+                                 vertical_bm, wishart)
 from orbitflow.sde import integrate, integrate_batch
 
 
@@ -92,8 +92,8 @@ def test_grassmann_pushforward_is_projector_valued():
 def test_grassmann_ito_route_conserves_trace():
     # drift and diffusion are both traceless; tr P is conserved to rounding
     # even while the projector defect carries its O(sqrt(dt)) scheme halo
-    path = bm_grassmann(4, 2, _cfg(0.3, 1e-3, seed=3), route="ito",
-                        guard_tol=0.25)
+    cfg = _cfg(0.3, 1e-3, seed=3)
+    path = integrate(grassmann_ito_problem(4, 2, guard_tol=0.25), cfg.grid(), cfg.source())
     assert not path.stopped
     traces = np.einsum("mii->m", path.states)
     assert np.abs(traces - 2.0).max() <= 1e-12
@@ -104,28 +104,6 @@ def test_grassmann_rejects_bad_arguments():
         bm_grassmann(3, 4, _cfg(0.1, 1e-2))
     with pytest.raises(ValueError):
         bm_grassmann(3, 2, _cfg(0.1, 1e-2), route="milstein")
-
-
-def test_flag_projection_nesting():
-    rng = np.random.default_rng(8)
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
-    q = q * np.sign(np.diag(r))
-    p1, p2 = flag_projection(q, (1, 3))
-    for p, d in ((p1, 1), (p2, 3)):
-        assert_allclose(p @ p, p, rtol=0, atol=1e-12)
-        assert abs(np.trace(p) - d) <= 1e-12
-    # the smaller subspace sits inside the larger one
-    assert_allclose(p2 @ p1, p1, rtol=0, atol=1e-12)
-
-
-def test_flag_projection_rejects_bad_dims():
-    q = np.eye(3)
-    with pytest.raises(ValueError):
-        flag_projection(q, (2, 2))
-    with pytest.raises(ValueError):
-        flag_projection(q, (1, 5))
-    with pytest.raises(ValueError):
-        flag_projection(2 * q, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +151,6 @@ def test_cartan_hadamard_image_is_gram():
         assert_allclose(p, p.T, rtol=0, atol=1e-15)
 
 
-def test_rect_factor_reconstructs_and_rejects():
-    p = np.diag([4.0, 1.0, 0.0])
-    m = rect_factor(p, 2)
-    assert m.shape == (3, 2)
-    assert_allclose(m @ m.T, p, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        rect_factor(np.eye(3), 2)  # rank exceeds requested width
-    with pytest.raises(ValueError):
-        rect_factor(np.diag([1.0, -2.0]), 2)
-
-
 def test_wishart_zero_noise_freezes_the_factor():
     w0 = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]])
     wp, pp = wishart(3, 2, _cfg(0.5, 0.1, zero_noise=True), w0=w0)
@@ -192,9 +159,6 @@ def test_wishart_zero_noise_freezes_the_factor():
 
 
 def test_wishart_start_options():
-    p0 = np.diag([4.0, 1.0])
-    wp, pp = wishart(2, 2, _cfg(0.1, 1e-2, seed=1), p0=p0)
-    assert_allclose(pp.states[0], p0, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         wishart(2, 2, _cfg(0.1, 1e-2), w0=np.eye(3))
     # default start is the truncated identity
