@@ -31,6 +31,9 @@ PROCESSES = ("on-bm", "stiefel", "grassmann", "poincare", "cartan-hadamard",
 _EIGEN = ("eigen-wishart", "eigen-bw")
 _NEEDS_WIDE_K = ("wishart", "bw-bm", "vertical-bm") + _EIGEN
 _ON_GROUP = ("on-bm", "stiefel", "grassmann")  # driven by Brownian motion on O(n)
+# the size flags each process's state shape ignores
+_UNREAD = {"on-bm": ("k",), "poincare": ("n", "k"), "cartan-hadamard": ("k",),
+           "sphere-vertical": ("k",)}
 
 
 class ConfigError(Exception):
@@ -74,6 +77,13 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed matrix CSV: {exc}") from exc
+
+
+def _read_metric(path: str) -> MetricR:
+    try:
+        return MetricR(_read_matrix(path))
+    except ValueError as exc:
+        raise ConfigError(f"--R {path}: {exc}") from exc
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -148,6 +158,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --process (or process= in the config file)")
     if process not in PROCESSES:
         raise ConfigError(f"unknown process {process!r}; choose from {', '.join(PROCESSES)}")
+    for key in _UNREAD.get(process, ()):
+        if getattr(args, key) is not None or key in file_cfg:
+            raise ConfigError(f"--process {process} does not read --{key} "
+                              f"(or config key {key}); leave it out")
     n = _resolve(args, file_cfg, "n", int, None)
     k = _resolve(args, file_cfg, "k", int, None)
     inputs = {}
@@ -267,7 +281,7 @@ def cmd_drift(args) -> int:
         else:
             if not args.R:
                 raise ConfigError("drift --which J-R needs --R R.csv")
-            j = drift_J_R(p, MetricR(_read_matrix(args.R)))
+            j = drift_J_R(p, _read_metric(args.R))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out:
@@ -344,6 +358,8 @@ def cmd_oracle(args) -> int:
     if args.target == "qv":
         n = 2 if args.n is None else args.n
         k = n if args.k is None else args.k
+        if args.kind != "wiener" and args.k is not None:
+            raise ConfigError(f"oracle --kind {args.kind} does not read --k; leave it out")
         if n < 1 or k < 1 or args.samples < 1 or args.dt <= 0 or args.seed < 0:
             raise ConfigError(f"oracle needs n >= 1, k >= 1, samples >= 1, dt > 0 and "
                               f"seed >= 0; got n={n}, k={k}, samples={args.samples}, "
@@ -378,12 +394,7 @@ def cmd_oracle(args) -> int:
     m = _read_matrix(args.input) if args.input else None
     if m is None:
         raise ConfigError("oracle --target fd-gradient needs --input M.csv")
-    metric = None
-    if args.R:
-        try:
-            metric = MetricR(_read_matrix(args.R))
-        except ValueError as exc:
-            raise ConfigError(f"--R {args.R}: {exc}") from exc
+    metric = _read_metric(args.R) if args.R else None
     try:
         grad = fd_gradient(lambda x: orbit_log_volume(x, metric), m)
     except ValueError as exc:

@@ -16,6 +16,7 @@ defined in terms of another beyond what the formulas below state.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class MetricR:
     """Left inner product <V, W> = tr(R V W^T) with R symmetric positive definite.
 
     The cached factor is the symmetric square root G (G^T G = G G^T = R), which
-    makes the conjugation formulas below independent of factor choice.
+    makes the conjugation formulas below independent of factor choice.  R, G
+    and G^-1 are stored read-only, so one instance can be shared freely.
     """
 
     R: np.ndarray
@@ -53,12 +55,15 @@ class MetricR:
     def __post_init__(self):
         r = require_spd(self.R)
         g = sqrtm_spd(r)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "factor", g)
-        object.__setattr__(self, "factor_inv", np.linalg.inv(g))
+        g_inv = np.linalg.inv(g)
+        for name, value in (("R", r), ("factor", g), ("factor_inv", g_inv)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
+    @cache
     def euclidean(cls, n: int) -> "MetricR":
+        """The identity metric on R^n: one shared instance per n."""
         return cls(np.eye(n))
 
     def inner(self, v, w) -> float:

@@ -225,6 +225,31 @@ def test_simulate_vertical_bm_rejects_n_k_that_disagree_with_factor(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("process, flags, named", [
+    ("on-bm", ["--n", "3", "--k", "2"], "--k"),
+    ("poincare", ["--k", "1"], "--k"),
+    ("poincare", ["--n", "2"], "--n"),
+    ("cartan-hadamard", ["--n", "3", "--k", "3"], "--k"),
+    ("sphere-vertical", ["--n", "3", "--k", "1"], "--k"),
+])
+def test_simulate_rejects_a_size_the_process_does_not_read(tmp_path, capsys,
+                                                           process, flags, named):
+    rc = main(["simulate", "--process", process, *flags, "--t", "0.01",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and process in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_an_unread_size_from_the_config_file(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", "process = sphere-vertical\nn = 3\nk = 1\n")
+    rc = main(["simulate", "--config", cfg, "--t", "0.01", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and "config key k" in err and "sphere-vertical" in err
+
+
 def test_simulate_reproject_flag_changes_nothing(tmp_path):
     # every on-bm step stays on O(n) to rounding, so --reproject is a no-op
     args = ["simulate", "--process", "on-bm", "--n", "3", "--paths", "2",
@@ -274,6 +299,11 @@ def test_drift_gradient_matches_spectral(tmp_path, capsys):
 def test_drift_metric_form_needs_r(tmp_path, capsys):
     assert main(["drift", "--which", "J-R", "--input", _spd_csv(tmp_path)]) == 2
     assert "--R" in capsys.readouterr().err
+    bad = _spd_csv(tmp_path, "BAD_R.csv", "1, 0\n0, -1\n")
+    assert main(["drift", "--which", "J-R", "--input", _spd_csv(tmp_path),
+                 "--R", bad]) == 2
+    err = capsys.readouterr().err
+    assert "--R" in err and "BAD_R.csv" in err and "positive definite" in err
 
 
 def test_drift_metric_frozen_oracle(tmp_path, capsys):
@@ -381,6 +411,19 @@ def test_oracle_qv_skew_rejects_n_one(capsys):
                "--samples", "10"])
     assert rc == 2
     assert "n=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["skew", "sphere"])
+def test_oracle_qv_rejects_k_for_kinds_that_ignore_it(capsys, kind):
+    rc = main(["oracle", "--target", "qv", "--kind", kind, "--n", "3", "--k", "7",
+               "--samples", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and kind in err
+    # without --k the run and its header line are as before
+    assert main(["oracle", "--target", "qv", "--kind", kind, "--n", "3",
+                 "--samples", "10"]) == 0
+    assert f"kind={kind} n=3 k=3 " in capsys.readouterr().out
 
 
 def test_oracle_fd_gradient(tmp_path, capsys):

@@ -305,6 +305,26 @@ def test_drift_metric_euclidean_reduces_to_spectral():
                     rtol=0, atol=1e-12)
 
 
+def test_euclidean_metric_is_one_shared_read_only_instance():
+    met = MetricR.euclidean(3)
+    assert MetricR.euclidean(3) is met
+    assert MetricR.euclidean(4) is not met
+    assert_allclose(met.R, np.eye(3), rtol=0, atol=0)
+    for arr in (met.R, met.factor, met.factor_inv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 2.0
+    assert_allclose(MetricR.euclidean(3).R, np.eye(3), rtol=0, atol=0)
+
+
+def test_metric_leaves_the_callers_matrix_writable():
+    r = np.diag([2.0, 1.0])
+    met = MetricR(r)
+    r[0, 0] = 5.0
+    assert met.R[0, 0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        met.factor_inv[1, 1] = 0.0
+
+
 def test_drift_metric_frozen_oracle():
     # P = diag(3, 1), R = diag(1, 3): G P G = diag(3, 3) has isotropic drift
     # diag(1/2, 1/2); undoing the conjugation scales the second entry by 1/3

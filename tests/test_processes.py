@@ -251,6 +251,17 @@ def test_vertical_bm_image_tracks_quotient_flow():
     assert rel <= 5e-2  # O(sqrt(dt)) halo at this step size
 
 
+def test_vertical_bm_default_metric_is_the_identity_bit_for_bit():
+    # metric=None runs on the shared MetricR.euclidean(n); an explicit
+    # identity metric must give the same factor and image bytes
+    m0 = np.array([[1.5, 0.2], [0.1, 1.0], [0.3, -0.4]])
+    cfg = _cfg(0.05, 1e-3, seed=4)
+    xp, image = vertical_bm(m0, cfg)
+    xq, image_q = vertical_bm(m0, cfg, metric=MetricR(np.eye(3)))
+    assert_array_equal(xp.states, xq.states)
+    assert_array_equal(image.states, image_q.states)
+
+
 def test_vertical_bm_image_tracks_metric_flow():
     metric = MetricR(np.array([[2.0, 0.3], [0.3, 1.0]]))
     m0 = np.diag([np.sqrt(3.0), 1.0])

@@ -9,10 +9,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from orbitflow.reporting import (ConstantsEntry, ConstantsReport, build_manifest,
-                                 content_hash, emit_csv, emit_eigen_csv, emit_svg,
-                                 format_float, read_matrix_csv, read_path_csv,
+from orbitflow.reporting import (_BLOCK_ROWS, ConstantsEntry, ConstantsReport,
+                                 build_manifest, content_hash, emit_csv, emit_eigen_csv,
+                                 emit_svg, format_float, read_matrix_csv, read_path_csv,
                                  write_manifest, write_matrix_csv)
+
+# values whose text is easiest to get wrong: signed zero, subnormals, the
+# extremes of the exponent range, infinities and nan
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, np.inf, -np.inf,
+           np.nan, 1e300, -1e300, 0.1, 1.0 / 3.0, -7.25, 1e16, 1e17, 1e-5]
+
+
+def _reference_rows(table) -> str:
+    """The CSV body written one value at a time through format_float."""
+    return "".join(",".join(format_float(v) for v in row) + "\n" for row in table)
+
+
+def _special_table(rows, cols, seed=0):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 300, (rows, cols))
+    flat = table.ravel()
+    flat[:len(SPECIAL)] = SPECIAL[:flat.size]
+    return table
 
 
 def test_format_float_round_trips_exactly():
@@ -74,6 +92,42 @@ def test_emit_eigen_csv_round_trip(tmp_path):
     assert cols == ["l_1", "l_2"]
     assert_array_equal(t, times)
     assert_array_equal(vals, lams)
+
+
+@pytest.mark.parametrize("rows, shape", [
+    (len(SPECIAL), (2, 2)),             # matrix states
+    (len(SPECIAL), (3,)),               # 1-D states
+    (1, (1,)),
+    (2 * _BLOCK_ROWS + 3, (2, 3)),      # longer than one formatting block
+])
+def test_emit_csv_matches_per_value_format_float(rows, shape):
+    table = _special_table(rows, 1 + int(np.prod(shape)))
+    times, states = table[:, 0], table[:, 1:].reshape((rows,) + shape)
+    fh = io.StringIO()
+    emit_csv(times, states, fh)
+    header, body = fh.getvalue().split("\n", 1)
+    assert body == _reference_rows(table)
+
+
+@pytest.mark.parametrize("rows", [len(SPECIAL), _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_emit_eigen_csv_matches_per_value_format_float(rows):
+    table = _special_table(rows, 4, seed=1)
+    fh = io.StringIO()
+    emit_eigen_csv(table[:, 0], table[:, 1:], fh)
+    header, body = fh.getvalue().split("\n", 1)
+    assert header == "t,l_1,l_2,l_3"
+    assert body == _reference_rows(table)
+
+
+@pytest.mark.parametrize("mat", [
+    np.array(SPECIAL).reshape(4, 4),
+    np.array(SPECIAL),                  # 1-D: one row
+    _special_table(_BLOCK_ROWS + 5, 3, seed=2),
+])
+def test_write_matrix_csv_matches_per_value_format_float(mat):
+    fh = io.StringIO()
+    write_matrix_csv(mat, fh)
+    assert fh.getvalue() == _reference_rows(np.atleast_2d(mat))
 
 
 def test_read_matrix_csv_comments_and_errors(tmp_path):
