@@ -15,7 +15,7 @@ import numpy as np
 
 from .control import integrate_control, load_schedule
 from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_log_volume
-from .matcore import fd_gradient, require_spd, so_basis, sqrtm_spd
+from .matcore import fd_gradient, mT, require_spd, so_basis, sqrtm_spd
 from .processes import (ProcessConfig, bm_bures_wasserstein, bm_cartan_hadamard,
                         bm_grassmann, bm_orthogonal, bm_poincare, bm_stiefel,
                         eigen_sde, sphere_vertical_bm, vertical_bm, wishart)
@@ -379,11 +379,12 @@ def cmd_oracle(args) -> int:
         else:  # sphere
             state = np.zeros((n, 1))
             state[0, 0] = 1.0
-            diffusion = lambda t, s, dw: dw - s @ (s.T @ dw)
+            diffusion = lambda t, s, dw: dw - s @ (mT(s) @ dw)
             shape = (n, 1)
         est = qv_oracle(diffusion, state, shape, args.dt, args.samples,
                         seed=args.seed)
-        print(f"qv oracle: kind={args.kind} n={n} k={k} dt={args.dt:g} "
+        k_field = f" k={k}" if args.kind == "wiener" else ""
+        print(f"qv oracle: kind={args.kind} n={n}{k_field} dt={args.dt:g} "
               f"samples={args.samples}")
         _print_qv("E[dX dX^T]/dt", est.outer, est.outer_se)
         _print_qv("E[dX^T dX]/dt", est.inner, est.inner_se)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import as_matrix, require_spd, sqrtm_spd, sym_part
-from .geom import MetricR, drift_J_R
+from .geom import MetricR, drift_J_R_kernel
 from .sde import Path, rk4
 
 
@@ -174,7 +174,8 @@ def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path
     Each segment holds its metric constant and is split into `substeps` RK4
     steps.  Every Loewner increment of the exact flow is positive definite,
     so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
-    rounding.
+    rounding.  `p0` is validated here; rk4 keeps every stage exactly
+    symmetric, so the stages go straight to drift_J_R_kernel.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1; got substeps={substeps}")
@@ -185,7 +186,7 @@ def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path
     p = p0
     for seg in schedule.segments:
         metric = MetricR(seg.R)
-        f = lambda q: drift_J_R(q, metric)
+        f = lambda q: drift_J_R_kernel(q, metric)
         seg_states = rk4(f, p, seg.duration, substeps)[1:]
         h = seg.duration / substeps
         for m in range(substeps):
@@ -229,7 +230,7 @@ def reach_probe(p0, u, cone_coeffs) -> ProbeReport:
     flow stays diagonal in that frame and the eigenvalue logs integrate the
     interaction field directly.
     """
-    p0 = require_spd(p0)
+    p0 = require_spd(as_matrix(p0))
     n = p0.shape[0]
     u = as_matrix(u)
     target = np.zeros(n)

@@ -12,7 +12,11 @@ quotient in three independent forms:
                      metric tr(R V W^T).
 
 The three are cross-validated against each other in the test suite; none is
-defined in terms of another beyond what the formulas below state.
+defined in terms of another beyond what the formulas below state.  The
+spectral and transported forms take any leading stack axes.  They validate
+their argument once and then run the kernels drift_J_kernel and
+drift_J_R_kernel, which validate nothing; flows whose states are already
+exactly symmetric (mcf_ode, integrate_control) call the kernels directly.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +28,10 @@ from .matcore import (
     as_matrix,
     eigh_desc,
     fd_gradient,
+    mT,
     require_skew,
     require_spd,
+    require_symmetric,
     solve_lyapunov,
     sqrtm_spd,
     sym_part,
@@ -183,7 +189,7 @@ def metric_gram(p, check: bool = True) -> np.ndarray:
         g = (d_jl P_im + d_im P_jl - d_jm P_il - d_il P_jm) / 2.
     Symmetric positive definite whenever P is.
     """
-    p = require_spd(p) if check else sym_part(p)
+    p = require_spd(as_matrix(p)) if check else sym_part(p)
     kdim = p.shape[0]
     pairs = so_pairs(kdim)
     npairs = len(pairs)
@@ -218,32 +224,42 @@ def orbit_log_volume(m, metric: MetricR | None = None) -> float:
     return 0.5 * float(logdet)
 
 
+def drift_J_kernel(s) -> np.ndarray:
+    """drift_J_spectral without validation, over any leading stack axes.
+
+    `s` must be exactly symmetric, as sym_part and require_symmetric leave
+    it; nothing checks that.  The whole stack goes through one
+    np.linalg.eigh call, the spectrum is reversed to descending order, and
+    lam_i / (lam_i + lam_j) is summed over the kept j in ascending order, so
+    every matrix of a stack gets the same bits as a call on it alone.
+    """
+    w, v = np.linalg.eigh(s)
+    lam = w[..., ::-1].copy()
+    u = v[..., ::-1].copy()
+    top = lam[..., :1]
+    if (top <= 0.0).any():
+        raise ValueError("drift needs a nonzero positive semidefinite matrix")
+    if (lam[..., -1:] < -TAU_RANK * top).any():
+        raise ValueError("negative eigenvalue outside rank tolerance")
+    pos = lam > TAU_RANK * top
+    keep = pos[..., :, None] & pos[..., None, :] & ~np.eye(lam.shape[-1], dtype=bool)
+    li = lam[..., :, None]
+    ratio = np.divide(li, li + lam[..., None, :], out=np.zeros(keep.shape), where=keep)
+    d = np.add.accumulate(ratio, axis=-1)[..., -1]
+    return sym_part((u * d[..., None, :]) @ mT(u))
+
+
 def drift_J_spectral(p) -> np.ndarray:
     """Quotient drift field in closed spectral form.
 
     For P = U diag(lam) U^T with positive eigenvalues the drift is
         U diag( sum_{j != i} lam_i / (lam_i + lam_j) ) U^T.
     Trailing eigenvalues at most TAU_RANK * lam_max are held at zero, with
-    the sums running over the positive part of the spectrum only.
+    the sums running over the positive part of the spectrum only.  Takes any
+    leading stack axes: each matrix is checked for symmetry (to 1e-10
+    relative), symmetrized, and passed to drift_J_kernel.
     """
-    dec = eigh_desc(p)
-    lam = dec.eigenvalues
-    n = lam.shape[0]
-    if lam[0] <= 0.0:
-        raise ValueError("drift needs a nonzero positive semidefinite matrix")
-    if lam[-1] < -TAU_RANK * lam[0]:
-        raise ValueError("negative eigenvalue outside rank tolerance")
-    pos = lam > TAU_RANK * lam[0]
-    d = np.zeros(n)
-    idx = np.flatnonzero(pos)
-    for i in idx:
-        acc = 0.0
-        for j in idx:
-            if j != i:
-                acc += lam[i] / (lam[i] + lam[j])
-        d[i] = acc
-    u = dec.vectors
-    return sym_part((u * d) @ u.T)
+    return drift_J_kernel(require_symmetric(p, tol=1e-10))
 
 
 def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
@@ -267,6 +283,14 @@ def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
     return sym_part(gi @ j @ gi.T)
 
 
+def drift_J_R_kernel(p, metric: MetricR) -> np.ndarray:
+    """drift_J_R without validation, over any leading stack axes of `p`."""
+    g = metric.factor
+    gi = metric.factor_inv
+    inner = drift_J_kernel(sym_part(mT(g) @ p @ g))
+    return sym_part(mT(gi) @ inner @ gi)
+
+
 def drift_J_R(p, metric: MetricR) -> np.ndarray:
     """Quotient drift under the metric tr(R V W^T), R = G^T G.
 
@@ -274,13 +298,13 @@ def drift_J_R(p, metric: MetricR) -> np.ndarray:
         G^-T  drift_J_spectral(G^T P G)  G^-1
     with the symmetric factor G cached in the metric (for which this agrees
     with the orientation G^-1 J(G P G^T) G^-T, and orthogonal-equivariance of
-    the spectral form makes the value factor-independent).
+    the spectral form makes the value factor-independent).  Takes any
+    leading stack axes: each matrix of `p` is checked for symmetry (to 1e-10
+    relative), and the unsymmetrized `p` goes on to drift_J_R_kernel.
     """
-    p = as_matrix(p)
-    g = metric.factor
-    gi = metric.factor_inv
-    inner = drift_J_spectral(g.T @ p @ g)
-    return sym_part(gi.T @ inner @ gi)
+    p = np.asarray(p, dtype=np.float64)
+    require_symmetric(p, tol=1e-10)
+    return drift_J_R_kernel(p, metric)
 
 
 def ito_correction_sum(m, metric: MetricR | None = None) -> np.ndarray:

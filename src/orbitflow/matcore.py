@@ -43,11 +43,19 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Validate symmetry to `tol` (relative) and return the symmetrized array."""
-    a = as_matrix(a)
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric")
+    """Validate symmetry of each matrix to `tol` (relative to that matrix's
+    largest entry, at least 1) and return the symmetrized array.  Takes any
+    leading stack axes."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
+    dev = np.abs(a - mT(a))
+    # every scale is at least 1, so a deviation within tol passes every
+    # matrix without the per-matrix scales
+    if dev.max() > tol:
+        scale = np.maximum(np.abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+        if (dev > tol * scale).any():
+            raise ValueError("matrix is not symmetric")
     return sym_part(a)
 
 
@@ -61,12 +69,13 @@ def require_skew(a, tol: float = 1e-12) -> np.ndarray:
 
 def require_spd(a, tol: float = TAU_SPD) -> np.ndarray:
     """Validate symmetric positive definiteness: every eigenvalue must exceed
-    tol * lambda_max."""
+    tol * lambda_max.  Takes any leading stack axes; the error names the
+    eigenvalues of the first matrix that fails."""
     s = require_symmetric(a, tol=1e-10)
     w = np.linalg.eigvalsh(s)
-    lam_max = float(w[-1])
-    if lam_max <= 0.0 or float(w[0]) <= tol * lam_max:
-        raise ValueError(f"matrix is not positive definite (eigenvalues {w})")
+    bad = (w[..., -1] <= 0.0) | (w[..., 0] <= tol * w[..., -1])
+    if bad.any():
+        raise ValueError(f"matrix is not positive definite (eigenvalues {w[bad][0]})")
     return s
 
 
@@ -80,7 +89,7 @@ class Spectrum:
 
 def eigh_desc(s) -> Spectrum:
     """Symmetric eigendecomposition with descending eigenvalue order."""
-    s = require_symmetric(s, tol=1e-10)
+    s = require_symmetric(as_matrix(s), tol=1e-10)
     w, v = np.linalg.eigh(s)
     return Spectrum(eigenvalues=w[::-1].copy(), vectors=v[:, ::-1].copy())
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .matcore import LieBasis, as_matrix, mT, require_spd, sl2_basis, so_basis, \
     sym_part
-from .geom import MetricR, drift_J_R, drift_J_spectral, vertical_project
+from .geom import MetricR, drift_J_kernel, drift_J_R_kernel, vertical_project
 from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
 
 
@@ -327,7 +327,7 @@ def bures_wasserstein_problem(p0) -> SdeProblem:
     give the same law but different paths from the same noise.  Paths stop
     when lam_min <= 1e-8 * lam_max.
     """
-    p0 = require_spd(p0)
+    p0 = require_spd(as_matrix(p0))
     n = p0.shape[0]
     eye = np.eye(n)
     spectrum = _spectrum_cache()
@@ -483,10 +483,14 @@ def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path
 
     With a metric argument the transported drift drift_J_R is used.  The
     trace grows exactly linearly with slope n(n-1)/2 in the Euclidean case,
-    which RK4 reproduces to rounding.
+    which RK4 reproduces to rounding.  `p0` may carry leading stack axes;
+    the states then carry them after the time axis, and each start's flow
+    has the same bits as when it runs alone.  `p0` is validated here; rk4
+    keeps every stage exactly symmetric, so the stages go straight to the
+    drift kernels.
     """
     p0 = require_spd(p0)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    f = (lambda p: drift_J_spectral(p)) if metric is None else (lambda p: drift_J_R(p, metric))
+    f = drift_J_kernel if metric is None else (lambda p: drift_J_R_kernel(p, metric))
     return Path(times=np.linspace(0.0, t_end, steps + 1), states=rk4(f, p0, t_end, steps))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import sym_part
+from .matcore import mT, sym_part
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
@@ -246,7 +246,9 @@ def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | N
 
 def rk4(f, x0: np.ndarray, duration: float, steps: int) -> np.ndarray:
     """Classical RK4 for a symmetric-matrix flow dP/dt = f(P); every stage
-    and step is symmetrized.  Returns the states at the steps+1 grid points."""
+    and step is symmetrized, so f only ever sees exactly symmetric input
+    after x0.  x0 may carry leading stack axes, which f must then accept.
+    Returns the states at the steps+1 grid points, time axis first."""
     h = duration / steps
     states = np.empty((steps + 1,) + x0.shape)
     states[0] = x0
@@ -278,6 +280,12 @@ class QvEstimate:
     samples: int
 
 
+def _add_in_order(s: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """s + terms[0] + terms[1] + ..., added left to right; terms.sum(axis=0)
+    would regroup the additions and change the rounding."""
+    return np.add.accumulate(np.concatenate((s[None], terms)), axis=0)[-1]
+
+
 def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
               seed: int = 0) -> QvEstimate:
     """Estimate quadratic-variation contractions of `diffusion` at `state`.
@@ -287,37 +295,39 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     dX = diffusion(0, state, dw), and averages dX dX^T / dt (and the
     transposed/product contractions).  Standard errors shrink as
     samples^(-1/2).
+
+    Sample b takes row b % 4096 of normals_block at step b // 4096.  As in
+    `integrate_batch`, `diffusion` receives a leading sample axis on both
+    `state` and `dw` (slices of at most 512 samples) and must give the same
+    bits on a slice as on one sample.  The running sums add the samples in
+    index order, so the estimate does not depend on the slice size.
     """
+    if samples < 1:
+        raise ValueError(f"qv_oracle needs samples >= 1; got samples={samples}")
+    if not dt > 0.0:
+        raise ValueError(f"qv_oracle needs dt > 0; got dt={dt:g}")
     source = NoiseSource(seed, stream=104729)
     state = np.asarray(state, dtype=np.float64)
     nr, nc = state.shape
     sq = nr == nc
-    s_outer = np.zeros((nr, nr))
-    s2_outer = np.zeros((nr, nr))
-    s_inner = np.zeros((nc, nc))
-    s2_inner = np.zeros((nc, nc))
-    s_square = np.zeros((nr, nc)) if sq else None
-    s2_square = np.zeros((nr, nc)) if sq else None
+    # running sums of dX dX^T, dX^T dX and (square states) dX dX over dt,
+    # and of their squares
+    sums = [np.zeros((nr, nr)), np.zeros((nc, nc))] + ([np.zeros((nr, nc))] if sq else [])
+    sums2 = [np.zeros_like(a) for a in sums]
     count = int(np.prod(noise_shape))
-    block = 4096
+    block, piece = 4096, 512
     done = 0
     step = 0
     while done < samples:
         take = min(block, samples - done)
         z = source.normals_block(step, take, count) * np.sqrt(dt)
-        for b in range(take):
-            dw = z[b].reshape(noise_shape)
-            dx = diffusion(0.0, state, dw)
-            o = dx @ dx.T / dt
-            i = dx.T @ dx / dt
-            s_outer += o
-            s2_outer += o * o
-            s_inner += i
-            s2_inner += i * i
-            if sq:
-                q = dx @ dx / dt
-                s_square += q
-                s2_square += q * q
+        for lo in range(0, take, piece):
+            dw = z[lo:lo + piece].reshape((-1,) + tuple(noise_shape))
+            dx = diffusion(0.0, np.broadcast_to(state, (len(dw), nr, nc)), dw)
+            dxt = mT(dx)
+            terms = [dx @ dxt / dt, dxt @ dx / dt] + ([dx @ dx / dt] if sq else [])
+            sums = [_add_in_order(s, t) for s, t in zip(sums, terms)]
+            sums2 = [_add_in_order(s, t * t) for s, t in zip(sums2, terms)]
         done += take
         step += 1
     n = float(samples)
@@ -327,11 +337,7 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
         var = np.maximum(s2 / n - mean * mean, 0.0)
         return mean, np.sqrt(var / n)
 
-    outer, outer_se = moments(s_outer, s2_outer)
-    inner, inner_se = moments(s_inner, s2_inner)
-    if sq:
-        square, square_se = moments(s_square, s2_square)
-    else:
-        square, square_se = None, None
+    est = [moments(s, s2) for s, s2 in zip(sums, sums2)] + [(None, None)]
+    (outer, outer_se), (inner, inner_se), (square, square_se) = est[:3]
     return QvEstimate(outer=outer, outer_se=outer_se, inner=inner, inner_se=inner_se,
                       square=square, square_se=square_se, samples=samples)

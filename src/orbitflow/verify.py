@@ -21,7 +21,7 @@ from .ensembles import (bw_ensemble, eigen_ensemble, grassmann_ito_ensemble,
 from .geom import (MetricR, drift_J_R, drift_J_spectral, horizontal_project,
                    ito_correction_sum, metric_gram, orbit_log_volume,
                    vertical_project)
-from .matcore import so_basis, sqrtm_spd, sym_part
+from .matcore import mT, so_basis, sqrtm_spd, sym_part
 from .processes import ProcessConfig, mcf_ode, vertical_bm
 from .reporting import ConstantsEntry, ConstantsReport
 from .sde import qv_oracle
@@ -82,7 +82,7 @@ def constants_suite(samples: int = 8000, seed: int = 0):
     # sphere: tangent-projected noise at a unit point; radial slope n-1
     x = np.zeros((n, 1))
     x[0, 0] = 1.0
-    qv_sphere = qv_oracle(lambda t, s, dw: dw - s @ (s.T @ dw), x, (n, 1),
+    qv_sphere = qv_oracle(lambda t, s, dw: dw - s @ (mT(s) @ dw), x, (n, 1),
                           dt, samples, seed=seed)
     # orthogonal frame: dX = dA at Q = I; the plain product dA dA picks up
     # the Ito coefficient -(n-1)/2, the outer product its normalization
@@ -343,13 +343,14 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
         "2x2 doubling closed form", err <= 1e-6,
         f"|P(4) - 2 P0| = {err:.2e} (tol 1e-6)"))
 
+    # ten starts, one stacked flow
+    p0 = np.stack([_seeded_spd(rng, 2) for _ in range(10)])
+    t_end = 1.3
+    path = mcf_ode(p0, t_end=t_end, steps=300)
     worst = 0.0
-    for _ in range(10):
-        p0 = _seeded_spd(rng, 2)
-        t_end = 1.3
-        path = mcf_ode(p0, t_end=t_end, steps=300)
-        want = (1.0 + t_end / np.trace(p0)) * p0
-        worst = max(worst, np.max(np.abs(path.final - want)) / np.max(np.abs(want)))
+    for start, final in zip(p0, path.final):
+        want = (1.0 + t_end / np.trace(start)) * start
+        worst = max(worst, np.max(np.abs(final - want)) / np.max(np.abs(want)))
     checks.append(CheckResult(
         "2x2 scaling law", worst <= 1e-8,
         f"max relative error vs (1 + t/tr P0) P0 = {worst:.2e} (tol 1e-8)"))

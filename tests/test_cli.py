@@ -403,6 +403,7 @@ def test_oracle_qv_prints_contractions(capsys):
                "--samples", "500"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "qv oracle: kind=wiener n=2 k=2 dt=0.001 samples=500"
     assert "E[dX dX^T]/dt" in out and "E[dX dX]/dt" in out
 
 
@@ -420,10 +421,11 @@ def test_oracle_qv_rejects_k_for_kinds_that_ignore_it(capsys, kind):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--k" in err and kind in err
-    # without --k the run and its header line are as before
+    # without --k the run succeeds, and its header names no k either
     assert main(["oracle", "--target", "qv", "--kind", kind, "--n", "3",
                  "--samples", "10"]) == 0
-    assert f"kind={kind} n=3 k=3 " in capsys.readouterr().out
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"qv oracle: kind={kind} n=3 dt=0.001 samples=10"
 
 
 def test_oracle_fd_gradient(tmp_path, capsys):

@@ -9,6 +9,8 @@ from orbitflow.control import (ControlSchedule, ProbeReport, ScheduleSegment,
                                alpha, alpha_from_pairs, alpha_jacobian, alpha_sos,
                                alpha_sos_sum, integrate_control, load_schedule,
                                parse_schedule, reach_probe)
+from orbitflow.geom import MetricR, drift_J_R
+from orbitflow.sde import rk4
 
 
 def _spectrum(rng, n, spread=0.8):
@@ -147,6 +149,19 @@ def test_integrate_control_increments_are_loewner_monotone():
     worst = min(np.linalg.eigvalsh(b - a)[0]
                 for a, b in zip(path.states, path.states[1:]))
     assert worst > -1e-10
+
+
+def test_integrate_control_kernel_path_equals_rk4_with_validating_drift():
+    # the segments' stages skip validation; rk4 on the public drift_J_R,
+    # segment after segment, must give the same bits
+    sched = parse_schedule("0.4; R = [2, 0.3, 0.3, 1]\n0.6; G = [1, 0.5, 0, 1]\n")
+    p0 = np.array([[2.0, 0.2], [0.2, 0.5]])
+    path = integrate_control(p0, sched, substeps=16)
+    want = [p0]
+    for seg in sched.segments:
+        metric = MetricR(seg.R)
+        want.extend(rk4(lambda q: drift_J_R(q, metric), want[-1], seg.duration, 16)[1:])
+    assert np.array_equal(path.states, np.stack(want))
 
 
 def test_integrate_control_rejects_indefinite_start():

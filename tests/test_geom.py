@@ -10,7 +10,7 @@ from orbitflow.geom import (KAPPA_DRIFT, MetricR, drift_J_gradient, drift_J_R,
                             horizontal_project, ito_correction_sum, mean_curvature,
                             metric_gram, orbit_log_volume, sff_vertical,
                             vertical_onb, vertical_project)
-from orbitflow.matcore import skew_part, so_basis, sym_part
+from orbitflow.matcore import TAU_RANK, eigh_desc, skew_part, so_basis, sym_part
 
 
 def _rand_spd(rng, n, spread=1.0):
@@ -267,6 +267,90 @@ def test_drift_spectral_properties(n, seed):
     # drift eigenvalues sit in [0, n - 1]
     w = np.linalg.eigvalsh(j)
     assert w[0] >= -1e-12 and w[-1] <= (n - 1) + 1e-12
+
+
+def _drift_reference(p):
+    """The per-entry definition of the spectral drift: descending spectrum,
+    sums over the kept j in ascending order."""
+    dec = eigh_desc(p)
+    lam = dec.eigenvalues
+    idx = np.flatnonzero(lam > TAU_RANK * lam[0])
+    d = np.zeros(lam.shape[0])
+    for i in idx:
+        acc = 0.0
+        for j in idx:
+            if j != i:
+                acc += lam[i] / (lam[i] + lam[j])
+        d[i] = acc
+    return sym_part((dec.vectors * d) @ dec.vectors.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+def test_drift_spectral_equals_per_entry_definition(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(10):
+        p = _rand_spd(rng, n, spread=1.5)
+        assert np.array_equal(drift_J_spectral(p), _drift_reference(p))
+    m = rng.standard_normal((n, n - 1))
+    assert np.array_equal(drift_J_spectral(m @ m.T), _drift_reference(m @ m.T))
+
+
+def test_drift_spectral_stack_rows_equal_single_calls():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5):
+        stack = np.stack([_rand_spd(rng, n, spread=1.2) for _ in range(6)])
+        # a rank-deficient row takes the held-at-zero branch inside the stack
+        m = rng.standard_normal((n, n - 1))
+        stack[2] = m @ m.T
+        got = drift_J_spectral(stack.reshape((2, 3, n, n)))
+        assert got.shape == (2, 3, n, n)
+        for b in range(6):
+            assert np.array_equal(got.reshape((6, n, n))[b], drift_J_spectral(stack[b]))
+
+
+def test_drift_metric_stack_rows_equal_single_calls():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 4):
+        metric = _rand_metric(rng, n)
+        # G^T P G of an unsymmetrized P: the raw P goes on, as for one matrix
+        stack = np.stack([_rand_spd(rng, n) for _ in range(5)])
+        a = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        stack = a.T @ stack @ a
+        got = drift_J_R(stack, metric)
+        g, gi = metric.factor, metric.factor_inv
+        for b in range(5):
+            assert np.array_equal(got[b], drift_J_R(stack[b], metric))
+            # the conjugation of the docstring, applied to the raw P
+            want = sym_part(gi.T @ drift_J_spectral(g.T @ stack[b] @ g) @ gi)
+            assert np.array_equal(got[b], want)
+
+
+@pytest.mark.parametrize("drift", [drift_J_spectral,
+                                   lambda p: drift_J_R(p, MetricR.euclidean(2))])
+def test_drift_rejects_asymmetric_matrix_or_stack(drift):
+    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        drift(bad)
+    # one bad matrix anywhere in a stack rejects the stack
+    stack = np.stack([np.eye(2), np.eye(2), bad])
+    with pytest.raises(ValueError, match="not symmetric"):
+        drift(stack)
+
+
+def test_drift_rejects_a_bad_row_of_a_stack():
+    with pytest.raises(ValueError, match="nonzero positive semidefinite"):
+        drift_J_spectral(np.stack([np.eye(2), np.zeros((2, 2))]))
+    with pytest.raises(ValueError, match="rank tolerance"):
+        drift_J_spectral(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+
+def test_drift_rank_deficient_raises_no_warning():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = drift_J_spectral(np.stack([np.diag([3.0, 1.0, 0.0]), np.diag([2.0, 0.0, 0.0])]))
+    assert_allclose(j[0], np.diag([0.75, 0.25, 0.0]), rtol=0, atol=1e-13)
+    assert_allclose(j[1], np.zeros((3, 3)), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

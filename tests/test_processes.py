@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from orbitflow.geom import MetricR, drift_J_spectral
+from orbitflow.geom import MetricR, drift_J_R, drift_J_spectral
 from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                                  bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
@@ -13,7 +13,7 @@ from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  orthogonal_problem, poincare_problem,
                                  sl2_to_halfplane, sphere_vertical_bm,
                                  vertical_bm, wishart)
-from orbitflow.sde import integrate, integrate_batch
+from orbitflow.sde import integrate, integrate_batch, rk4
 
 
 def _cfg(t_end, dt, seed=0, **kw):
@@ -315,6 +315,30 @@ def test_mcf_ode_metric_flow_is_conjugate_to_euclidean():
     direct = mcf_ode(p0, 1.0, 200, metric=metric).final
     transported = gi @ mcf_ode(g @ p0 @ g, 1.0, 200).final @ gi
     assert np.abs(direct - transported).max() <= 1e-10
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_mcf_ode_stack_rows_equal_single_flows(with_metric):
+    rng = np.random.default_rng(61)
+    metric = MetricR(np.array([[1.5, 0.4], [0.4, 1.0]])) if with_metric else None
+    starts = []
+    for _ in range(4):
+        a = rng.standard_normal((2, 2))
+        starts.append(a @ a.T + 0.5 * np.eye(2))
+    stacked = mcf_ode(np.stack(starts), 1.3, 60, metric=metric)
+    assert stacked.states.shape == (61, 4, 2, 2)
+    for b, p0 in enumerate(starts):
+        assert np.array_equal(stacked.states[:, b], mcf_ode(p0, 1.3, 60, metric=metric).states)
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_mcf_ode_kernel_path_equals_rk4_with_validating_drift(with_metric):
+    # the flow's stages skip validation; running rk4 on the public drift
+    # must give the same bits
+    metric = MetricR(np.array([[2.0, 0.3], [0.3, 1.0]])) if with_metric else None
+    f = drift_J_spectral if metric is None else (lambda p: drift_J_R(p, metric))
+    p0 = np.array([[3.0, 0.4], [0.4, 1.0]])
+    assert np.array_equal(mcf_ode(p0, 1.0, 50, metric=metric).states, rk4(f, p0, 1.0, 50))
 
 
 def test_mcf_ode_rejects_bad_arguments():

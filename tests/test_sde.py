@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from orbitflow.matcore import LieBasis, so_basis
+from orbitflow.matcore import LieBasis, mT, so_basis
 from orbitflow.processes import invariant_problem
 from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
                            integrate, integrate_batch, qv_oracle, rk4)
@@ -308,10 +308,77 @@ def test_cayley_step_reads_noise_as_stratonovich():
 
 
 def _skew_from_flat(g, n):
-    a = np.zeros((n, n))
+    # g holds the upper-triangle coordinates on its last axis, with any
+    # leading sample axes
+    a = np.zeros(g.shape[:-1] + (n, n))
     iu = np.triu_indices(n, k=1)
-    a[iu] = g / np.sqrt(2.0)
-    return a - a.T
+    a[..., iu[0], iu[1]] = g / np.sqrt(2.0)
+    return a - mT(a)
+
+
+def _qv_reference(diffusion, state, noise_shape, dt, samples, seed=0):
+    """The per-sample definition of qv_oracle: sample b takes row b % 4096 of
+    normals_block at step b // 4096, and the sums add samples in index
+    order.  Returns the fields of a QvEstimate in order."""
+    source = NoiseSource(seed, stream=104729)
+    nr, nc = state.shape
+    sq = nr == nc
+    sums = [np.zeros((nr, nr)), np.zeros((nc, nc))] + ([np.zeros((nr, nc))] if sq else [])
+    sums2 = [np.zeros_like(a) for a in sums]
+    count = int(np.prod(noise_shape))
+    done = step = 0
+    while done < samples:
+        take = min(4096, samples - done)
+        z = source.normals_block(step, take, count) * np.sqrt(dt)
+        for b in range(take):
+            dx = diffusion(0.0, state, z[b].reshape(noise_shape))
+            terms = [dx @ dx.T / dt, dx.T @ dx / dt] + ([dx @ dx / dt] if sq else [])
+            for s, s2, t in zip(sums, sums2, terms):
+                s += t
+                s2 += t * t
+        done += take
+        step += 1
+    out = []
+    for s, s2 in zip(sums, sums2):
+        mean = s / samples
+        out += [mean, np.sqrt(np.maximum(s2 / samples - mean * mean, 0.0) / samples)]
+    return out + ([] if sq else [None, None])
+
+
+_SKEW3 = so_basis(3)
+_SPHERE3 = np.eye(3)[:, :1]
+
+# every diffusion the oracle CLI kinds and the constants suite pass, plus
+# this module's flat-to-skew map: (diffusion, state, noise_shape)
+QV_DIFFUSIONS = {
+    "wiener-square": (lambda t, s, dw: dw, np.zeros((3, 3)), (3, 3)),
+    "wiener-rect": (lambda t, s, dw: dw, np.zeros((3, 2)), (3, 2)),
+    "skew-basis": (lambda t, s, dw: _SKEW3.combine(dw), np.eye(3), (_SKEW3.dim,)),
+    "sphere": (lambda t, s, dw: dw - s @ (mT(s) @ dw), _SPHERE3, (3, 1)),
+    "skew-flat": (lambda t, s, dw: _skew_from_flat(dw, 4), np.zeros((4, 4)), (6,)),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 511, 512, 513, 4096, 4097, 9000])
+@pytest.mark.parametrize("name", sorted(QV_DIFFUSIONS))
+def test_qv_oracle_equals_per_sample_definition(name, samples):
+    diffusion, state, shape = QV_DIFFUSIONS[name]
+    est = qv_oracle(diffusion, state, shape, 1e-3, samples, seed=5)
+    want = _qv_reference(diffusion, state, shape, 1e-3, samples, seed=5)
+    got = [est.outer, est.outer_se, est.inner, est.inner_se, est.square, est.square_se]
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
+    assert est.samples == samples
+
+
+@pytest.mark.parametrize("kwargs,name", [({"samples": 0}, "samples=0"),
+                                         ({"samples": -3}, "samples=-3"),
+                                         ({"dt": 0.0}, "dt=0"),
+                                         ({"dt": -1e-3}, "dt=-0.001")])
+def test_qv_oracle_rejects_bad_arguments(kwargs, name):
+    args = {"dt": 1e-3, "samples": 10} | kwargs
+    with pytest.raises(ValueError, match=name):
+        qv_oracle(lambda t, x, dw: dw, np.zeros((2, 2)), (2, 2), **args)
 
 
 def test_qv_oracle_square_wiener():
