@@ -24,14 +24,13 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
   (`reporting`), with self-check suites (`verify`) and a CLI (`cli`).
 """
 
-from .matcore import (LieBasis, Spectrum, eigh_desc, fd_gradient,
-                      require_skew, require_spd, require_symmetric, sl2_basis,
-                      skew_part, so_basis, so_pairs, solve_lyapunov, sqrtm_spd,
-                      sym_part)
+from .matcore import (LieBasis, eigh_desc, fd_gradient, require_skew,
+                      require_spd, require_symmetric, sl2_basis, skew_part,
+                      so_basis, so_pairs, solve_lyapunov, sqrtm_spd, sym_part)
 from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
-                   drift_J_spectral, fiber_dim, horizontal_from_sym_solve,
-                   horizontal_project, ito_correction_sum, mean_curvature,
-                   metric_gram, orbit_log_volume, sff_vertical, vertical_onb,
+                   drift_J_spectral, fiber_dim, horizontal_project,
+                   ito_correction_sum, mean_curvature, metric_gram,
+                   orbit_log_volume, sff_vertical, vertical_onb,
                    vertical_project)
 from .sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
                   integrate, integrate_batch, qv_oracle, rk4)
@@ -53,15 +52,14 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "LieBasis", "Spectrum", "eigh_desc", "fd_gradient",
+    "LieBasis", "eigh_desc", "fd_gradient",
     "require_skew", "require_spd", "require_symmetric", "sl2_basis",
     "skew_part", "so_basis", "so_pairs",
     "solve_lyapunov", "sqrtm_spd", "sym_part",
     "KAPPA_DRIFT", "MetricR", "drift_J_R", "drift_J_gradient",
-    "drift_J_spectral", "fiber_dim", "horizontal_from_sym_solve",
-    "horizontal_project", "ito_correction_sum", "mean_curvature",
-    "metric_gram", "orbit_log_volume", "sff_vertical", "vertical_onb",
-    "vertical_project",
+    "drift_J_spectral", "fiber_dim", "horizontal_project",
+    "ito_correction_sum", "mean_curvature", "metric_gram",
+    "orbit_log_volume", "sff_vertical", "vertical_onb", "vertical_project",
     "NoiseSource", "Path", "QvEstimate", "SdeProblem", "TimeGrid",
     "integrate", "integrate_batch", "qv_oracle", "rk4",
     "ProcessConfig", "bm_bures_wasserstein",

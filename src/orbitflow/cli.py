@@ -18,7 +18,8 @@ from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_
 from .matcore import fd_gradient, mT, require_spd, so_basis, sqrtm_spd
 from .processes import (ProcessConfig, bm_bures_wasserstein, bm_cartan_hadamard,
                         bm_grassmann, bm_orthogonal, bm_poincare, bm_stiefel,
-                        eigen_sde, sphere_vertical_bm, vertical_bm, wishart)
+                        eigen_sde, sphere_vertical_bm, vertical_bm, vertical_problem,
+                        wishart)
 from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
                         read_matrix_csv, write_manifest, write_matrix_csv)
 from .sde import qv_oracle
@@ -79,9 +80,14 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"malformed matrix CSV: {exc}") from exc
 
 
-def _read_metric(path: str) -> MetricR:
+def _read_metric(path: str, input_path: str, x: np.ndarray) -> MetricR:
+    """The metric of --R, which must be n x n for the n x k matrix x of --input."""
+    r = _read_matrix(path)
+    if r.shape != (x.shape[0],) * 2:
+        raise ConfigError(f"--R {path} is {r.shape[0]}x{r.shape[1]}, but --input "
+                          f"{input_path} is {x.shape[0]}x{x.shape[1]}")
     try:
-        return MetricR(_read_matrix(path))
+        return MetricR(r)
     except ValueError as exc:
         raise ConfigError(f"--R {path}: {exc}") from exc
 
@@ -213,6 +219,11 @@ def cmd_simulate(args) -> int:
             opts["p0"] = np.eye(n)
     if process == "vertical-bm" and not args.M0:
         opts["m0"] = np.eye(n, k)
+    elif process == "vertical-bm":
+        try:
+            vertical_problem(opts["m0"])
+        except ValueError as exc:
+            raise ConfigError(f"--M0 {args.M0}: {exc}") from exc
     if process in _EIGEN:
         opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0
                         else np.arange(k, 0, -1, dtype=float))
@@ -281,7 +292,7 @@ def cmd_drift(args) -> int:
         else:
             if not args.R:
                 raise ConfigError("drift --which J-R needs --R R.csv")
-            j = drift_J_R(p, _read_metric(args.R))
+            j = drift_J_R(p, _read_metric(args.R, args.input, p))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out:
@@ -395,7 +406,7 @@ def cmd_oracle(args) -> int:
     m = _read_matrix(args.input) if args.input else None
     if m is None:
         raise ConfigError("oracle --target fd-gradient needs --input M.csv")
-    metric = _read_metric(args.R) if args.R else None
+    metric = _read_metric(args.R, args.input, m) if args.R else None
     try:
         grad = fd_gradient(lambda x: orbit_log_volume(x, metric), m)
     except ValueError as exc:

@@ -202,9 +202,7 @@ class ProbeReport:
     """Outcome of a reachability probe along commuting controls.
 
     log_gain is the achieved change of log-eigenvalues in the probe frame;
-    target is the requested cone vector.  minkowski_residual measures the
-    literal additive-target reading `endpoint = start + U diag(exp target) U^T`
-    and is reported without being asserted.  loewner_min is the smallest
+    target is the requested cone vector.  loewner_min is the smallest
     eigenvalue of endpoint - start (should be nonnegative up to rounding).
     """
 
@@ -213,7 +211,6 @@ class ProbeReport:
     log_gain: np.ndarray
     log_gain_error: float
     frame_offdiag: float
-    minkowski_residual: float
     loewner_min: float
     duration: float
 
@@ -266,10 +263,7 @@ def reach_probe(p0, u, cone_coeffs) -> ProbeReport:
     lam0_frame = np.diagonal(u.T @ p0 @ u)
     log_gain = np.log(np.maximum(diag, 1e-300)) - np.log(np.maximum(lam0_frame, 1e-300))
     log_err = float(np.abs(log_gain - target).max())
-    nominal = u @ np.diag(np.exp(target)) @ u.T
-    minkowski = float(np.linalg.norm((p - p0) - nominal))
     loewner_min = float(np.linalg.eigvalsh(sym_part(p - p0))[0]) if legs else 0.0
     return ProbeReport(endpoint=p, target=target, log_gain=log_gain,
                        log_gain_error=log_err, frame_offdiag=frame_offdiag,
-                       minkowski_residual=minkowski, loewner_min=loewner_min,
-                       duration=float(len(legs)))
+                       loewner_min=loewner_min, duration=float(len(legs)))

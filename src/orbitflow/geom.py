@@ -17,6 +17,9 @@ spectral and transported forms take any leading stack axes.  They validate
 their argument once and then run the kernels drift_J_kernel and
 drift_J_R_kernel, which validate nothing; flows whose states are already
 exactly symmetric (mcf_ode, integrate_control) call the kernels directly.
+Every spectral step runs matcore.eigh_desc, which needs exactly symmetric
+input: the Grams M^T R M built here pass through sym_part, and a caller's
+matrix is checked where it enters (MetricR, drift_J_spectral, drift_J_R).
 """
 
 from dataclasses import dataclass, field
@@ -97,9 +100,8 @@ def vertical_project(m, w, metric: MetricR | None = None) -> np.ndarray:
     w = as_matrix(w)
     r = _metric_or_euclidean(metric, m.shape[0]).R
     rm = r @ m
-    gram = m.T @ rm
     rhs = rm.T @ w - w.T @ rm
-    k = solve_lyapunov(gram, rhs)
+    k = solve_lyapunov(sym_part(m.T @ rm), rhs)
     return m @ k
 
 
@@ -108,24 +110,6 @@ def horizontal_project(m, w, metric: MetricR | None = None) -> np.ndarray:
     recovers the input exactly."""
     w = as_matrix(w)
     return w - vertical_project(m, w, metric)
-
-
-def horizontal_from_sym_solve(m, w) -> np.ndarray:
-    """Alternative horizontal projection for square full-rank M (Frobenius).
-
-    Writes the tangent as W = E M, solves S P + P S = P E^T + E P for the
-    symmetric S with P = M M^T, and returns S M.  Dual route to
-    horizontal_project for cross-checks; symmetric-times-M is the Frobenius
-    orthogonal complement of M times skew.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("symmetric-solve route needs square M")
-    w = as_matrix(w)
-    p = m @ m.T
-    e = w @ np.linalg.inv(m)
-    s = solve_lyapunov(p, p @ e.T + e @ p)
-    return s @ m
 
 
 def _onb_generators(m, metric: MetricR | None) -> list[np.ndarray]:
@@ -137,11 +121,9 @@ def _onb_generators(m, metric: MetricR | None) -> list[np.ndarray]:
     m = as_matrix(m)
     kdim = m.shape[1]
     r = _metric_or_euclidean(metric, m.shape[0]).R
-    dec = eigh_desc(m.T @ r @ m)
-    lam = dec.eigenvalues
+    lam, v = eigh_desc(sym_part(m.T @ r @ m))
     if lam[-1] <= TAU_RANK * lam[0]:
         raise ValueError("fiber frame needs full-rank M")
-    v = dec.vectors
     gens = []
     for i, j in so_pairs(kdim):
         a = np.zeros((kdim, kdim))
@@ -228,14 +210,12 @@ def drift_J_kernel(s) -> np.ndarray:
     """drift_J_spectral without validation, over any leading stack axes.
 
     `s` must be exactly symmetric, as sym_part and require_symmetric leave
-    it; nothing checks that.  The whole stack goes through one
-    np.linalg.eigh call, the spectrum is reversed to descending order, and
-    lam_i / (lam_i + lam_j) is summed over the kept j in ascending order, so
-    every matrix of a stack gets the same bits as a call on it alone.
+    it; nothing checks that.  The whole stack goes through one eigh_desc
+    call, and lam_i / (lam_i + lam_j) is summed over the kept j in ascending
+    order, so every matrix of a stack gets the same bits as a call on it
+    alone.
     """
-    w, v = np.linalg.eigh(s)
-    lam = w[..., ::-1].copy()
-    u = v[..., ::-1].copy()
+    lam, u = eigh_desc(s)
     top = lam[..., :1]
     if (top <= 0.0).any():
         raise ValueError("drift needs a nonzero positive semidefinite matrix")

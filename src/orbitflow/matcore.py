@@ -1,9 +1,12 @@
-"""Dense matrix kernels: validated constructors, spectral ops, Lyapunov solves,
+"""Dense matrix kernels: validators, spectral ops, Lyapunov solves,
 finite-difference gradients, and the Lie-algebra bases used by the geometry layer.
 
-Everything operates on plain float64 ndarrays; the role-specific types
-(symmetric, skew, SPD) are enforced by the require_* validators
-rather than wrapper classes.
+Everything operates on plain float64 ndarrays.  The require_* validators check
+a caller's matrix where it enters: sqrtm_spd here, and elsewhere MetricR, the
+process builders, the drift routes and the CLI.  eigh_desc and solve_lyapunov
+validate nothing and need exactly symmetric input (as sym_part and
+require_symmetric leave it), because np.linalg.eigh reads only the lower
+triangle.
 """
 
 from dataclasses import dataclass
@@ -79,31 +82,30 @@ def require_spd(a, tol: float = TAU_SPD) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+def eigh_desc(s) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam, u) of symmetric matrices, eigenvalues descending,
+    over any leading stack axes: s = u diag(lam) u^T, lam[..., 0] largest.
 
-    eigenvalues: np.ndarray   # shape (n,), descending
-    vectors: np.ndarray       # shape (n, n), columns match eigenvalues
-
-
-def eigh_desc(s) -> Spectrum:
-    """Symmetric eigendecomposition with descending eigenvalue order."""
-    s = require_symmetric(as_matrix(s), tol=1e-10)
+    Validates nothing.  np.linalg.eigh reads only the lower triangle, so `s`
+    must be exactly symmetric for the pair to describe it.  lam and u are
+    reversed views of one eigh call on the whole stack, so every matrix of a
+    stack gets the same bits as a call on it alone.
+    """
     w, v = np.linalg.eigh(s)
-    return Spectrum(eigenvalues=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return w[..., ::-1], v[..., ::-1]
 
 
 def sqrtm_spd(p) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition.
 
-    The output is symmetrized in storage so that callers may rely on
-    G == G.T exactly.
+    `p` is checked for symmetry (to 1e-10 relative) and symmetrized.  The
+    output is symmetrized in storage so that callers may rely on G == G.T
+    exactly.
     """
-    dec = eigh_desc(p)
-    if dec.eigenvalues[-1] <= 0.0:
+    lam, u = eigh_desc(require_symmetric(as_matrix(p), tol=1e-10))
+    if lam[-1] <= 0.0:
         raise ValueError("square root needs a positive definite matrix")
-    return sym_part((dec.vectors * np.sqrt(dec.eigenvalues)) @ dec.vectors.T)
+    return sym_part((u * np.sqrt(lam)) @ u.T)
 
 
 def solve_lyapunov(p, b) -> np.ndarray:
@@ -111,7 +113,7 @@ def solve_lyapunov(p, b) -> np.ndarray:
 
     Parameters
     ----------
-    p : (k, k) array, SPD
+    p : (k, k) array, SPD and exactly symmetric (not checked; see eigh_desc)
     b : (k, k) array
 
     Returns
@@ -129,11 +131,9 @@ def solve_lyapunov(p, b) -> np.ndarray:
         singular.
     """
     b = as_matrix(b)
-    dec = eigh_desc(p)
-    lam = dec.eigenvalues
+    lam, u = eigh_desc(as_matrix(p))
     if lam[-1] <= TAU_SPD * max(lam[0], 0.0) or lam[-1] <= 0.0:
         raise ValueError("Lyapunov solve needs a positive definite coefficient")
-    u = dec.vectors
     bt = u.T @ b @ u
     x = u @ (bt / np.add.outer(lam, lam)) @ u.T
     # the exact solution inherits b's symmetry class; canonicalize storage

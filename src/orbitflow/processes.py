@@ -2,7 +2,8 @@
 
 Each process is defined once, by a problem builder (`*_problem`) whose drift,
 diffusion, guard and post_step accept states with any leading batch axes and
-give the same bits on a batch as on one slice.  The single-path functions
+give the same bits on a batch as on one slice (all but `vertical_problem`,
+whose projection works on one matrix).  The single-path functions
 here run that problem through `sde.integrate`; `ensembles` runs the same
 problem over a path axis with `sde.integrate_batch`.  The builders validate
 their inputs; the step functions do not.
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import LieBasis, as_matrix, mT, require_spd, sl2_basis, so_basis, \
-    sym_part
+from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_spd, \
+    sl2_basis, so_basis, sym_part
 from .geom import MetricR, drift_J_kernel, drift_J_R_kernel, vertical_project
 from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
 
@@ -160,7 +161,7 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
 
     def diffusion(t, p, dw):
         a = basis.combine(dw)
-        u = np.linalg.eigh(p)[1][..., ::-1]
+        u = eigh_desc(p)[1]
         return u @ (a @ ikn - ikn @ a) @ mT(u)
 
     def drift(t, p):
@@ -307,8 +308,7 @@ def _spectrum_cache():
 
     def spectrum(p):
         if last[0] is not p:
-            w, v = np.linalg.eigh(p)
-            last[0], last[1] = p, (w[..., ::-1], v[..., ::-1])
+            last[0], last[1] = p, eigh_desc(p)
         return last[1]
 
     return spectrum
@@ -422,18 +422,24 @@ def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
 
 # --- fiber-valued noise and the quotient flow --------------------------------
 
-def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
-                path_index: int = 0) -> tuple[Path, Path]:
-    """Fiber-valued Brownian motion dX = Pr_vertical(dW) and its image X X^T.
+def vertical_problem(m0, metric: MetricR | None = None) -> SdeProblem:
+    """Fiber-valued Brownian motion dX = Pr_vertical(dW), started at m0.
 
-    The image has no martingale part (vertical pushforwards cancel in
-    X K X^T + X K^T X^T), so it tracks the deterministic quotient flow up to
-    an O(sqrt(dt)) discretization halo.  Paths stop when the smallest
-    singular value of X falls to 1e-8 times the largest.  Single path only:
-    the vertical projection works on one matrix.
+    Paths stop when the smallest singular value of X falls to 1e-8 times the
+    largest.  m0 is rejected when the Lyapunov solve of vertical_project
+    rejects its Gram M0^T R M0 (lam_min <= TAU_SPD lam_max, a singular-value
+    ratio of G M0 at most sqrt(TAU_SPD)); the error names that ratio.
+    Single path only: the vertical projection works on one matrix.
     """
     m0 = as_matrix(m0)
     gi = None if metric is None else metric.factor_inv
+    try:
+        vertical_project(m0, np.zeros_like(m0), metric)
+    except ValueError:
+        sv = np.linalg.svd(m0 if metric is None else metric.factor @ m0, compute_uv=False)
+        raise ValueError(f"singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3g} is at "
+                         f"most {np.sqrt(TAU_SPD):g}: the start is too close to rank "
+                         f"deficient for the vertical projection") from None
 
     def diffusion(t, x, dw):
         w = dw if gi is None else gi @ dw
@@ -443,9 +449,16 @@ def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
         sv = np.linalg.svd(x, compute_uv=False)
         return sv[-1] > 1e-8 * sv[0]
 
-    problem = SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
-                         guard=guard, guard_name="rank guard")
-    xp = _run(problem, cfg, path_index)
+    return SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
+                      guard=guard, guard_name="rank guard")
+
+
+def vertical_bm(m0, cfg: ProcessConfig, metric: MetricR | None = None,
+                path_index: int = 0) -> tuple[Path, Path]:
+    """One path of `vertical_problem` and its image X X^T.  The image has no
+    martingale part (vertical pushforwards cancel in X K X^T + X K^T X^T), so
+    it tracks the quotient flow up to an O(sqrt(dt)) discretization halo."""
+    xp = _run(vertical_problem(m0, metric), cfg, path_index)
     return xp, _pushforward(xp, gram(xp.states))
 
 

@@ -343,13 +343,33 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
       "--seed", "-1"], "seed=-1"),
     (["simulate", "--process", "wishart", "--t", "0.01", "--out", "{OUT}",
       "--stream", "-1"], "stream=-1"),
+    # factors whose Gram the Lyapunov solve rejects (singular-value ratio at
+    # most 1e-5), although the 1e-8 rank guard would pass the second one
+    (["simulate", "--process", "vertical-bm", "--M0", "{M0_RANK1}", "--t", "0.01",
+      "--out", "{OUT}"], "--M0 {M0_RANK1}: singular-value ratio"),
+    (["simulate", "--process", "vertical-bm", "--M0", "{M0_1E6}", "--t", "0.01",
+      "--out", "{OUT}"], "--M0 {M0_1E6}: singular-value ratio 1e-06 is at most 1e-05"),
+    (["simulate", "--process", "vertical-bm", "--M0", "{M0_1E9}", "--t", "0.01",
+      "--out", "{OUT}"], "--M0 {M0_1E9}: singular-value ratio 1e-09 is at most 1e-05"),
+    # a metric whose size does not fit the input
+    (["drift", "--which", "J-R", "--input", "{P3}", "--R", "{P}"],
+     "--R {P} is 2x2, but --input {P3} is 3x3"),
+    (["oracle", "--target", "fd-gradient", "--input", "{M43}", "--R", "{P3}"],
+     "--R {P3} is 3x3, but --input {M43} is 4x3"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
              "{BAD}": _spd_csv(tmp_path, "BAD.csv", "1, 0\n0, -1\n"),
              "{SCHED}": _write(tmp_path / "sched.txt", "0.2; R = [1, 0, 0, 1]\n"),
-             "{OUT}": str(tmp_path / "out")}
+             "{OUT}": str(tmp_path / "out"),
+             "{M0_RANK1}": _write(tmp_path / "M0_rank1.csv", "1, 2\n2, 4\n0, 0\n"),
+             "{M0_1E6}": _write(tmp_path / "M0_1e-6.csv", "1, 0\n0, 1e-6\n0, 0\n"),
+             "{M0_1E9}": _write(tmp_path / "M0_1e-9.csv", "1, 0\n0, 1e-9\n0, 0\n"),
+             "{P3}": _spd_csv(tmp_path, "P3.csv", "3, 0, 0\n0, 2, 0\n0, 0, 1\n"),
+             "{M43}": _write(tmp_path / "M43.csv", "1, 0, 0\n0, 1, 0\n0, 0, 1\n1, 1, 1\n")}
     assert main([files.get(a, a) for a in argv]) == 2
+    for key, path in files.items():
+        named = named.replace(key, path)
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

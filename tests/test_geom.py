@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from orbitflow.geom import (KAPPA_DRIFT, MetricR, drift_J_gradient, drift_J_R,
-                            drift_J_spectral, fiber_dim, horizontal_from_sym_solve,
-                            horizontal_project, ito_correction_sum, mean_curvature,
-                            metric_gram, orbit_log_volume, sff_vertical,
-                            vertical_onb, vertical_project)
-from orbitflow.matcore import TAU_RANK, eigh_desc, skew_part, so_basis, sym_part
+                            drift_J_spectral, fiber_dim, horizontal_project,
+                            ito_correction_sum, mean_curvature, metric_gram,
+                            orbit_log_volume, sff_vertical, vertical_onb,
+                            vertical_project)
+from orbitflow.matcore import TAU_RANK, skew_part, so_basis, solve_lyapunov, sym_part
 
 
 def _rand_spd(rng, n, spread=1.0):
@@ -67,6 +67,19 @@ def test_vertical_part_lies_in_orbit_directions(n, k):
     assert_allclose(skew_part(kmat), kmat, rtol=0, atol=1e-10)
 
 
+def horizontal_from_sym_solve(m, w):
+    """Dual route to horizontal_project for square full-rank M (Frobenius).
+
+    Writes the tangent as W = E M, solves S P + P S = P E^T + E P for the
+    symmetric S with P = M M^T, and returns S M: symmetric-times-M is the
+    Frobenius orthogonal complement of M times skew.  solve_lyapunov needs an
+    exactly symmetric P, which M M^T need not be in storage.
+    """
+    p = sym_part(m @ m.T)
+    e = w @ np.linalg.inv(m)
+    return solve_lyapunov(p, p @ e.T + e @ p) @ m
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_symmetric_solve_route_matches_projection(n):
     rng = np.random.default_rng(60 + n)
@@ -74,11 +87,6 @@ def test_symmetric_solve_route_matches_projection(n):
     w = rng.standard_normal((n, n))
     assert_allclose(horizontal_from_sym_solve(m, w), horizontal_project(m, w),
                     rtol=0, atol=1e-10)
-
-
-def test_symmetric_solve_route_rejects_rectangular():
-    with pytest.raises(ValueError):
-        horizontal_from_sym_solve(np.ones((3, 2)), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +279,10 @@ def test_drift_spectral_properties(n, seed):
 
 def _drift_reference(p):
     """The per-entry definition of the spectral drift: descending spectrum,
-    sums over the kept j in ascending order."""
-    dec = eigh_desc(p)
-    lam = dec.eigenvalues
+    sums over the kept j in ascending order.  It decomposes P itself rather
+    than through matcore.eigh_desc, the kernel under test."""
+    w, v = np.linalg.eigh(sym_part(p))
+    lam, u = w[::-1], v[:, ::-1]
     idx = np.flatnonzero(lam > TAU_RANK * lam[0])
     d = np.zeros(lam.shape[0])
     for i in idx:
@@ -282,7 +291,7 @@ def _drift_reference(p):
             if j != i:
                 acc += lam[i] / (lam[i] + lam[j])
         d[i] = acc
-    return sym_part((dec.vectors * d) @ dec.vectors.T)
+    return sym_part((u * d) @ u.T)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])

@@ -56,16 +56,26 @@ def test_validators_accept_and_reject():
 def test_eigh_desc_round_trip(n):
     rng = np.random.default_rng(n)
     s = sym_part(rng.standard_normal((n, n)))
-    dec = eigh_desc(s)
-    assert np.all(np.diff(dec.eigenvalues) <= 0)
-    assert_allclose((dec.vectors * dec.eigenvalues) @ dec.vectors.T, s, rtol=0, atol=1e-12)
+    lam, u = eigh_desc(s)
+    assert np.all(np.diff(lam) <= 0)
+    assert_allclose((u * lam) @ u.T, s, rtol=0, atol=1e-12)
     # eigenvector columns are orthonormal
-    assert_allclose(dec.vectors.T @ dec.vectors, np.eye(n), rtol=0, atol=1e-12)
+    assert_allclose(u.T @ u, np.eye(n), rtol=0, atol=1e-12)
+    # a (B, n, n) stack: each row is the single-matrix call, bit for bit
+    stack = sym_part(rng.standard_normal((7, n, n)))
+    lam_b, u_b = eigh_desc(stack)
+    assert lam_b.shape == (7, n) and u_b.shape == (7, n, n)
+    assert np.all(np.diff(lam_b, axis=-1) <= 0)
+    for b in range(7):
+        lam_1, u_1 = eigh_desc(stack[b])
+        assert_array_equal(lam_b[b], lam_1)
+        assert_array_equal(u_b[b], u_1)
 
 
-def test_eigh_desc_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        eigh_desc(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_sqrtm_spd_rejects_asymmetric():
+    # eigh_desc validates nothing; the check sits at the boundary
+    with pytest.raises(ValueError, match="not symmetric"):
+        sqrtm_spd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_sqrtm_spd_squares_back():

@@ -1,10 +1,13 @@
 """Process-level checks: drift skeletons against closed forms, pushforward
 consistency, guards, and determinism of the named simulations."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from orbitflow import matcore
 from orbitflow.geom import MetricR, drift_J_R, drift_J_spectral
 from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
@@ -260,6 +263,42 @@ def test_vertical_bm_default_metric_is_the_identity_bit_for_bit():
     xq, image_q = vertical_bm(m0, cfg, metric=MetricR(np.eye(3)))
     assert_array_equal(xp.states, xq.states)
     assert_array_equal(image.states, image_q.states)
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_vertical_bm_checks_symmetry_at_the_boundary_only(monkeypatch, with_metric):
+    # the per-step Lyapunov solves run on Grams that vertical_project builds
+    # exactly symmetric; no step may re-validate them
+    original = matcore.require_symmetric
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "orbitflow" or name.startswith("orbitflow."))
+                and getattr(module, "require_symmetric", None) is original):
+            monkeypatch.setattr(module, "require_symmetric", counting)
+    metric = (MetricR(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]))
+              if with_metric else None)
+    m0 = np.array([[1.5, 0.2], [0.1, 1.0], [0.3, -0.4]])
+    vertical_bm(m0, _cfg(1e-3, 1e-3), metric=metric)  # builds any shared metric
+    counts = {}
+    for steps in (100, 200):
+        calls.clear()
+        _, image = vertical_bm(m0, _cfg(steps * 1e-3, 1e-3, seed=3), metric=metric)
+        assert len(image.times) == steps + 1
+        counts[steps] = len(calls)
+    assert counts[200] == counts[100]
+
+
+def test_vertical_bm_rejects_a_start_the_lyapunov_solve_rejects():
+    # singular-value ratio 1e-6: the 1e-8 rank guard would pass it, but the
+    # Gram's eigenvalue ratio 1e-12 fails the solve's TAU_SPD = 1e-10
+    with pytest.raises(ValueError, match="singular-value ratio 1e-06 is at most 1e-05"):
+        vertical_bm(np.array([[1.0, 0.0], [0.0, 1e-6], [0.0, 0.0]]), _cfg(0.01, 1e-3))
+    vertical_bm(np.array([[1.0, 0.0], [0.0, 1e-4], [0.0, 0.0]]), _cfg(0.01, 1e-3))
 
 
 def test_vertical_bm_image_tracks_metric_flow():
