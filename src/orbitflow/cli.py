@@ -334,6 +334,11 @@ def cmd_control(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
     p0 = _read_matrix(args.P0)
+    for k, seg in enumerate(schedule.segments, start=1):
+        if seg.R.shape != p0.shape:
+            raise ConfigError(f"--schedule {args.schedule} segment {k} is "
+                              f"{seg.R.shape[0]}x{seg.R.shape[1]}, but --P0 {args.P0} "
+                              f"is {p0.shape[0]}x{p0.shape[1]}")
     try:
         path = integrate_control(p0, schedule, substeps=args.substeps)
     except ValueError as exc:
@@ -342,8 +347,7 @@ def cmd_control(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
         emit_csv(path.times, path.states, fh)
-    increments = np.diff(path.states, axis=0)
-    loewner_min = float(min(np.linalg.eigvalsh(d)[0] for d in increments))
+    loewner_min = float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())
     config = {"subcommand": "control", "schedule": args.schedule,
               "substeps": args.substeps, "segments": len(schedule.segments),
               "duration": schedule.total_duration, "loewner_min": loewner_min}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, require_spd, sqrtm_spd, sym_part
+from .matcore import as_matrix, require_spd, sqrtm_spd_kernel, sym_part
 from .geom import MetricR, drift_J_R_kernel
 from .sde import Path, rk4
 
@@ -111,8 +111,9 @@ class ScheduleSegment:
     R: np.ndarray
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"segment duration must be finite and positive; "
+                             f"got {self.duration}")
         object.__setattr__(self, "R", require_spd(self.R))
 
 
@@ -150,6 +151,9 @@ def parse_schedule(text: str) -> ControlSchedule:
             if not (payload.startswith("[") and payload.endswith("]")):
                 raise ValueError("matrix entries must be bracketed")
             entries = [float(tok) for tok in payload[1:-1].split(",") if tok.strip()]
+            bad = [x for x in entries if not np.isfinite(x)]
+            if bad:
+                raise ValueError(f"matrix entry {bad[0]} is not finite")
             n = int(round(np.sqrt(len(entries))))
             if n * n != len(entries):
                 raise ValueError(f"{len(entries)} entries do not form a square matrix")
@@ -168,33 +172,68 @@ def load_schedule(path) -> ControlSchedule:
         return parse_schedule(fh.read())
 
 
-def integrate_control(p0, schedule: ControlSchedule, substeps: int = 64) -> Path:
+def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
     """RK4 integration of dP/dt = drift under the scheduled metrics.
 
     Each segment holds its metric constant and is split into `substeps` RK4
     steps.  Every Loewner increment of the exact flow is positive definite,
     so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
-    rounding.  `p0` is validated here; rk4 keeps every stage exactly
+    rounding.
+
+    `p0` is one (n, n) start with one ControlSchedule, which returns a Path,
+    or a (B, n, n) stack with a sequence of B schedules, which returns a
+    list of B Paths.  Both run the same loop, the single start as a batch of
+    one: segment index s runs every row whose schedule has an s-th segment
+    as one stacked RK4 flow, each row with its own step duration / substeps
+    and its own metric factors.  Row b has the same bits, states and times,
+    as a single call with its own start and schedule.  The starts and the
+    segment sizes are validated here; rk4 keeps every stage exactly
     symmetric, so the stages go straight to drift_J_R_kernel.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1; got substeps={substeps}")
-    p0 = require_spd(p0)
-    times = [0.0]
-    states = [p0]
-    t = 0.0
-    p = p0
-    for seg in schedule.segments:
-        metric = MetricR(seg.R)
-        f = lambda q: drift_J_R_kernel(q, metric)
-        seg_states = rk4(f, p, seg.duration, substeps)[1:]
-        h = seg.duration / substeps
-        for m in range(substeps):
-            t += h
-            times.append(t)
-            states.append(seg_states[m])
-        p = seg_states[-1]
-    return Path(times=np.array(times), states=np.stack(states))
+    single = isinstance(schedule, ControlSchedule)
+    schedules = [schedule] if single else list(schedule)
+    starts = require_spd(p0)
+    if single:
+        starts = starts[None]
+    if starts.ndim != 3 or starts.shape[0] != len(schedules):
+        raise ValueError(f"integrate_control needs one (n, n) start with one schedule "
+                         f"or a (B, n, n) stack with B schedules; got a start of shape "
+                         f"{np.shape(p0)} with {len(schedules)} schedule(s)")
+    n = starts.shape[-1]
+    for b, sched in enumerate(schedules):
+        for k, seg in enumerate(sched.segments, start=1):
+            if seg.R.shape != (n, n):
+                where = f"segment {k}" if single else f"schedule {b} segment {k}"
+                raise ValueError(f"{where} holds a {seg.R.shape[0]}x{seg.R.shape[1]} R, "
+                                 f"but the start is {n}x{n}")
+
+    counts = np.array([len(sched.segments) for sched in schedules])
+    times = [[np.zeros(1)] for _ in schedules]
+    states = [[start[None]] for start in starts]
+    p = starts.copy()  # the saved starts must not see the updates below
+    t = np.zeros(len(schedules))
+    for s in range(counts.max()):
+        rows = np.flatnonzero(counts > s)
+        segs = [schedules[b].segments[s] for b in rows]
+        metrics = [MetricR(seg.R) for seg in segs]
+        g = np.stack([m.factor for m in metrics])
+        g_inv = np.stack([m.factor_inv for m in metrics])
+        duration = np.array([seg.duration for seg in segs])
+        seg_states = rk4(lambda q: drift_J_R_kernel(q, g, g_inv), p[rows], duration,
+                         substeps)[1:]
+        # t += h step by step, left to right, as a scalar loop would add
+        h = np.broadcast_to(duration / substeps, (substeps, rows.size))
+        seg_times = np.add.accumulate(np.concatenate((t[None, rows], h)), axis=0)[1:]
+        for i, b in enumerate(rows):
+            times[b].append(seg_times[:, i])
+            states[b].append(seg_states[:, i])
+        p[rows] = seg_states[-1]
+        t[rows] = seg_times[-1]
+    paths = [Path(times=np.concatenate(ts), states=np.concatenate(xs))
+             for ts, xs in zip(times, states)]
+    return paths[0] if single else paths
 
 
 @dataclass(frozen=True)
@@ -250,7 +289,8 @@ def reach_probe(p0, u, cone_coeffs) -> ProbeReport:
         cmat = (u * alpha(mu)) @ u.T
 
         def fdir(q):
-            m = sqrtm_spd(q)
+            # rk4 keeps every stage exactly symmetric; p0 was checked above
+            m = sqrtm_spd_kernel(q)
             return sym_part(m @ cmat @ m.T)
 
         p = rk4(fdir, p, 1.0, 256)[-1]

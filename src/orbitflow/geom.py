@@ -263,12 +263,15 @@ def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
     return sym_part(gi @ j @ gi.T)
 
 
-def drift_J_R_kernel(p, metric: MetricR) -> np.ndarray:
-    """drift_J_R without validation, over any leading stack axes of `p`."""
-    g = metric.factor
-    gi = metric.factor_inv
+def drift_J_R_kernel(p, g, g_inv) -> np.ndarray:
+    """drift_J_R without validation, over any leading stack axes of `p`.
+
+    `g` and `g_inv` are a metric's factors G and G^-1 (MetricR.factor and
+    factor_inv): one pair for every matrix of `p`, or stacked with one pair
+    per matrix.  Every matrix gets the same bits as a call on it alone.
+    """
     inner = drift_J_kernel(sym_part(mT(g) @ p @ g))
-    return sym_part(mT(gi) @ inner @ gi)
+    return sym_part(mT(g_inv) @ inner @ g_inv)
 
 
 def drift_J_R(p, metric: MetricR) -> np.ndarray:
@@ -284,7 +287,7 @@ def drift_J_R(p, metric: MetricR) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64)
     require_symmetric(p, tol=1e-10)
-    return drift_J_R_kernel(p, metric)
+    return drift_J_R_kernel(p, metric.factor, metric.factor_inv)
 
 
 def ito_correction_sum(m, metric: MetricR | None = None) -> np.ndarray:

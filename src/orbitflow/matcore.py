@@ -102,7 +102,14 @@ def sqrtm_spd(p) -> np.ndarray:
     output is symmetrized in storage so that callers may rely on G == G.T
     exactly.
     """
-    lam, u = eigh_desc(require_symmetric(as_matrix(p), tol=1e-10))
+    return sqrtm_spd_kernel(require_symmetric(as_matrix(p), tol=1e-10))
+
+
+def sqrtm_spd_kernel(s) -> np.ndarray:
+    """sqrtm_spd without the symmetry check, for flows whose states are
+    already exactly symmetric (see eigh_desc).  Still raises unless `s` is
+    positive definite."""
+    lam, u = eigh_desc(s)
     if lam[-1] <= 0.0:
         raise ValueError("square root needs a positive definite matrix")
     return sym_part((u * np.sqrt(lam)) @ u.T)

@@ -82,14 +82,20 @@ def read_path_csv(path):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless matrix CSV (one row per line, comma separated)."""
+    """Read a headerless matrix CSV (one row per line, comma separated).
+    Every entry must be finite."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            toks = line.split(",")
+            rows.append([float(tok) for tok in toks])
+            for tok, x in zip(toks, rows[-1]):
+                if not np.isfinite(x):
+                    raise ValueError(f"{path} line {lineno}: entry {tok.strip()!r} "
+                                     f"is not finite")
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     width = len(rows[0])

@@ -244,21 +244,29 @@ def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | N
     return x, alive
 
 
-def rk4(f, x0: np.ndarray, duration: float, steps: int) -> np.ndarray:
+def rk4(f, x0: np.ndarray, duration, steps: int) -> np.ndarray:
     """Classical RK4 for a symmetric-matrix flow dP/dt = f(P); every stage
     and step is symmetrized, so f only ever sees exactly symmetric input
-    after x0.  x0 may carry leading stack axes, which f must then accept.
-    Returns the states at the steps+1 grid points, time axis first."""
-    h = duration / steps
+    after x0.  Returns the states at the steps+1 grid points, time axis
+    first.
+
+    x0 may carry leading stack axes, which f must then accept.  `duration`
+    is one float for every matrix, or one per matrix (shape x0.shape[:-2]);
+    each matrix steps by h = duration / steps, broadcast as (..., 1, 1).
+    The products h * k are elementwise, so every matrix of a stack gets the
+    same bits as a run on it alone with its own scalar duration.
+    """
+    h = np.asarray(duration, dtype=np.float64)[..., None, None] / steps
+    half, sixth = 0.5 * h, h / 6.0
     states = np.empty((steps + 1,) + x0.shape)
     states[0] = x0
     p = x0
     for m in range(steps):
         k1 = f(p)
-        k2 = f(sym_part(p + 0.5 * h * k1))
-        k3 = f(sym_part(p + 0.5 * h * k2))
+        k2 = f(sym_part(p + half * k1))
+        k3 = f(sym_part(p + half * k2))
         k4 = f(sym_part(p + h * k3))
-        p = sym_part(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        p = sym_part(p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         states[m + 1] = p
     return states
 

@@ -356,6 +356,20 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "--R {P} is 2x2, but --input {P3} is 3x3"),
     (["oracle", "--target", "fd-gradient", "--input", "{M43}", "--R", "{P3}"],
      "--R {P3} is 3x3, but --input {M43} is 4x3"),
+    # schedule durations and matrix entries that are not finite
+    (["control", "--schedule", "{SCHED_NAN}", "--P0", "{P}", "--out", "{OUT}"],
+     "schedule line 1: segment duration must be finite and positive; got nan"),
+    (["control", "--schedule", "{SCHED_INF}", "--P0", "{P}", "--out", "{OUT}"],
+     "schedule line 1: segment duration must be finite and positive; got inf"),
+    (["drift", "--which", "spectral", "--input", "{INF}"],
+     "{INF} line 1: entry 'inf' is not finite"),
+    (["control", "--schedule", "{SCHED}", "--P0", "{NAN}", "--out", "{OUT}"],
+     "{NAN} line 2: entry 'nan' is not finite"),
+    # schedule segments whose size does not fit --P0
+    (["control", "--schedule", "{SCHED}", "--P0", "{P3}", "--out", "{OUT}"],
+     "--schedule {SCHED} segment 1 is 2x2, but --P0 {P3} is 3x3"),
+    (["control", "--schedule", "{SCHED_MIXED}", "--P0", "{P}", "--out", "{OUT}"],
+     "--schedule {SCHED_MIXED} segment 2 is 3x3, but --P0 {P} is 2x2"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -366,7 +380,13 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{M0_1E6}": _write(tmp_path / "M0_1e-6.csv", "1, 0\n0, 1e-6\n0, 0\n"),
              "{M0_1E9}": _write(tmp_path / "M0_1e-9.csv", "1, 0\n0, 1e-9\n0, 0\n"),
              "{P3}": _spd_csv(tmp_path, "P3.csv", "3, 0, 0\n0, 2, 0\n0, 0, 1\n"),
-             "{M43}": _write(tmp_path / "M43.csv", "1, 0, 0\n0, 1, 0\n0, 0, 1\n1, 1, 1\n")}
+             "{M43}": _write(tmp_path / "M43.csv", "1, 0, 0\n0, 1, 0\n0, 0, 1\n1, 1, 1\n"),
+             "{SCHED_NAN}": _write(tmp_path / "nan.txt", "nan; R = [1,0,0,1]\n"),
+             "{SCHED_INF}": _write(tmp_path / "inf.txt", "inf; R = [1,0,0,1]\n"),
+             "{SCHED_MIXED}": _write(tmp_path / "mixed.txt", "0.2; R = [1, 0, 0, 1]\n"
+                                     "0.2; R = [1, 0, 0, 0, 1, 0, 0, 0, 1]\n"),
+             "{INF}": _write(tmp_path / "INF.csv", "inf,0\n0,1\n"),
+             "{NAN}": _write(tmp_path / "NAN.csv", "1, 0\n0, nan\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)

@@ -9,7 +9,9 @@ from orbitflow.control import (ControlSchedule, ProbeReport, ScheduleSegment,
                                alpha, alpha_from_pairs, alpha_jacobian, alpha_sos,
                                alpha_sos_sum, integrate_control, load_schedule,
                                parse_schedule, reach_probe)
+from orbitflow import matcore
 from orbitflow.geom import MetricR, drift_J_R
+from orbitflow.matcore import sqrtm_spd, sym_part
 from orbitflow.sde import rk4
 
 
@@ -82,8 +84,9 @@ def test_sos_certificate_assembles_jacobian(n):
 
 
 def test_schedule_segment_validation():
-    with pytest.raises(ValueError):
-        ScheduleSegment(duration=0.0, R=np.eye(2))
+    for duration in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScheduleSegment(duration=duration, R=np.eye(2))
     with pytest.raises(ValueError):
         ScheduleSegment(duration=1.0, R=np.diag([1.0, -1.0]))
 
@@ -110,6 +113,9 @@ def test_parse_schedule_r_and_g_forms():
     ("oops; R = [1]", "line 1"),               # bad duration
     ("# nothing here", "no segments"),
     ("1.0; R = [1, 0, 0, -1]", "line 1"),      # not positive definite
+    ("nan; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
+    ("inf; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
+    ("1.0; R = [1, 0, 0, inf]", "line 1: matrix entry inf is not finite"),
 ])
 def test_parse_schedule_errors_carry_line_numbers(bad, frag):
     with pytest.raises(ValueError, match=frag):
@@ -169,6 +175,46 @@ def test_integrate_control_rejects_indefinite_start():
         integrate_control(np.diag([1.0, -1.0]), parse_schedule("1; R = [1,0,0,1]"))
 
 
+def _spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return sym_part(a @ a.T + n * np.eye(n))
+
+
+def test_stacked_rows_equal_single_calls_bit_for_bit():
+    # rows of 1, 2 and 3 segments with different durations run as one batch;
+    # row b must carry the states and times of its own single call
+    rng = np.random.default_rng(11)
+    counts = [2, 1, 3, 1, 3, 2]
+    starts = np.stack([_spd(rng, 3) for _ in counts])
+    scheds = [ControlSchedule(tuple(ScheduleSegment(float(rng.uniform(0.1, 0.7)),
+                                                    _spd(rng, 3))
+                                    for _ in range(c)))
+              for c in counts]
+    given = starts.copy()
+    paths = integrate_control(starts, scheds, substeps=8)
+    assert len(paths) == len(counts)
+    assert np.array_equal(starts, given)
+    for b, path in enumerate(paths):
+        one = integrate_control(starts[b], scheds[b], substeps=8)
+        assert path.times.shape == (1 + 8 * counts[b],)
+        assert np.array_equal(path.states[0], starts[b])
+        assert np.array_equal(path.times, one.times)
+        assert np.array_equal(path.states, one.states)
+
+
+def test_integrate_control_names_mismatched_sizes():
+    mixed = parse_schedule("1; R = [1, 0, 0, 1]\n1; R = [1, 0, 0, 0, 1, 0, 0, 0, 1]")
+    with pytest.raises(ValueError, match="segment 2 holds a 3x3 R, but the start is 2x2"):
+        integrate_control(np.eye(2), mixed)
+    two = parse_schedule("1; R = [1, 0, 0, 1]")
+    with pytest.raises(ValueError, match="schedule 1 segment 2 holds a 3x3 R"):
+        integrate_control(np.stack([np.eye(2)] * 2), [two, mixed])
+    with pytest.raises(ValueError, match="B schedules"):
+        integrate_control(np.stack([np.eye(2)] * 3), [two, two])
+    with pytest.raises(ValueError, match="B schedules"):
+        integrate_control(np.eye(2), [two])
+
+
 # ---------------------------------------------------------------------------
 # reachability probe
 
@@ -201,6 +247,37 @@ def test_reach_probe_two_legs_in_a_shared_frame():
     assert_allclose(rep.target, [0.3, 0.5, 0.2], rtol=0, atol=1e-15)
     assert rep.log_gain_error <= 1e-2
     assert rep.duration == 2.0
+
+
+def test_reach_probe_equals_rk4_with_validating_root():
+    # the stages take the root without a symmetry check; rk4 on the
+    # checking sqrtm_spd must give the same bits
+    p0 = np.diag([2.0, 1.0])
+    cmat = np.diag(alpha([1.0 / 0.8, 1.0 / 0.8]))
+
+    def fdir(q):
+        m = sqrtm_spd(q)
+        return sym_part(m @ cmat @ m.T)
+
+    want = rk4(fdir, p0, 1.0, 256)[-1]
+    assert np.array_equal(reach_probe(p0, np.eye(2), {(0, 1): 0.4}).endpoint, want)
+
+
+def test_reach_probe_checks_symmetry_once_not_per_stage(monkeypatch):
+    calls = 0
+    check = matcore.require_symmetric
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "require_symmetric", counted)
+    p0 = np.diag([3.0, 2.0, 1.0])
+    reach_probe(p0, np.eye(3), {(0, 1): 0.3})
+    one_leg, calls = calls, 0
+    reach_probe(p0, np.eye(3), {(0, 1): 0.3, (1, 2): 0.2})
+    assert calls == one_leg == 1
 
 
 def test_reach_probe_rejects_bad_coefficients():

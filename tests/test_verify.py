@@ -3,8 +3,9 @@ structure of the adjudicated-constants report."""
 
 import pytest
 
+from orbitflow import control, geom
 from orbitflow.verify import (SUITE_NAMES, CheckResult, SuiteResult,
-                              constants_suite, run_suite)
+                              constants_suite, control_suite, run_suite)
 
 
 def test_check_result_lines():
@@ -43,3 +44,21 @@ def test_constants_suite_adjudicates_three_divergences():
     for e in report.entries:
         assert e.samples == 2000
         assert e.oracle_se > 0.0
+
+
+def test_control_suite_runs_its_schedules_as_stacks(monkeypatch):
+    # segment s of all 25 schedules is one stacked flow: at most 3 segments
+    # of 32 RK4 steps with 4 stages, plus the 100 drift_J_R calls of the
+    # conjugation identity.  One call per schedule and stage made 5604.
+    calls = 0
+    kernel = geom.drift_J_R_kernel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(geom, "drift_J_R_kernel", counted)
+    monkeypatch.setattr(control, "drift_J_R_kernel", counted)
+    assert control_suite(seed=0).passed
+    assert calls <= 3 * 32 * 4 + 100
