@@ -48,10 +48,15 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
     """Validate symmetry of each matrix to `tol` (relative to that matrix's
     largest entry, at least 1) and return the symmetrized array.  Takes any
-    leading stack axes."""
+    leading stack axes.  A non-finite entry is rejected by name, since
+    neither test below can see it (an inf scale passes any deviation)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"matrix entry {float(a[idx])!r} at index {idx} is not finite")
     dev = np.abs(a - mT(a))
     # every scale is at least 1, so a deviation within tol passes every
     # matrix without the per-matrix scales

@@ -29,34 +29,18 @@ from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Shared simulation settings for the named processes.
-
-    zero_noise replaces every increment with zeros, which exposes the
-    deterministic drift skeleton of an Ito scheme (and freezes a pure
-    Stratonovich transport).
-    """
+    """Shared simulation settings for the named processes."""
 
     t_end: float
     dt: float
     seed: int = 0
     stream: int = 0
-    zero_noise: bool = False
 
     def grid(self) -> TimeGrid:
         return TimeGrid.regular(self.t_end, self.dt)
 
     def source(self) -> NoiseSource:
-        if self.zero_noise:
-            return _ZeroNoise(self.seed, self.stream)
         return NoiseSource(self.seed, self.stream)
-
-
-class _ZeroNoise(NoiseSource):
-    """Noise source that supplies zeros; used by the zero_noise diagnostics."""
-
-    @staticmethod
-    def _to_normal(words):
-        return np.zeros(words.shape)
 
 
 def _run(problem: SdeProblem, cfg: ProcessConfig, path_index: int) -> Path:

@@ -60,12 +60,13 @@ class NoiseSource:
     counter's last word is m; they are read in blocks of four, block b at
     counter [b + 1, 0, 0, m].  Path p owns the contiguous words
     [p * count, (p + 1) * count) of every step, which the inverse normal CDF
-    maps to normals.  Philox is counter-based, so a path's words are addressed
-    directly: one generator per path starts at the block holding word
-    p * count and, for each step, moves to that step's counter and reads
-    p * count % 4 + count words, dropping the leading p * count % 4.  A draw
-    costs O(count) per step whatever p is, and earlier paths' values never
-    depend on how many paths are drawn.
+    maps to normals.  Philox is counter-based, so any window of paths and
+    steps is addressed directly: `normals_block` starts one generator at the
+    block holding word first * count and, for each step, moves it to that
+    step's counter and reads the window's words plus the first * count % 4
+    before them, which it drops.  A draw costs O(paths * count) per step
+    whatever `first` is, and no value depends on how many paths or steps are
+    drawn with it.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -89,30 +90,26 @@ class NoiseSource:
         return ndtri(u)
 
     def normals(self, path: int, step: int, count: int) -> np.ndarray:
-        """Standard normals for one (path, step); shape (count,)."""
+        """Standard normals for one (path, step); shape (count,).  This is
+        the definition `normals_block` reproduces."""
         bg, skip = self._generator(path, step, count)
         return self._to_normal(bg.random_raw(skip + count)[skip:])
 
-    def path_normals(self, path: int, steps: int, count: int) -> np.ndarray:
-        """Standard normals of one path at steps 0..steps-1 from one
-        generator; shape (steps, count).  Row m is bit-identical to
-        normals(path, m, count)."""
-        bg, skip = self._generator(path, 0, count)
-        state = bg.state  # taken with an empty buffer, so every reset drops buffered words
-        words = np.empty((steps, count), dtype=np.uint64)
-        for m in range(steps):
-            state["state"]["counter"][3] = m
-            bg.state = state
-            words[m] = bg.random_raw(skip + count)[skip:]
-        return self._to_normal(words)
-
-    def normals_block(self, step: int, n_paths: int, count: int) -> np.ndarray:
-        """Standard normals for paths 0..n_paths-1 at one step; shape
-        (n_paths, count).  Row p is bit-identical to normals(p, step, count)."""
+    def normals_block(self, step: int, n_paths: int, count: int, first: int = 0,
+                      steps: int = 1) -> np.ndarray:
+        """Standard normals for paths first..first+n_paths-1 at steps
+        step..step+steps-1, from one generator; shape (steps, n_paths, count).
+        Entry [m, p] is bit-identical to normals(first + p, step + m, count)."""
         if count == 0:
-            return np.empty((n_paths, 0))
-        words = self._generator(0, step, count)[0].random_raw(n_paths * count)
-        return self._to_normal(words).reshape(n_paths, count)
+            return np.empty((steps, n_paths, 0))
+        bg, skip = self._generator(first, step, count)
+        state = bg.state  # taken with an empty buffer, so every reset drops buffered words
+        words = np.empty((steps, n_paths * count), dtype=np.uint64)
+        for m in range(steps):
+            state["state"]["counter"][3] = step + m
+            bg.state = state
+            words[m] = bg.random_raw(skip + n_paths * count)[skip:]
+        return self._to_normal(words).reshape(steps, n_paths, count)
 
 
 @dataclass
@@ -163,85 +160,96 @@ class Path:
         return self.states[-1]
 
 
-def _advance(problem: SdeProblem, t: float, x: np.ndarray, dw,
-             dt: float) -> np.ndarray:
-    """One Euler-Maruyama step from x, then post_step.  x may carry leading
-    batch axes; the arithmetic is the same either way.
+# the Euler loop draws its noise max(1, _WINDOW_WORDS // (paths * count))
+# steps at a time; every value is elementwise, so the window changes no bit
+_WINDOW_WORDS = 2 ** 14
 
-        x' = x + drift(t, x) dt + diffusion(t, x, dw)
+
+def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
+           first: int, n_paths: int | None = None) -> tuple:
+    """The one Euler-Maruyama loop behind `integrate` and `integrate_batch`:
+
+        x' = post_step(x + drift(t, x) dt + diffusion(t, x, dw))
+
+    Step m of path p uses dw = sqrt(dt) normals(p, m, count), reshaped to
+    noise_shape and drawn in windows of steps by `normals_block`.
+
+    With n_paths None, path `first` runs alone with no path axis and the
+    trajectory is kept; returns (states, stop), where stop is the first
+    rejected step (states past it are unset) or None.  Otherwise paths
+    first..first+n_paths-1 run along a leading axis and only the current
+    states are kept; returns (final states, alive).  A row whose guard trips
+    is frozen by the running alive mask, so it never resumes.
     """
-    nxt = x
-    if problem.drift is not None:
-        nxt = nxt + problem.drift(t, x) * dt
-    if problem.diffusion is not None:
-        nxt = nxt + problem.diffusion(t, x, dw)
-    if problem.post_step is not None:
-        nxt = problem.post_step(nxt)
-    return nxt
-
-
-def _check_source(problem: SdeProblem, source) -> None:
     if problem.noise_shape and source is None:
         raise ValueError("problem has noise but no noise source was given")
+    lone = n_paths is None
+    rows = 1 if lone else n_paths
+    lead = () if lone else (n_paths,)
+    x = np.broadcast_to(problem.x0, lead + problem.x0.shape).copy()
+    if lone:
+        states = np.empty((grid.steps + 1,) + x.shape)
+        states[0] = x
+    else:
+        alive = np.ones(n_paths, dtype=bool)
+    count = int(np.prod(problem.noise_shape))
+    window = max(1, _WINDOW_WORDS // max(1, rows * count))
+    times = grid.times()
+    dws = None
+    for lo in range(0, grid.steps, window):
+        hi = min(lo + window, grid.steps)
+        if problem.noise_shape:
+            z = source.normals_block(lo, rows, count, first, hi - lo)
+            dws = (np.sqrt(grid.dt) * z).reshape((hi - lo,) + lead + problem.noise_shape)
+        for m in range(lo, hi):
+            dw = None if dws is None else dws[m - lo]
+            nxt = x
+            if problem.drift is not None:
+                nxt = nxt + problem.drift(times[m], x) * grid.dt
+            if problem.diffusion is not None:
+                nxt = nxt + problem.diffusion(times[m], x, dw)
+            if problem.post_step is not None:
+                nxt = problem.post_step(nxt)
+            if problem.guard is not None:
+                ok = problem.guard(nxt)
+                if lone:
+                    if not ok:
+                        return states, m
+                else:
+                    alive &= ok
+                    if not alive.all():
+                        nxt = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), nxt, x)
+            x = nxt
+            if lone:
+                states[m + 1] = x
+    return (states, None) if lone else (x, alive)
 
 
 def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
               path_index: int = 0) -> Path:
-    """Integrate one path of the problem over the grid (see `_advance`).
-
-    The path's increments for every step are drawn before the loop, with one
-    `NoiseSource.path_normals` call (one generator for the path); step m uses
-    row m, which equals normals(path_index, m, count) scaled by sqrt(dt).
-    """
-    _check_source(problem, source)
-    x = problem.x0.copy()
-    states = np.empty((grid.steps + 1,) + x.shape)
-    states[0] = x
+    """Integrate path `path_index` of the problem over the grid (see
+    `_euler`); the path ends at the last valid state if the guard trips."""
+    states, stop = _euler(problem, grid, source, path_index)
     times = grid.times()
-    dws = None
-    if problem.noise_shape:
-        count = int(np.prod(problem.noise_shape))
-        dws = (np.sqrt(grid.dt) * source.path_normals(path_index, grid.steps, count)
-               ).reshape((grid.steps,) + problem.noise_shape)
-    for m in range(grid.steps):
-        dw = None if dws is None else dws[m]
-        nxt = _advance(problem, times[m], x, dw, grid.dt)
-        if problem.guard is not None and not problem.guard(nxt):
-            return Path(times=times[: m + 1], states=states[: m + 1], path_index=path_index,
-                        stopped_step=m, stop_reason=problem.guard_name)
-        x = nxt
-        states[m + 1] = x
-    return Path(times=times, states=states, path_index=path_index)
+    if stop is None:
+        return Path(times=times, states=states, path_index=path_index)
+    return Path(times=times[: stop + 1], states=states[: stop + 1], path_index=path_index,
+                stopped_step=stop, stop_reason=problem.guard_name)
 
 
 def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
                     n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final states of paths 0..n_paths-1 and the mask of paths that never
-    tripped the guard; only the current states are kept.
+    tripped the guard; only the current states are kept (see `_euler`).
 
     The problem's drift, diffusion, guard and post_step receive the states
-    with a leading path axis.  Row p draws the noise of path p, so it equals
+    with a leading path axis, and the guard returns one bool per path.  Row p
+    draws the noise of path p, so it equals
     integrate(problem, grid, source, p).final bit for bit as long as the
     problem's functions give the same bits on a batch as on one slice.  A path
-    whose guard trips keeps its last valid state.
+    whose guard trips keeps its last valid state to the end of the grid.
     """
-    _check_source(problem, source)
-    x = np.broadcast_to(problem.x0, (n_paths,) + problem.x0.shape).copy()
-    alive = np.ones(n_paths, dtype=bool)
-    count = int(np.prod(problem.noise_shape))
-    times = grid.times()
-    for m in range(grid.steps):
-        dw = None
-        if problem.noise_shape:
-            z = source.normals_block(m, n_paths, count)
-            dw = (np.sqrt(grid.dt) * z).reshape((n_paths,) + problem.noise_shape)
-        nxt = _advance(problem, times[m], x, dw, grid.dt)
-        if problem.guard is not None:
-            alive &= problem.guard(nxt)
-            if not alive.all():
-                nxt = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), nxt, x)
-        x = nxt
-    return x, alive
+    return _euler(problem, grid, source, 0, n_paths)
 
 
 def rk4(f, x0: np.ndarray, duration, steps: int) -> np.ndarray:
@@ -304,7 +312,7 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     transposed/product contractions).  Standard errors shrink as
     samples^(-1/2).
 
-    Sample b takes row b % 4096 of normals_block at step b // 4096.  As in
+    Sample b takes path b % 4096 of normals_block at step b // 4096.  As in
     `integrate_batch`, `diffusion` receives a leading sample axis on both
     `state` and `dw` (slices of at most 512 samples) and must give the same
     bits on a slice as on one sample.  The running sums add the samples in
@@ -328,7 +336,7 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     step = 0
     while done < samples:
         take = min(block, samples - done)
-        z = source.normals_block(step, take, count) * np.sqrt(dt)
+        z = source.normals_block(step, take, count)[0] * np.sqrt(dt)
         for lo in range(0, take, piece):
             dw = z[lo:lo + piece].reshape((-1,) + tuple(noise_shape))
             dx = diffusion(0.0, np.broadcast_to(state, (len(dw), nr, nc)), dw)

@@ -1,15 +1,20 @@
 """Kernel-level checks: validators, spectral ops, Lyapunov solves, FD gradients."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from orbitflow.control import ControlSchedule, ScheduleSegment, integrate_control
+from orbitflow.geom import MetricR
 from orbitflow.matcore import (TAU_LYAP, LieBasis, as_matrix, eigh_desc,
                                fd_gradient, require_skew,
                                require_spd, require_symmetric, sl2_basis,
                                skew_part, so_basis, so_pairs, solve_lyapunov,
                                sqrtm_spd, sym_part)
+from orbitflow.processes import mcf_ode
 
 
 def _rand_spd(rng, n, spread=1.0):
@@ -50,6 +55,31 @@ def test_validators_accept_and_reject():
     with pytest.raises(ValueError):
         require_skew(np.eye(2))
     require_skew(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+
+
+def _schedule_from(p):
+    return integrate_control(p, ControlSchedule((ScheduleSegment(0.1, np.eye(2)),)))
+
+
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+@pytest.mark.parametrize("check", [require_symmetric, require_spd, MetricR,
+                                   lambda p: mcf_ode(p, 0.1, 2), _schedule_from],
+                         ids=["require_symmetric", "require_spd", "MetricR", "mcf_ode",
+                              "integrate_control"])
+@pytest.mark.parametrize("value,at", [(np.inf, (0, 0)), (-np.inf, (1, 0)),
+                                      (np.nan, (1, 1)), (np.nan, (0, 1))],
+                         ids=["inf-diag", "-inf-off", "nan-diag", "nan-off"])
+def test_validators_name_a_non_finite_entry(check, value, at):
+    # an inf scale passes any symmetry deviation, and a NaN would surface
+    # as "not positive definite": each is named with its index instead
+    p = np.diag([2.0, 1.0])
+    p[at] = value
+    with pytest.raises(ValueError, match=re.escape(f"matrix entry {value!r} at index {at} "
+                                                   "is not finite")):
+        check(p)
+    stack = np.stack([np.eye(2), p])
+    with pytest.raises(ValueError, match=re.escape(f"at index {(1,) + at} is not finite")):
+        require_spd(stack)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -37,6 +37,8 @@ def test_tracer_installs_counts_and_uninstalls():
         assert sde.integrate is not before[("orbitflow.sde", "integrate")]
         cfg = ProcessConfig(t_end=0.01, dt=1e-3)
         processes.bm_orthogonal(2, cfg)
+        # the single path draws its whole noise window in one traced call
+        assert tr.summary()["sde.noise"]["calls"] == 1
         ensembles.grassmann_pushforward_ensemble(3, 1, cfg, paths=4)
     finally:
         tr.uninstall()

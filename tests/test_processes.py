@@ -11,16 +11,31 @@ from orbitflow import matcore
 from orbitflow.geom import MetricR, drift_J_R, drift_J_spectral
 from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
-                                 bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
-                                 grassmann_ito_problem, halfplane_start, mcf_ode,
-                                 orthogonal_problem, poincare_problem,
-                                 sl2_to_halfplane, sphere_vertical_bm,
-                                 vertical_bm, wishart)
-from orbitflow.sde import integrate, integrate_batch, rk4
+                                 bm_poincare, bm_stiefel, bures_wasserstein_problem,
+                                 cartan_hadamard_problem, eigen_drift, eigen_problem,
+                                 eigen_sde, gram, grassmann_ito_problem,
+                                 halfplane_start, mcf_ode, orthogonal_problem,
+                                 poincare_problem, sl2_to_halfplane,
+                                 sphere_vertical_bm, vertical_bm, wishart,
+                                 wishart_problem)
+from orbitflow.sde import NoiseSource, integrate, integrate_batch, rk4
 
 
-def _cfg(t_end, dt, seed=0, **kw):
-    return ProcessConfig(t_end=t_end, dt=dt, seed=seed, **kw)
+def _cfg(t_end, dt, seed=0):
+    return ProcessConfig(t_end=t_end, dt=dt, seed=seed)
+
+
+class ZeroNoise(NoiseSource):
+    """Supplies zeros, which exposes the deterministic drift skeleton of an
+    Ito scheme and freezes a pure Stratonovich transport."""
+
+    @staticmethod
+    def _to_normal(words):
+        return np.zeros(words.shape)
+
+
+def _zero_noise_path(problem, t_end, dt):
+    return integrate(problem, _cfg(t_end, dt).grid(), ZeroNoise(0))
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +43,7 @@ def _cfg(t_end, dt, seed=0, **kw):
 
 
 def test_zero_noise_orthogonal_path_is_constant():
-    path = bm_orthogonal(3, _cfg(0.5, 0.1, zero_noise=True))
+    path = _zero_noise_path(orthogonal_problem(3), 0.5, 0.1)
     assert_array_equal(path.states, np.tile(np.eye(3), (6, 1, 1)))
 
 
@@ -123,8 +138,9 @@ def test_halfplane_round_trip():
 
 
 def test_poincare_zero_noise_is_constant():
-    path = bm_poincare(_cfg(0.5, 0.1, zero_noise=True), z0=(0.3, 1.7))
-    assert_allclose(path.states, np.tile([0.3, 1.7], (6, 1)), rtol=0, atol=1e-13)
+    path = _zero_noise_path(poincare_problem(z0=(0.3, 1.7)), 0.5, 0.1)
+    assert_allclose(sl2_to_halfplane(path.states), np.tile([0.3, 1.7], (6, 1)),
+                    rtol=0, atol=1e-13)
 
 
 def test_poincare_stays_in_upper_half_plane():
@@ -141,10 +157,10 @@ def test_poincare_stays_in_upper_half_plane():
 
 def test_cartan_hadamard_zero_noise_exponential_growth():
     n, t_end, dt = 3, 1.0, 1e-3
-    gp, pp = bm_cartan_hadamard(n, _cfg(t_end, dt, zero_noise=True))
+    gp = _zero_noise_path(cartan_hadamard_problem(n), t_end, dt)
     # dG = G/2 dt alone: G_t = exp(t/2) I up to Euler bias O(dt)
     assert np.abs(gp.final - np.exp(0.5) * np.eye(n)).max() <= 1e-3
-    assert np.abs(pp.final - np.exp(1.0) * np.eye(n)).max() <= 2e-3
+    assert np.abs(gram(gp.final) - np.exp(1.0) * np.eye(n)).max() <= 2e-3
 
 
 def test_cartan_hadamard_image_is_gram():
@@ -156,9 +172,9 @@ def test_cartan_hadamard_image_is_gram():
 
 def test_wishart_zero_noise_freezes_the_factor():
     w0 = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]])
-    wp, pp = wishart(3, 2, _cfg(0.5, 0.1, zero_noise=True), w0=w0)
+    wp = _zero_noise_path(wishart_problem(3, 2, w0=w0), 0.5, 0.1)
     assert_array_equal(wp.states, np.tile(w0, (6, 1, 1)))
-    assert_allclose(pp.final, w0 @ w0.T, rtol=0, atol=1e-15)
+    assert_allclose(gram(wp.final), w0 @ w0.T, rtol=0, atol=1e-15)
 
 
 def test_wishart_start_options():
@@ -181,7 +197,7 @@ def test_bures_wasserstein_drift_skeleton():
     # zero noise exposes the Euler update P + dt (k I - J(P)) exactly
     p0 = np.diag([3.0, 1.0])
     dt = 0.1
-    path = bm_bures_wasserstein(p0, _cfg(dt, dt, zero_noise=True))
+    path = _zero_noise_path(bures_wasserstein_problem(p0), dt, dt)
     want = p0 + dt * (2.0 * np.eye(2) - drift_J_spectral(p0))
     assert_allclose(path.final, want, rtol=0, atol=1e-15)
     assert_allclose(path.final, np.diag([3.125, 1.175]), rtol=0, atol=1e-15)
@@ -225,8 +241,7 @@ def test_eigen_sde_validates_start():
 
 
 def test_eigen_sde_zero_noise_follows_drift():
-    cfg = _cfg(0.05, 1e-2, zero_noise=True)
-    path = eigen_sde("wishart", [2.0, 1.0], 2, 2, cfg)
+    path = _zero_noise_path(eigen_problem("wishart", [2.0, 1.0], 2, 2), 0.05, 1e-2)
     lam = np.array([2.0, 1.0])
     for _ in range(5):
         lam = lam + 1e-2 * eigen_drift("wishart", lam, 2)

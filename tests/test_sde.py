@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from orbitflow import sde
 from orbitflow.matcore import LieBasis, mT, so_basis
 from orbitflow.processes import invariant_problem
 from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
@@ -67,12 +68,16 @@ def test_normals_are_pure_functions_of_indices():
 def test_block_rows_match_per_path_draws():
     src = NoiseSource(seed=5)
     block = src.normals_block(step=2, n_paths=6, count=4)
-    assert block.shape == (6, 4)
+    assert block.shape == (1, 6, 4)
     for p in range(6):
-        assert_array_equal(block[p], src.normals(p, 2, 4))
+        assert_array_equal(block[0, p], src.normals(p, 2, 4))
     # earlier paths never depend on how many paths are drawn
     wide = src.normals_block(step=2, n_paths=13, count=4)
-    assert_array_equal(wide[:6], block)
+    assert_array_equal(wide[:, :6], block)
+    # nor do earlier steps on how many steps are drawn
+    window = src.normals_block(step=2, n_paths=13, count=4, steps=5)
+    assert_array_equal(window[:1], wide)
+    assert src.normals_block(0, 3, 0, steps=2).shape == (2, 3, 0)
 
 
 def _keyed_normals(seed, stream, path, step, count):
@@ -88,12 +93,16 @@ def _keyed_normals(seed, stream, path, step, count):
 def test_directly_addressed_draws_match_the_keying_definition(path, count):
     # path * count % 4 takes all four values over these cases
     src = NoiseSource(seed=17, stream=5)
-    rows = src.path_normals(path, 6, count)
-    assert rows.shape == (6, count)
+    rows = src.normals_block(0, 1, count, first=path, steps=6)
+    window = src.normals_block(4097, 3, count, first=path, steps=3)
+    assert rows.shape == (6, 1, count) and window.shape == (3, 3, count)
     for step in range(6):
         want = _keyed_normals(17, 5, path, step, count)
         assert_array_equal(src.normals(path, step, count), want)
-        assert_array_equal(rows[step], want)
+        assert_array_equal(rows[step, 0], want)
+    for m in range(3):
+        for p in range(3):
+            assert_array_equal(window[m, p], _keyed_normals(17, 5, path + p, 4097 + m, count))
     assert_array_equal(src.normals(path, 4099, count),
                        _keyed_normals(17, 5, path, 4099, count))
 
@@ -112,8 +121,12 @@ def test_a_path_draw_uses_one_generator_and_reads_only_its_words(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", Spy)
     src = NoiseSource(seed=2)
-    src.path_normals(path=7, steps=5, count=6)
+    src.normals_block(step=0, n_paths=1, count=6, first=7, steps=5)
     assert len(made) == 1 and reads == [7 * 6 % 4 + 6] * 5
+    made.clear()
+    reads.clear()
+    src.normals_block(step=9, n_paths=3, count=6, first=7, steps=2)
+    assert len(made) == 1 and reads == [7 * 6 % 4 + 3 * 6] * 2
     made.clear()
     reads.clear()
     src.normals(path=20000, step=3, count=9)
@@ -136,7 +149,8 @@ def test_normal_marginals():
 def test_gaussian_increment_statistics():
     # one path's 2 x 3 increments over 2000 steps are i.i.d. N(0, dt)
     dt = 0.01
-    draws = np.sqrt(dt) * NoiseSource(seed=3).path_normals(0, 2000, 6).reshape(2000, 2, 3)
+    z = NoiseSource(seed=3).normals_block(0, 1, 6, steps=2000)
+    draws = np.sqrt(dt) * z.reshape(2000, 2, 3)
     n = draws.size
     assert abs(draws.mean()) <= 4.0 * np.sqrt(dt / n)
     assert abs(draws.var() - dt) <= 0.05 * dt
@@ -210,15 +224,15 @@ def test_integrate_draws_a_path_once_and_steps_with_its_rows():
             calls.append("normals")
             return super().normals(path, step, count)
 
-        def path_normals(self, path, steps, count):
-            calls.append(("path_normals", path, steps, count))
-            return super().path_normals(path, steps, count)
+        def normals_block(self, step, n_paths, count, first=0, steps=1):
+            calls.append(("normals_block", step, n_paths, count, first, steps))
+            return super().normals_block(step, n_paths, count, first, steps)
 
     prob = SdeProblem(x0=np.eye(2), drift=lambda t, x: -0.5 * x,
                       diffusion=lambda t, x, dw: x @ dw, noise_shape=(2, 2))
     grid = TimeGrid(0.0, 0.01, 40)
     path = integrate(prob, grid, Counting(8, stream=3), path_index=5)
-    assert calls == [("path_normals", 5, 40, 4)]
+    assert calls == [("normals_block", 0, 1, 4, 5, 40)]
     # the same problem stepped by hand with the per-step keyed draws
     x = prob.x0
     for m, t in enumerate(grid.times()[:-1]):
@@ -261,6 +275,58 @@ def test_batch_rows_match_single_paths_and_freeze_at_last_valid_state():
         single = integrate(prob, grid, src, path_index=p)
         assert_array_equal(final[p], single.final)
         assert alive[p] == (not single.stopped)
+
+
+def test_batch_in_which_every_path_trips_returns_frozen_states():
+    # the guard rejects the band 0.3 < x_0 < 0.5 that every path runs into;
+    # a frozen row's later proposals often leave the band again, and the
+    # row must stay frozen (by the running alive mask) instead of resuming
+    prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: np.ones_like(x),
+                      diffusion=lambda t, x, dw: 0.2 * dw, noise_shape=(2,),
+                      guard=lambda x: np.abs(x[..., 0] - 0.4) >= 0.1)
+    grid = TimeGrid(0.0, 0.05, 20)
+    src = NoiseSource(33)
+    final, alive = integrate_batch(prob, grid, src, n_paths=6)
+    assert final.shape == (6, 2) and not alive.any()
+    for p in range(6):
+        single = integrate(prob, grid, src, path_index=p)
+        assert single.stopped and single.stopped_step < grid.steps - 1
+        assert_array_equal(final[p], single.final)
+
+
+@pytest.mark.parametrize("words", [1, 7, 84])
+def test_noise_window_changes_no_bit(monkeypatch, words):
+    # integrate draws max(1, words // 2) steps per window and the 6-path
+    # batch max(1, words // 12): windows of 1, 3 and 42 steps for a lone
+    # path and 1, 1 and 7 for the batch.  Paths 0, 4 and 5 trip their guard
+    # at steps 9, 10 and 8, inside a window for each size
+    prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: -x,
+                      diffusion=lambda t, x, dw: dw, noise_shape=(2,),
+                      guard=lambda x: np.abs(x).max(axis=-1) < 1.0)
+    grid = TimeGrid(0.0, 0.05, 20)
+    calls = []
+
+    class Counting(NoiseSource):
+        def normals_block(self, step, n_paths, count, first=0, steps=1):
+            calls.append(steps)
+            return super().normals_block(step, n_paths, count, first, steps)
+
+    src = Counting(33)
+    paths = [integrate(prob, grid, src, path_index=p) for p in range(6)]
+    final, alive = integrate_batch(prob, grid, src, n_paths=6)
+    assert [p.stopped_step for p in paths] == [9, None, None, None, 10, 8]
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", words)
+    calls.clear()
+    got_final, got_alive = integrate_batch(prob, grid, src, n_paths=6)
+    batch_window = max(1, words // 12)
+    assert calls == [min(batch_window, grid.steps - lo) for lo in range(0, 20, batch_window)]
+    assert_array_equal(got_final, final)
+    assert_array_equal(got_alive, alive)
+    for p, want in enumerate(paths):
+        got = integrate(prob, grid, src, path_index=p)
+        assert got.stopped_step == want.stopped_step
+        assert_array_equal(got.times, want.times)
+        assert_array_equal(got.states, want.states)
 
 
 def test_rk4_matches_closed_form_flow():
@@ -317,8 +383,8 @@ def _skew_from_flat(g, n):
 
 
 def _qv_reference(diffusion, state, noise_shape, dt, samples, seed=0):
-    """The per-sample definition of qv_oracle: sample b takes row b % 4096 of
-    normals_block at step b // 4096, and the sums add samples in index
+    """The per-sample definition of qv_oracle: sample b takes path b % 4096
+    of normals_block at step b // 4096, and the sums add samples in index
     order.  Returns the fields of a QvEstimate in order."""
     source = NoiseSource(seed, stream=104729)
     nr, nc = state.shape
@@ -329,7 +395,7 @@ def _qv_reference(diffusion, state, noise_shape, dt, samples, seed=0):
     done = step = 0
     while done < samples:
         take = min(4096, samples - done)
-        z = source.normals_block(step, take, count) * np.sqrt(dt)
+        z = source.normals_block(step, take, count)[0] * np.sqrt(dt)
         for b in range(take):
             dx = diffusion(0.0, state, z[b].reshape(noise_shape))
             terms = [dx @ dx.T / dt, dx.T @ dx / dt] + ([dx @ dx / dt] if sq else [])
