@@ -10,6 +10,7 @@ hashes of the inputs.  Exit codes: 0 success, 1 suite or run failure,
 import argparse
 import sys
 from pathlib import Path as FsPath
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,23 +26,53 @@ from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
 from .sde import qv_oracle
 from .verify import SUITE_NAMES, run_suite
 
-PROCESSES = ("on-bm", "stiefel", "grassmann", "poincare", "cartan-hadamard",
-             "wishart", "bw-bm", "vertical-bm", "sphere-vertical",
-             "eigen-wishart", "eigen-bw")
+_CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out")
+# the flags beyond the common ones that some process reads and others do not
+_PROCESS_FLAGS = ("n", "k", "route", "reproject", "P0", "M0", "lam0", "z0")
 
-_EIGEN = ("eigen-wishart", "eigen-bw")
-_NEEDS_WIDE_K = ("wishart", "bw-bm", "vertical-bm") + _EIGEN
-_ON_GROUP = ("on-bm", "stiefel", "grassmann")  # driven by Brownian motion on O(n)
-# the size flags each process's state shape ignores
-_UNREAD = {"on-bm": ("k",), "poincare": ("n", "k"), "cartan-hadamard": ("k",),
-           "sphere-vertical": ("k",)}
+
+class _Row(NamedTuple):
+    """One row of the process table: how to run path p, and what may be set."""
+    run: Callable  # (n, k, opts, cfg, p) -> Path; opts holds the input flags read
+    kind: str  # CSV kind: "matrix" states or "eigen" (l_i columns)
+    reads: tuple  # the _PROCESS_FLAGS it reads; giving any other one is an error
+    wide_k: bool = False  # k defaults to n, not 1
+    on_group: bool = False  # driven by Brownian motion on O(n), so n >= 2
+
+
+_PROCESSES = {
+    "on-bm": _Row(lambda n, k, o, cfg, p: bm_orthogonal(n, cfg, p),
+                  "matrix", ("n", "reproject"), on_group=True),
+    "stiefel": _Row(lambda n, k, o, cfg, p: bm_stiefel(n, k, cfg, p),
+                    "matrix", ("n", "k"), on_group=True),
+    "grassmann": _Row(lambda n, k, o, cfg, p: bm_grassmann(n, k, cfg, o["route"], p),
+                      "matrix", ("n", "k", "route"), on_group=True),
+    "poincare": _Row(lambda n, k, o, cfg, p: bm_poincare(cfg, o["z0"], p),
+                     "matrix", ("z0",)),
+    "cartan-hadamard": _Row(lambda n, k, o, cfg, p: bm_cartan_hadamard(n, cfg, p)[1],
+                            "matrix", ("n",)),
+    "wishart": _Row(lambda n, k, o, cfg, p: wishart(n, k, cfg, path_index=p)[1],
+                    "matrix", ("n", "k"), wide_k=True),
+    "bw-bm": _Row(lambda n, k, o, cfg, p: bm_bures_wasserstein(o["P0"], cfg, p),
+                  "matrix", ("n", "k", "P0"), wide_k=True),
+    "vertical-bm": _Row(lambda n, k, o, cfg, p: vertical_bm(o["M0"], cfg, path_index=p)[1],
+                        "matrix", ("n", "k", "M0"), wide_k=True),
+    "sphere-vertical": _Row(lambda n, k, o, cfg, p: sphere_vertical_bm(n, cfg, p)[0],
+                            "matrix", ("n",)),
+    "eigen-wishart": _Row(lambda n, k, o, cfg, p: eigen_sde("wishart", o["lam0"], n, k, cfg, p),
+                          "eigen", ("n", "k", "lam0"), wide_k=True),
+    "eigen-bw": _Row(lambda n, k, o, cfg, p: eigen_sde("bw", o["lam0"], n, k, cfg, p),
+                     "eigen", ("n", "k", "lam0"), wide_k=True),
+}
+PROCESSES = tuple(_PROCESSES)
 
 
 class ConfigError(Exception):
     """Bad flags, malformed input files, or schema violations (exit 2)."""
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: tuple) -> dict:
+    """key=value lines; a key outside `keys` is an error, not a silent no-op."""
     cfg = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -51,11 +82,22 @@ def _load_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                cfg[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in keys:
+                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}; "
+                                      f"keys are {', '.join(keys)}")
+                cfg[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return cfg
+
+
+def _reject_unread(args, mode: str, flags, file_cfg=()) -> None:
+    """Exit 2 on any of `flags` given to a `mode` that does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None or flag in file_cfg:
+            key = f" (config key {flag})" if flag in file_cfg else ""
+            raise ConfigError(f"{mode} does not read --{flag}{key}; leave it out")
 
 
 def _resolve(args, file_cfg: dict, key: str, cast, default):
@@ -99,91 +141,53 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _simulate_path(process: str, p: int, n: int, k: int, cfg: ProcessConfig,
-                   opts: dict):
-    """Run one path; returns (times, states, kind) with kind matrix|eigen."""
-    if process == "on-bm":
-        path = bm_orthogonal(n, cfg, path_index=p)
-    elif process == "stiefel":
-        path = bm_stiefel(n, k, cfg, path_index=p)
-    elif process == "grassmann":
-        path = bm_grassmann(n, k, cfg, route=opts["route"], path_index=p)
-    elif process == "poincare":
-        path = bm_poincare(cfg, z0=opts["z0"], path_index=p)
-    elif process == "cartan-hadamard":
-        path = bm_cartan_hadamard(n, cfg, path_index=p)[1]
-    elif process == "wishart":
-        path = wishart(n, k, cfg, path_index=p)[1]
-    elif process == "bw-bm":
-        path = bm_bures_wasserstein(opts["p0"], cfg, path_index=p)
-    elif process == "vertical-bm":
-        path = vertical_bm(opts["m0"], cfg, path_index=p)[1]
-    elif process == "sphere-vertical":
-        path = sphere_vertical_bm(n, cfg, path_index=p)[0]
-    elif process in _EIGEN:
-        kind = "wishart" if process == "eigen-wishart" else "bw"
-        path = eigen_sde(kind, opts["lam0"], n, k, cfg, path_index=p)
-        return path, "eigen"
-    else:
-        raise ConfigError(f"unknown process {process!r}")
-    return path, "matrix"
-
-
-def _svg_series(process: str, n: int, results: list) -> tuple:
+def _svg_series(process: str, kind: str, n: int, paths: list) -> tuple:
     """Pick plot series for up to 8 paths; returns (times, {label: values})."""
-    series = {}
-    times = None
     if process == "sphere-vertical":
-        path, _ = results[0]
+        path = paths[0]
         s = np.einsum("ti,ti->t", path.states, path.states)
-        times = path.times
-        series["S_t"] = s
-        series["reference"] = s[0] + (n - 1) * (path.times - path.times[0])
-        return times, series
-    for p, (path, kind) in enumerate(results[:8]):
-        if times is None or len(path.times) < len(times):
-            times = path.times
-        m = len(path.times)
-        if kind == "eigen":
-            for i in range(path.states.shape[1]):
-                series[f"path{p}_l{i + 1}"] = path.states[:m, i]
-        elif path.states.ndim == 3:
-            series[f"path{p}_trace"] = np.trace(path.states[:m], axis1=1, axis2=2)
+        return path.times, {"S_t": s, "reference": s[0] + (n - 1) * (path.times - path.times[0])}
+    times = min((path.times for path in paths[:8]), key=len)
+    series = {}
+    for p, path in enumerate(paths[:8]):
+        if path.states.ndim == 3:
+            series[f"path{p}_trace"] = np.trace(path.states, axis1=1, axis2=2)
         else:
             for i in range(path.states.shape[1]):
-                series[f"path{p}_x{i}"] = path.states[:m, i]
-    m = len(times)
-    series = {lab: np.asarray(v)[:m] for lab, v in series.items()}
-    return times, series
+                label = f"l{i + 1}" if kind == "eigen" else f"x{i}"
+                series[f"path{p}_{label}"] = path.states[:, i]
+    return times, {label: v[:len(times)] for label, v in series.items()}
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config, _CONFIG_KEYS) if args.config else {}
     process = _resolve(args, file_cfg, "process", str, None)
     if process is None:
         raise ConfigError("simulate needs --process (or process= in the config file)")
-    if process not in PROCESSES:
+    if process not in _PROCESSES:
         raise ConfigError(f"unknown process {process!r}; choose from {', '.join(PROCESSES)}")
-    for key in _UNREAD.get(process, ()):
-        if getattr(args, key) is not None or key in file_cfg:
-            raise ConfigError(f"--process {process} does not read --{key} "
-                              f"(or config key {key}); leave it out")
+    row = _PROCESSES[process]
+    _reject_unread(args, f"--process {process}",
+                   [flag for flag in _PROCESS_FLAGS if flag not in row.reads], file_cfg)
     n = _resolve(args, file_cfg, "n", int, None)
     k = _resolve(args, file_cfg, "k", int, None)
-    inputs = {}
-    opts = {"route": args.route}
-    if process == "vertical-bm" and args.M0:
+    # each input flag is parsed once, keyed by the flag: unread ones are rejected above
+    opts = {}
+    if args.M0:
         # the factor's shape sets n and k; an explicit n or k must agree
-        opts["m0"] = _read_matrix(args.M0)
-        inputs["M0"] = FsPath(args.M0).read_bytes()
-        shape = opts["m0"].shape
+        opts["M0"] = _read_matrix(args.M0)
+        shape = opts["M0"].shape
         asked = (shape[0] if n is None else n, shape[1] if k is None else k)
         if asked != shape:
             raise ConfigError(f"--M0 {args.M0} is {shape[0]}x{shape[1]}, but n and k "
                               f"ask for {asked[0]}x{asked[1]}")
+        try:
+            vertical_problem(opts["M0"])
+        except ValueError as exc:
+            raise ConfigError(f"--M0 {args.M0}: {exc}") from exc
         n, k = shape
     n = 2 if n is None else n
-    k = (n if process in _NEEDS_WIDE_K else 1) if k is None else k
+    k = (n if row.wide_k else 1) if k is None else k
     t_end = _resolve(args, file_cfg, "t", float, 1.0)
     dt = _resolve(args, file_cfg, "dt", float, 1e-3)
     n_paths = _resolve(args, file_cfg, "paths", int, 1)
@@ -198,38 +202,32 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"need seed >= 0 and stream >= 0; got seed={seed}, stream={stream}")
     if n < 1 or k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
-    if process in _ON_GROUP and n < 2:
+    if row.on_group and n < 2:
         raise ConfigError(f"{process} runs Brownian motion on O(n), which needs n >= 2; "
                           f"got n={n}")
+    if process == "bw-bm" and k != n:
+        raise ConfigError(f"bw-bm needs k = n (square noise); got n={n}, k={k}")
 
-    if process == "bw-bm":
-        if k != n:
-            raise ConfigError(f"bw-bm needs k = n (square noise); got n={n}, k={k}")
-        if args.P0:
-            opts["p0"] = _read_matrix(args.P0)
-            inputs["P0"] = FsPath(args.P0).read_bytes()
-            if opts["p0"].shape != (n, n):
-                raise ConfigError(f"--P0 {args.P0} is {opts['p0'].shape[0]}x"
-                                  f"{opts['p0'].shape[1]}, need {n}x{n} for n={n}")
-            try:
-                require_spd(opts["p0"])
-            except ValueError as exc:
-                raise ConfigError(f"--P0 {args.P0}: {exc}") from exc
-        else:
-            opts["p0"] = np.eye(n)
-    if process == "vertical-bm" and not args.M0:
-        opts["m0"] = np.eye(n, k)
-    elif process == "vertical-bm":
+    if "route" in row.reads:
+        opts["route"] = args.route or "pushforward"
+    if "P0" in row.reads:
+        opts["P0"] = _read_matrix(args.P0) if args.P0 else np.eye(n)
+    if args.P0:
+        if opts["P0"].shape != (n, n):
+            raise ConfigError(f"--P0 {args.P0} is {opts['P0'].shape[0]}x"
+                              f"{opts['P0'].shape[1]}, need {n}x{n} for n={n}")
         try:
-            vertical_problem(opts["m0"])
+            require_spd(opts["P0"])
         except ValueError as exc:
-            raise ConfigError(f"--M0 {args.M0}: {exc}") from exc
-    if process in _EIGEN:
+            raise ConfigError(f"--P0 {args.P0}: {exc}") from exc
+    if "M0" in row.reads and not args.M0:
+        opts["M0"] = np.eye(n, k)
+    if "lam0" in row.reads:
         opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0
                         else np.arange(k, 0, -1, dtype=float))
         if opts["lam0"].shape[0] != k:
             raise ConfigError(f"--lam0 has {opts['lam0'].shape[0]} entries, need k={k}")
-    if process == "poincare":
+    if "z0" in row.reads:
         z0 = _parse_floats(args.z0, "--z0") if args.z0 else np.array([0.0, 1.0])
         if z0.shape[0] != 2 or z0[1] <= 0:
             raise ConfigError("--z0 must be x,y with y > 0")
@@ -240,37 +238,32 @@ def cmd_simulate(args) -> int:
         cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    inputs = {flag: FsPath(getattr(args, flag)).read_bytes() for flag in ("P0", "M0")
+              if getattr(args, flag)}
     try:
-        results = [_simulate_path(process, p, n, k, cfg, opts) for p in range(n_paths)]
+        paths = [row.run(n, k, opts, cfg, p) for p in range(n_paths)]
     except (ValueError, FloatingPointError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
         return 1
 
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    stopped = []
-    for p, (path, kind) in enumerate(results):
-        name = f"path_{p:04d}.csv"
+    emit = emit_eigen_csv if row.kind == "eigen" else emit_csv
+    outputs = [f"path_{p:04d}.csv" for p in range(n_paths)]
+    for name, path in zip(outputs, paths):
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            if kind == "eigen":
-                emit_eigen_csv(path.times, path.states, fh)
-            else:
-                emit_csv(path.times, path.states, fh)
-        outputs.append(name)
-        if path.stopped:
-            stopped.append({"path": p, "step": path.stopped_step,
-                            "reason": path.stop_reason})
+            emit(path.times, path.states, fh)
+    stopped = [{"path": p, "step": path.stopped_step, "reason": path.stop_reason}
+               for p, path in enumerate(paths) if path.stopped]
     if args.svg:
-        times, series = _svg_series(process, n, results)
+        times, series = _svg_series(process, row.kind, n, paths)
         with open(out / "plot.svg", "w", encoding="utf-8", newline="\n") as fh:
             emit_svg(times, series, fh, title=process)
         outputs.append("plot.svg")
 
     config = {"subcommand": "simulate", "process": process, "n": n, "k": k,
               "t": t_end, "dt": dt, "paths": n_paths, "seed": seed,
-              "stream": stream, "svg": bool(args.svg),
-              "route": opts["route"] if process == "grassmann" else None,
+              "stream": stream, "svg": bool(args.svg), "route": opts.get("route"),
               "stopped": stopped}
     manifest = build_manifest(config, inputs=inputs, outputs=outputs)
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -282,6 +275,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_drift(args) -> int:
+    _reject_unread(args, f"drift --which {args.which}", () if args.which == "J-R" else ("R",))
     p = _read_matrix(args.input)
     try:
         require_spd(p)
@@ -305,6 +299,8 @@ def cmd_drift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _reject_unread(args, f"verify --suite {args.suite}",
+                   () if args.suite == "constants" else ("out",))
     kwargs = {}
     if args.seed is not None:
         if args.seed < 0:
@@ -371,19 +367,23 @@ def _print_qv(name: str, mean: np.ndarray, se: np.ndarray) -> None:
 
 def cmd_oracle(args) -> int:
     if args.target == "qv":
+        kind = args.kind or "wiener"
+        _reject_unread(args, "oracle --target qv", ("input", "R"))
+        _reject_unread(args, f"oracle --kind {kind}", () if kind == "wiener" else ("k",))
         n = 2 if args.n is None else args.n
         k = n if args.k is None else args.k
-        if args.kind != "wiener" and args.k is not None:
-            raise ConfigError(f"oracle --kind {args.kind} does not read --k; leave it out")
-        if n < 1 or k < 1 or args.samples < 1 or args.dt <= 0 or args.seed < 0:
+        dt = 1e-3 if args.dt is None else args.dt
+        samples = 4000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        if n < 1 or k < 1 or samples < 1 or dt <= 0 or seed < 0:
             raise ConfigError(f"oracle needs n >= 1, k >= 1, samples >= 1, dt > 0 and "
-                              f"seed >= 0; got n={n}, k={k}, samples={args.samples}, "
-                              f"dt={args.dt:g}, seed={args.seed}")
-        if args.kind == "wiener":
+                              f"seed >= 0; got n={n}, k={k}, samples={samples}, "
+                              f"dt={dt:g}, seed={seed}")
+        if kind == "wiener":
             state = np.zeros((n, k))
             diffusion = lambda t, s, dw: dw
             shape = (n, k)
-        elif args.kind == "skew":
+        elif kind == "skew":
             try:
                 basis = so_basis(n)
             except ValueError as exc:
@@ -392,21 +392,20 @@ def cmd_oracle(args) -> int:
             state = np.eye(n)
             shape = (basis.dim,)
         else:  # sphere
-            state = np.zeros((n, 1))
-            state[0, 0] = 1.0
+            state = np.eye(n, 1)
             diffusion = lambda t, s, dw: dw - s @ (mT(s) @ dw)
             shape = (n, 1)
-        est = qv_oracle(diffusion, state, shape, args.dt, args.samples,
-                        seed=args.seed)
-        k_field = f" k={k}" if args.kind == "wiener" else ""
-        print(f"qv oracle: kind={args.kind} n={n}{k_field} dt={args.dt:g} "
-              f"samples={args.samples}")
+        est = qv_oracle(diffusion, state, shape, dt, samples, seed=seed)
+        k_field = f" k={k}" if kind == "wiener" else ""
+        print(f"qv oracle: kind={kind} n={n}{k_field} dt={dt:g} samples={samples}")
         _print_qv("E[dX dX^T]/dt", est.outer, est.outer_se)
         _print_qv("E[dX^T dX]/dt", est.inner, est.inner_se)
         if est.square is not None:
             _print_qv("E[dX dX]/dt", est.square, est.square_se)
         return 0
     # fd-gradient of the orbit log-volume at M
+    _reject_unread(args, "oracle --target fd-gradient",
+                   ("kind", "n", "k", "samples", "dt", "seed"))
     m = _read_matrix(args.input) if args.input else None
     if m is None:
         raise ConfigError("oracle --target fd-gradient needs --input M.csv")
@@ -437,11 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="output directory")
     sim.add_argument("--svg", action="store_true", help="also write plot.svg")
     sim.add_argument("--config", default=None, help="key=value config file; flags win")
-    sim.add_argument("--route", choices=("pushforward", "ito"), default="pushforward",
-                     help="grassmann integration route")
-    sim.add_argument("--reproject", action="store_true",
-                     help="no effect, kept for old scripts: every on-bm step "
-                          "stays on O(n) to rounding")
+    sim.add_argument("--route", choices=("pushforward", "ito"), default=None,
+                     help="grassmann integration route (default pushforward)")
+    sim.add_argument("--reproject", action="store_true", default=None,
+                     help="on-bm only; no effect: every on-bm step stays on O(n) to rounding")
     sim.add_argument("--P0", default=None, help="initial SPD matrix CSV (bw-bm)")
     sim.add_argument("--M0", default=None, help="initial factor CSV (vertical-bm)")
     sim.add_argument("--lam0", default=None, help="initial eigenvalues, comma separated")
@@ -471,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="quadratic-variation and gradient oracles")
     orc.add_argument("--target", choices=("qv", "fd-gradient"), required=True)
-    orc.add_argument("--kind", choices=("wiener", "skew", "sphere"), default="wiener")
+    orc.add_argument("--kind", choices=("wiener", "skew", "sphere"), help="default wiener")
     orc.add_argument("--n", type=int, default=None)
     orc.add_argument("--k", type=int, default=None)
-    orc.add_argument("--dt", type=float, default=1e-3)
-    orc.add_argument("--samples", type=int, default=4000)
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--dt", type=float, default=None, help="qv step (default 1e-3)")
+    orc.add_argument("--samples", type=int, default=None, help="qv samples (default 4000)")
+    orc.add_argument("--seed", type=int, default=None, help="qv seed (default 0)")
     orc.add_argument("--input", default=None, help="matrix CSV (fd-gradient)")
     orc.add_argument("--R", default=None, help="metric matrix CSV")
     orc.set_defaults(fn=cmd_oracle)

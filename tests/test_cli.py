@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orbitflow.cli import main
+from orbitflow.cli import PROCESSES, main
 from orbitflow.reporting import read_matrix_csv, read_path_csv
 
 
@@ -248,6 +248,78 @@ def test_simulate_rejects_an_unread_size_from_the_config_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--k" in err and "config key k" in err and "sphere-vertical" in err
+
+
+@pytest.mark.parametrize("argv, cfg_text, named", [
+    # input flags of another process
+    (["simulate", "--process", "on-bm", "--P0", "{P}"], None, ("--P0", "on-bm")),
+    (["simulate", "--process", "wishart", "--lam0", "3,1"], None, ("--lam0", "wishart")),
+    (["simulate", "--process", "on-bm", "--route", "ito"], None, ("--route", "on-bm")),
+    (["simulate", "--process", "cartan-hadamard", "--z0", "0,2"], None,
+     ("--z0", "cartan-hadamard")),
+    (["simulate", "--process", "poincare", "--M0", "{P}"], None, ("--M0", "poincare")),
+    (["simulate", "--process", "wishart", "--reproject"], None, ("--reproject", "wishart")),
+    # config keys that simulate does not resolve, named with their file and line
+    (["simulate"], "process = grassmann\nroute = ito\n", ("{CFG}:2", "'route'")),
+    (["simulate", "--process", "wishart"], "svg = 1\n", ("{CFG}:1", "'svg'")),
+    (["simulate", "--process", "wishart"], "t = 0.01\ndtt = 0.5\n", ("{CFG}:2", "'dtt'")),
+    # a metric that only --which J-R reads, and a report directory that only
+    # the constants suite writes
+    (["drift", "--which", "spectral", "--input", "{P}", "--R", "{P}"], None,
+     ("--R", "spectral")),
+    (["drift", "--which", "gradient", "--input", "{P}", "--R", "{P}"], None,
+     ("--R", "gradient")),
+    (["verify", "--suite", "control", "--out", "{OUT}"], None, ("--out", "control")),
+    # oracle flags of the other target
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--kind", "skew"], None,
+     ("--kind", "fd-gradient")),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--n", "2"], None,
+     ("--n", "fd-gradient")),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--k", "2"], None,
+     ("--k", "fd-gradient")),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--samples", "10"], None,
+     ("--samples", "fd-gradient")),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--dt", "0.1"], None,
+     ("--dt", "fd-gradient")),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--seed", "1"], None,
+     ("--seed", "fd-gradient")),
+    (["oracle", "--target", "qv", "--samples", "10", "--input", "{P}"], None,
+     ("--input", "qv")),
+    (["oracle", "--target", "qv", "--samples", "10", "--R", "{P}"], None, ("--R", "qv")),
+])
+def test_a_flag_or_config_key_the_mode_does_not_read_exits_two(tmp_path, capsys, argv,
+                                                               cfg_text, named):
+    # no flag or config key is silently ignored: each was dropped at exit 0 before
+    files = {"{P}": _spd_csv(tmp_path), "{OUT}": str(tmp_path / "out"),
+             "{CFG}": str(tmp_path / "run.cfg")}
+    argv = [files.get(a, a) for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--t", "0.01", "--out", files["{OUT}"]]
+    if cfg_text is not None:
+        argv += ["--config", _write(tmp_path / "run.cfg", cfg_text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for text in named:
+        for key, path in files.items():
+            text = text.replace(key, path)
+        assert text in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("process", PROCESSES)
+def test_every_process_runs_with_default_flags(tmp_path, process):
+    out = tmp_path / "run"
+    assert main(["simulate", "--process", process, "--out", str(out)]) == 0
+    _, _, cols = read_path_csv(out / "path_0000.csv")
+    assert (cols == ["l_1", "l_2"]) == process.startswith("eigen-")
+    route = json.loads((out / "manifest.json").read_text())["config"]["route"]
+    assert route == ("pushforward" if process == "grassmann" else None)
+
+
+def test_oracle_defaults_are_resolved_to_the_same_values(capsys):
+    assert main(["oracle", "--target", "qv", "--samples", "10"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "qv oracle: kind=wiener n=2 k=2 dt=0.001 samples=10"
 
 
 def test_simulate_reproject_flag_changes_nothing(tmp_path):
