@@ -4,10 +4,11 @@ Every run is reproducible: paths draw noise keyed by (seed, stream, path,
 step), so path p's CSV is the same bytes whatever the number of paths, and
 each output directory carries a manifest with the resolved config and content
 hashes of the inputs.  Exit codes: 0 success, 1 suite or run failure,
-2 config error.
+2 config error.  A simulate run that fails part way writes no manifest.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path as FsPath
 from typing import Callable, NamedTuple
@@ -17,13 +18,13 @@ import numpy as np
 from .control import integrate_control, load_schedule
 from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_log_volume
 from .matcore import fd_gradient, mT, require_spd, so_basis, sqrtm_spd
-from .processes import (ProcessConfig, bm_bures_wasserstein, bm_cartan_hadamard,
-                        bm_grassmann, bm_orthogonal, bm_poincare, bm_stiefel,
-                        eigen_sde, sphere_vertical_bm, vertical_bm, vertical_problem,
-                        wishart)
+from .processes import (ProcessConfig, bures_wasserstein_problem, cartan_hadamard_problem,
+                        eigen_problem, gram, grassmann_ito_problem, orthogonal_problem,
+                        poincare_problem, sl2_to_halfplane, sphere_problem,
+                        vertical_problem, wishart_problem)
 from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
                         read_matrix_csv, write_manifest, write_matrix_csv)
-from .sde import qv_oracle
+from .sde import integrate, path_chunks, qv_oracle
 from .verify import SUITE_NAMES, run_suite
 
 _CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out")
@@ -32,8 +33,10 @@ _PROCESS_FLAGS = ("n", "k", "route", "reproject", "P0", "M0", "lam0", "z0")
 
 
 class _Row(NamedTuple):
-    """One row of the process table: how to run path p, and what may be set."""
-    run: Callable  # (n, k, opts, cfg, p) -> Path; opts holds the input flags read
+    """One row of the process table: the problem it integrates, the map from
+    integrated states to written ones, and what may be set."""
+    problem: Callable  # (n, k, opts) -> SdeProblem; opts holds the input flags read
+    image: Callable | None  # (states, k, opts) -> written states; None writes them as is
     kind: str  # CSV kind: "matrix" states or "eigen" (l_i columns)
     reads: tuple  # the _PROCESS_FLAGS it reads; giving any other one is an error
     wide_k: bool = False  # k defaults to n, not 1
@@ -41,27 +44,28 @@ class _Row(NamedTuple):
 
 
 _PROCESSES = {
-    "on-bm": _Row(lambda n, k, o, cfg, p: bm_orthogonal(n, cfg, p),
+    "on-bm": _Row(lambda n, k, o: orthogonal_problem(n), None,
                   "matrix", ("n", "reproject"), on_group=True),
-    "stiefel": _Row(lambda n, k, o, cfg, p: bm_stiefel(n, k, cfg, p),
+    "stiefel": _Row(lambda n, k, o: orthogonal_problem(n), lambda s, k, o: s[..., :k],
                     "matrix", ("n", "k"), on_group=True),
-    "grassmann": _Row(lambda n, k, o, cfg, p: bm_grassmann(n, k, cfg, o["route"], p),
+    "grassmann": _Row(lambda n, k, o: (orthogonal_problem(n) if o["route"] == "pushforward"
+                                       else grassmann_ito_problem(n, k)),
+                      lambda s, k, o: gram(s[..., :k]) if o["route"] == "pushforward" else s,
                       "matrix", ("n", "k", "route"), on_group=True),
-    "poincare": _Row(lambda n, k, o, cfg, p: bm_poincare(cfg, o["z0"], p),
-                     "matrix", ("z0",)),
-    "cartan-hadamard": _Row(lambda n, k, o, cfg, p: bm_cartan_hadamard(n, cfg, p)[1],
-                            "matrix", ("n",)),
-    "wishart": _Row(lambda n, k, o, cfg, p: wishart(n, k, cfg, path_index=p)[1],
+    "poincare": _Row(lambda n, k, o: poincare_problem(o["z0"]),
+                     lambda s, k, o: sl2_to_halfplane(s), "matrix", ("z0",)),
+    "cartan-hadamard": _Row(lambda n, k, o: cartan_hadamard_problem(n),
+                            lambda s, k, o: gram(s), "matrix", ("n",)),
+    "wishart": _Row(lambda n, k, o: wishart_problem(n, k), lambda s, k, o: gram(s),
                     "matrix", ("n", "k"), wide_k=True),
-    "bw-bm": _Row(lambda n, k, o, cfg, p: bm_bures_wasserstein(o["P0"], cfg, p),
+    "bw-bm": _Row(lambda n, k, o: bures_wasserstein_problem(o["P0"]), None,
                   "matrix", ("n", "k", "P0"), wide_k=True),
-    "vertical-bm": _Row(lambda n, k, o, cfg, p: vertical_bm(o["M0"], cfg, path_index=p)[1],
+    "vertical-bm": _Row(lambda n, k, o: vertical_problem(o["M0"]), lambda s, k, o: gram(s),
                         "matrix", ("n", "k", "M0"), wide_k=True),
-    "sphere-vertical": _Row(lambda n, k, o, cfg, p: sphere_vertical_bm(n, cfg, p)[0],
-                            "matrix", ("n",)),
-    "eigen-wishart": _Row(lambda n, k, o, cfg, p: eigen_sde("wishart", o["lam0"], n, k, cfg, p),
+    "sphere-vertical": _Row(lambda n, k, o: sphere_problem(n), None, "matrix", ("n",)),
+    "eigen-wishart": _Row(lambda n, k, o: eigen_problem("wishart", o["lam0"], n, k), None,
                           "eigen", ("n", "k", "lam0"), wide_k=True),
-    "eigen-bw": _Row(lambda n, k, o, cfg, p: eigen_sde("bw", o["lam0"], n, k, cfg, p),
+    "eigen-bw": _Row(lambda n, k, o: eigen_problem("bw", o["lam0"], n, k), None,
                      "eigen", ("n", "k", "lam0"), wide_k=True),
 }
 PROCESSES = tuple(_PROCESSES)
@@ -72,8 +76,9 @@ class ConfigError(Exception):
 
 
 def _load_config_file(path: str, keys: tuple) -> dict:
-    """key=value lines; a key outside `keys` is an error, not a silent no-op."""
-    cfg = {}
+    """key=value lines; a key outside `keys`, or one set twice, is an error,
+    not a silent no-op."""
+    cfg, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, start=1):
@@ -86,7 +91,10 @@ def _load_config_file(path: str, keys: tuple) -> dict:
                 if key not in keys:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}; "
                                       f"keys are {', '.join(keys)}")
-                cfg[key] = val
+                if key in lines:
+                    raise ConfigError(f"{path}:{ln}: key {key!r} is set again; "
+                                      f"line {lines[key]} set it first")
+                cfg[key], lines[key] = val, ln
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return cfg
@@ -135,21 +143,26 @@ def _read_metric(path: str, input_path: str, x: np.ndarray) -> MetricR:
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
+    """Comma-separated floats; an empty or blank entry is an error."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"bad {what} {text!r}: empty entry")
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        return np.array([float(tok) for tok in tokens])
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _svg_series(process: str, kind: str, n: int, paths: list) -> tuple:
-    """Pick plot series for up to 8 paths; returns (times, {label: values})."""
+    """Plot series for the given paths (simulate passes at most the first 8);
+    returns (times, {label: values})."""
     if process == "sphere-vertical":
         path = paths[0]
         s = np.einsum("ti,ti->t", path.states, path.states)
         return path.times, {"S_t": s, "reference": s[0] + (n - 1) * (path.times - path.times[0])}
-    times = min((path.times for path in paths[:8]), key=len)
+    times = min((path.times for path in paths), key=len)
     series = {}
-    for p, path in enumerate(paths[:8]):
+    for p, path in enumerate(paths):
         if path.states.ndim == 3:
             series[f"path{p}_trace"] = np.trace(path.states, axis1=1, axis2=2)
         else:
@@ -173,6 +186,7 @@ def cmd_simulate(args) -> int:
     k = _resolve(args, file_cfg, "k", int, None)
     # each input flag is parsed once, keyed by the flag: unread ones are rejected above
     opts = {}
+    problem = None
     if args.M0:
         # the factor's shape sets n and k; an explicit n or k must agree
         opts["M0"] = _read_matrix(args.M0)
@@ -182,7 +196,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--M0 {args.M0} is {shape[0]}x{shape[1]}, but n and k "
                               f"ask for {asked[0]}x{asked[1]}")
         try:
-            vertical_problem(opts["M0"])
+            problem = vertical_problem(opts["M0"])
         except ValueError as exc:
             raise ConfigError(f"--M0 {args.M0}: {exc}") from exc
         n, k = shape
@@ -223,40 +237,55 @@ def cmd_simulate(args) -> int:
     if "M0" in row.reads and not args.M0:
         opts["M0"] = np.eye(n, k)
     if "lam0" in row.reads:
-        opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0
+        opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0 is not None
                         else np.arange(k, 0, -1, dtype=float))
         if opts["lam0"].shape[0] != k:
             raise ConfigError(f"--lam0 has {opts['lam0'].shape[0]} entries, need k={k}")
     if "z0" in row.reads:
-        z0 = _parse_floats(args.z0, "--z0") if args.z0 else np.array([0.0, 1.0])
+        z0 = _parse_floats(args.z0, "--z0") if args.z0 is not None else np.array([0.0, 1.0])
         if z0.shape[0] != 2 or z0[1] <= 0:
             raise ConfigError("--z0 must be x,y with y > 0")
         opts["z0"] = (float(z0[0]), float(z0[1]))
 
     cfg = ProcessConfig(t_end=t_end, dt=dt, seed=seed, stream=stream)
     try:
-        cfg.grid()
+        grid = cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if problem is None:  # vertical-bm's --M0 check built it already
+        try:
+            problem = row.problem(n, k, opts)
+        except ValueError as exc:
+            raise ConfigError(f"--process {process}: {exc}") from exc
     inputs = {flag: FsPath(getattr(args, flag)).read_bytes() for flag in ("P0", "M0")
               if getattr(args, flag)}
-    try:
-        paths = [row.run(n, k, opts, cfg, p) for p in range(n_paths)]
-    except (ValueError, FloatingPointError) as exc:
-        print(f"simulate failed: {exc}", file=sys.stderr)
-        return 1
 
+    # each path's CSV is written when the path ends; only the stop records
+    # and the paths that plot.svg draws are kept
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = emit_eigen_csv if row.kind == "eigen" else emit_csv
     outputs = [f"path_{p:04d}.csv" for p in range(n_paths)]
-    for name, path in zip(outputs, paths):
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            emit(path.times, path.states, fh)
-    stopped = [{"path": p, "step": path.stopped_step, "reason": path.stop_reason}
-               for p, path in enumerate(paths) if path.stopped]
+    stopped, plotted = [], []
+    count = int(np.prod(problem.noise_shape))
+    for chunk, noise in path_chunks(cfg.source(), n_paths, count, grid.steps):
+        for p in chunk:
+            try:
+                path = integrate(problem, grid, noise, p)
+                if row.image is not None:
+                    path = dataclasses.replace(path, states=row.image(path.states, k, opts))
+            except (ValueError, FloatingPointError) as exc:
+                print(f"simulate failed at path {p}: {exc}", file=sys.stderr)
+                return 1
+            with open(out / outputs[p], "w", encoding="utf-8", newline="\n") as fh:
+                emit(path.times, path.states, fh)
+            if path.stopped:
+                stopped.append({"path": p, "step": path.stopped_step,
+                                "reason": path.stop_reason})
+            if args.svg and p < 8:
+                plotted.append(path)
     if args.svg:
-        times, series = _svg_series(process, row.kind, n, paths)
+        times, series = _svg_series(process, row.kind, n, plotted)
         with open(out / "plot.svg", "w", encoding="utf-8", newline="\n") as fh:
             emit_svg(times, series, fh, title=process)
         outputs.append("plot.svg")

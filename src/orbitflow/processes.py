@@ -3,8 +3,12 @@
 Each process is defined once, by a problem builder (`*_problem`) whose drift,
 diffusion, guard and post_step accept states with any leading batch axes and
 give the same bits on a batch as on one slice (all but `vertical_problem`,
-whose projection works on one matrix).  The single-path functions
-here run that problem through `sde.integrate`; `ensembles` runs the same
+whose projection works on one matrix).  The single-path functions here
+(`bm_*`, `wishart`, `eigen_sde`, `vertical_bm`, `sphere_vertical_bm`) run
+that problem through `sde.integrate` for library callers; `orbitflow
+simulate` does not call them: it builds the problem once and runs each path
+through `sde.integrate` itself, mapping states through `gram`,
+`sl2_to_halfplane` or a column cut as they do.  `ensembles` runs the same
 problem over a path axis with `sde.integrate_batch`.  The builders validate
 their inputs; the step functions do not.
 
@@ -58,7 +62,8 @@ def gram(x) -> np.ndarray:
 
 
 def _dot(a, b) -> np.ndarray:
-    return (a * b).sum(axis=-1)
+    # the reduction ndarray.sum runs, without its Python-level dispatch
+    return np.add.reduce(a * b, axis=-1)
 
 
 def squared_norm(x) -> np.ndarray:

@@ -112,6 +112,27 @@ class NoiseSource:
         return self._to_normal(words).reshape(steps, n_paths, count)
 
 
+class NoiseBlock:
+    """The normals of paths first..first+n_paths-1 at steps 0..steps-1,
+    drawn by one `source.normals_block` call.  Its `normals_block` answers a
+    window inside that draw by slicing, with the bits of the source's own
+    draw, so it stands in for the source in `integrate`."""
+
+    def __init__(self, source: NoiseSource, first: int, n_paths: int, count: int,
+                 steps: int):
+        self.first = first
+        self.z = source.normals_block(0, n_paths, count, first, steps)
+
+    def normals_block(self, step: int, n_paths: int, count: int, first: int = 0,
+                      steps: int = 1) -> np.ndarray:
+        lo = first - self.first
+        if (count != self.z.shape[2] or lo < 0 or lo + n_paths > self.z.shape[1]
+                or step < 0 or step + steps > self.z.shape[0]):
+            raise ValueError(f"{n_paths} path(s) from {first}, {steps} step(s) from {step}, "
+                             f"count {count}: outside the block {self.z.shape} from {self.first}")
+        return self.z[step:step + steps, lo:lo + n_paths]
+
+
 @dataclass
 class SdeProblem:
     """Problem description for `integrate` and `integrate_batch`.
@@ -161,7 +182,8 @@ class Path:
 
 
 # the Euler loop draws its noise max(1, _WINDOW_WORDS // (paths * count))
-# steps at a time; every value is elementwise, so the window changes no bit
+# steps at a time, and `path_chunks` draws whole runs of paths within the
+# same budget; every value is elementwise, so neither size changes a bit
 _WINDOW_WORDS = 2 ** 14
 
 
@@ -250,6 +272,19 @@ def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | N
     whose guard trips keeps its last valid state to the end of the grid.
     """
     return _euler(problem, grid, source, 0, n_paths)
+
+
+def path_chunks(source: NoiseSource, n_paths: int, count: int, steps: int):
+    """Split paths 0..n_paths-1 into runs of max(1, _WINDOW_WORDS //
+    (steps * count)) paths, the Euler loop's word budget, and yield
+    (paths, noise) per run: noise is a `NoiseBlock` drawn for the run's
+    `steps` steps, or the source itself for a run of one path.  Each path's
+    draws keep their bits, so the split changes no value."""
+    size = max(1, _WINDOW_WORDS // max(1, steps * count))
+    for lo in range(0, n_paths, size):
+        hi = min(lo + size, n_paths)
+        yield range(lo, hi), (source if hi - lo == 1
+                              else NoiseBlock(source, lo, hi - lo, count, steps))
 
 
 def rk4(f, x0: np.ndarray, duration, steps: int) -> np.ndarray:

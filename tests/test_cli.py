@@ -1,14 +1,21 @@
 """End-to-end command line checks: exit codes, artifact layout, config
-resolution, and byte-identical output across worker counts."""
+resolution, and byte-identical output across worker counts and path chunks."""
 
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from orbitflow import cli, sde
 from orbitflow.cli import PROCESSES, main
-from orbitflow.reporting import read_matrix_csv, read_path_csv
+from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein, bm_cartan_hadamard,
+                                 bm_grassmann, bm_orthogonal, bm_poincare, bm_stiefel,
+                                 eigen_sde, sphere_vertical_bm, vertical_bm, wishart)
+from orbitflow.reporting import emit_csv, emit_eigen_csv, read_matrix_csv, read_path_csv
+from orbitflow.sde import NoiseSource
 
 
 def _write(path, text):
@@ -157,6 +164,12 @@ def test_simulate_eigen_headers_and_lam0(tmp_path):
     _, vals, cols = read_path_csv(out / "path_0000.csv")
     assert cols == ["l_1", "l_2"]
     assert_allclose(vals[0], [5.0, 1.0], rtol=0, atol=0)
+    # blanks around an entry are not an empty entry
+    spaced = tmp_path / "spaced"
+    assert main(["simulate", "--process", "eigen-wishart", "--n", "2", "--k", "2",
+                 "--lam0", "5, 1", "--t", "0.02", "--dt", "1e-3", "--out", str(spaced)]) == 0
+    assert ((spaced / "path_0000.csv").read_bytes()
+            == (out / "path_0000.csv").read_bytes())
 
 
 def test_simulate_lam0_length_mismatch(tmp_path, capsys):
@@ -348,6 +361,99 @@ def test_simulate_exits_zero_when_guards_stop_every_path(tmp_path, capsys):
     assert "path 1 stopped at step 0: spectrum guard" in capsys.readouterr().out
 
 
+# each process at the CLI defaults (n = 2), with the single-path library run
+# that must give path p's CSV; the last two add the Ito route and a start
+# 1e-7 from the rank guard, where guards stop paths inside the chunks
+_CHUNK_CASES = [
+    ("on-bm", [], lambda cfg, p: bm_orthogonal(2, cfg, p)),
+    ("stiefel", [], lambda cfg, p: bm_stiefel(2, 1, cfg, p)),
+    ("grassmann", [], lambda cfg, p: bm_grassmann(2, 1, cfg, "pushforward", p)),
+    ("poincare", [], lambda cfg, p: bm_poincare(cfg, (0.0, 1.0), p)),
+    ("cartan-hadamard", [], lambda cfg, p: bm_cartan_hadamard(2, cfg, p)[1]),
+    ("wishart", [], lambda cfg, p: wishart(2, 2, cfg, path_index=p)[1]),
+    ("bw-bm", [], lambda cfg, p: bm_bures_wasserstein(np.eye(2), cfg, p)),
+    ("vertical-bm", [], lambda cfg, p: vertical_bm(np.eye(2), cfg, path_index=p)[1]),
+    ("sphere-vertical", [], lambda cfg, p: sphere_vertical_bm(2, cfg, p)[0]),
+    ("eigen-wishart", [], lambda cfg, p: eigen_sde("wishart", [2.0, 1.0], 2, 2, cfg, p)),
+    ("eigen-bw", [], lambda cfg, p: eigen_sde("bw", [2.0, 1.0], 2, 2, cfg, p)),
+    ("grassmann", ["--n", "3", "--k", "2", "--route", "ito"],
+     lambda cfg, p: bm_grassmann(3, 2, cfg, "ito", p)),
+    ("bw-bm", ["--P0", "{P_LOW}"],
+     lambda cfg, p: bm_bures_wasserstein(np.diag([1.0, 1e-7]), cfg, p)),
+]
+
+
+@pytest.mark.parametrize("process, flags, library", _CHUNK_CASES,
+                         ids=[" ".join([c[0]] + c[1]) for c in _CHUNK_CASES])
+def test_chunked_simulate_writes_each_path_as_its_single_path_run(
+        tmp_path, monkeypatch, process, flags, library):
+    assert {case[0] for case in _CHUNK_CASES} == set(PROCESSES)
+    p_low = _spd_csv(tmp_path, "P_low.csv", "1, 0\n0, 1e-7\n")
+    argv = (["simulate", "--process", process]
+            + [p_low if flag == "{P_LOW}" else flag for flag in flags]
+            + ["--t", "0.02", "--dt", "1e-3", "--paths", "7", "--seed", "5"])
+    draws = []
+    draw = NoiseSource.normals_block
+
+    def spy(self, step, n_paths, count, first=0, steps=1):
+        draws.append((n_paths, count, first, steps))
+        return draw(self, step, n_paths, count, first, steps)
+
+    monkeypatch.setattr(NoiseSource, "normals_block", spy)
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    # the default word budget holds all 7 paths: one draw
+    [(n_paths, count, first, steps)] = draws
+    assert (n_paths, first, steps) == (7, 0, 20)
+    # a budget of 3 paths' words splits them into chunks of 3, 3 and 1
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", 3 * steps * count)
+    draws.clear()
+    assert main(argv + ["--out", str(tmp_path / "chunked")]) == 0
+    assert [(d[0], d[2]) for d in draws] == [(3, 0), (3, 3), (1, 6)]
+    stopped = json.loads((tmp_path / "chunked" / "manifest.json").read_text())["config"]["stopped"]
+    # the guard stops some paths of the last two cases, none of the others
+    assert bool(stopped) == bool(flags)
+
+    cfg = ProcessConfig(t_end=0.02, dt=1e-3, seed=5)
+    emit = emit_eigen_csv if process.startswith("eigen-") else emit_csv
+    for p in range(7):
+        path = library(cfg, p)
+        want = io.StringIO()
+        emit(path.times, path.states, want)
+        name = f"path_{p:04d}.csv"
+        got = (tmp_path / "chunked" / name).read_bytes()
+        assert got == want.getvalue().encode()
+        assert got == (tmp_path / "default" / name).read_bytes()
+
+
+def test_simulate_that_fails_mid_run_exits_one_and_writes_no_manifest(
+        tmp_path, monkeypatch, capsys):
+    # a wishart path has no guard and calls its diffusion once per step, so
+    # the 31st call of a 10-step run is the first step of path 3
+    row = cli._PROCESSES["wishart"]
+    calls = []
+
+    def problem(n, k, opts):
+        base = row.problem(n, k, opts)
+
+        def diffusion(t, w, dw):
+            calls.append(t)
+            if len(calls) == 3 * 10 + 1:
+                raise FloatingPointError("overflow in the diffusion")
+            return base.diffusion(t, w, dw)
+
+        return dataclasses.replace(base, diffusion=diffusion)
+
+    monkeypatch.setitem(cli._PROCESSES, "wishart", row._replace(problem=problem))
+    out = tmp_path / "run"
+    rc = main(["simulate", "--process", "wishart", "--t", "0.01", "--dt", "1e-3",
+               "--paths", "5", "--out", str(out)])
+    assert rc == 1
+    assert "simulate failed at path 3: overflow in the diffusion" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    # only CSVs of the paths before the failing one may remain
+    assert {f.name for f in out.iterdir()} <= {f"path_{p:04d}.csv" for p in range(3)}
+
+
 # ---------------------------------------------------------------------------
 # drift
 
@@ -442,11 +548,33 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "--schedule {SCHED} segment 1 is 2x2, but --P0 {P3} is 3x3"),
     (["control", "--schedule", "{SCHED_MIXED}", "--P0", "{P}", "--out", "{OUT}"],
      "--schedule {SCHED_MIXED} segment 2 is 3x3, but --P0 {P} is 2x2"),
+    # a config key set twice, named with the file and both lines
+    (["simulate", "--process", "wishart", "--config", "{DUP}", "--t", "0.01",
+      "--out", "{OUT}"], "{DUP}:3: key 'n' is set again; line 1 set it first"),
+    # empty or blank entries of a comma-separated list, and a start the
+    # process's builder rejects
+    (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "2", "--lam0", "3,,1",
+      "--t", "0.01", "--out", "{OUT}"], "bad --lam0 '3,,1': empty entry"),
+    (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "2", "--lam0", "3,1,",
+      "--t", "0.01", "--out", "{OUT}"], "bad --lam0 '3,1,': empty entry"),
+    (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "2", "--lam0", ",1",
+      "--t", "0.01", "--out", "{OUT}"], "bad --lam0 ',1': empty entry"),
+    (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "2", "--lam0", "3, ,1",
+      "--t", "0.01", "--out", "{OUT}"], "bad --lam0 '3, ,1': empty entry"),
+    (["simulate", "--process", "eigen-bw", "--lam0", "", "--t", "0.01", "--out", "{OUT}"],
+     "bad --lam0 '': empty entry"),
+    (["simulate", "--process", "poincare", "--z0", ",1", "--t", "0.01", "--out", "{OUT}"],
+     "bad --z0 ',1': empty entry"),
+    (["simulate", "--process", "poincare", "--z0", "0,1,", "--t", "0.01", "--out", "{OUT}"],
+     "bad --z0 '0,1,': empty entry"),
+    (["simulate", "--process", "eigen-bw", "--lam0", "1,3", "--t", "0.01", "--out", "{OUT}"],
+     "--process eigen-bw: lam0 must be strictly descending"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
              "{BAD}": _spd_csv(tmp_path, "BAD.csv", "1, 0\n0, -1\n"),
              "{SCHED}": _write(tmp_path / "sched.txt", "0.2; R = [1, 0, 0, 1]\n"),
+             "{DUP}": _write(tmp_path / "dup.cfg", "n = 2\nk = 2\nn = 3\n"),
              "{OUT}": str(tmp_path / "out"),
              "{M0_RANK1}": _write(tmp_path / "M0_rank1.csv", "1, 2\n2, 4\n0, 0\n"),
              "{M0_1E6}": _write(tmp_path / "M0_1e-6.csv", "1, 0\n0, 1e-6\n0, 0\n"),

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from orbitflow import sde
 from orbitflow.matcore import LieBasis, mT, so_basis
 from orbitflow.processes import invariant_problem
-from orbitflow.sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                           integrate, integrate_batch, qv_oracle, rk4)
+from orbitflow.sde import (NoiseBlock, NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
+                           integrate, integrate_batch, path_chunks, qv_oracle, rk4)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,33 @@ def test_directly_addressed_draws_match_the_keying_definition(path, count):
             assert_array_equal(window[m, p], _keyed_normals(17, 5, path + p, 4097 + m, count))
     assert_array_equal(src.normals(path, 4099, count),
                        _keyed_normals(17, 5, path, 4099, count))
+
+
+def test_noise_block_slices_have_the_bits_of_a_direct_draw():
+    src = NoiseSource(seed=4, stream=1)
+    block = NoiseBlock(src, first=5, n_paths=4, count=3, steps=7)
+    for step, n_paths, first, steps in [(0, 1, 5, 7), (2, 2, 6, 3), (0, 4, 5, 7), (6, 1, 8, 1)]:
+        assert_array_equal(block.normals_block(step, n_paths, 3, first, steps),
+                           src.normals_block(step, n_paths, 3, first, steps))
+    # a window the draw does not hold is an error, never a wrong slice
+    for step, n_paths, count, first, steps in [(0, 1, 3, 4, 1), (0, 2, 3, 8, 1),
+                                               (5, 1, 3, 5, 3), (0, 1, 2, 5, 1)]:
+        with pytest.raises(ValueError, match="outside the block"):
+            block.normals_block(step, n_paths, count, first, steps)
+
+
+@pytest.mark.parametrize("words, sizes", [(2 ** 14, [10]), (3 * 7 * 2, [3, 3, 3, 1]),
+                                          (7 * 2, [1] * 10), (1, [1] * 10)])
+def test_path_chunks_split_by_the_word_budget(monkeypatch, words, sizes):
+    # 10 paths of 7 steps with 2 normals each: chunks of budget // 14 paths;
+    # a one-path chunk draws from the source itself
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", words)
+    src = NoiseSource(seed=1)
+    chunks = list(path_chunks(src, 10, 2, 7))
+    assert [len(paths) for paths, _ in chunks] == sizes
+    assert [p for paths, _ in chunks for p in paths] == list(range(10))
+    for paths, noise in chunks:
+        assert (noise is src) == (len(paths) == 1)
 
 
 def test_a_path_draw_uses_one_generator_and_reads_only_its_words(monkeypatch):
