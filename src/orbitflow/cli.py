@@ -30,6 +30,8 @@ from .verify import SUITE_NAMES, run_suite
 _CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out")
 # the flags beyond the common ones that some process reads and others do not
 _PROCESS_FLAGS = ("n", "k", "route", "reproject", "P0", "M0", "lam0", "z0")
+# the flags that name a file or directory, in any subcommand
+_PATH_FLAGS = ("config", "out", "P0", "M0", "input", "R", "schedule")
 
 
 class _Row(NamedTuple):
@@ -39,19 +41,17 @@ class _Row(NamedTuple):
     image: Callable | None  # (states, k, opts) -> written states; None writes them as is
     kind: str  # CSV kind: "matrix" states or "eigen" (l_i columns)
     reads: tuple  # the _PROCESS_FLAGS it reads; giving any other one is an error
-    wide_k: bool = False  # k defaults to n, not 1
-    on_group: bool = False  # driven by Brownian motion on O(n), so n >= 2
+    wide_k: bool = False  # k is n unless given, not 1
 
 
 _PROCESSES = {
-    "on-bm": _Row(lambda n, k, o: orthogonal_problem(n), None,
-                  "matrix", ("n", "reproject"), on_group=True),
+    "on-bm": _Row(lambda n, k, o: orthogonal_problem(n), None, "matrix", ("n", "reproject")),
     "stiefel": _Row(lambda n, k, o: orthogonal_problem(n), lambda s, k, o: s[..., :k],
-                    "matrix", ("n", "k"), on_group=True),
+                    "matrix", ("n", "k")),
     "grassmann": _Row(lambda n, k, o: (orthogonal_problem(n) if o["route"] == "pushforward"
                                        else grassmann_ito_problem(n, k)),
                       lambda s, k, o: gram(s[..., :k]) if o["route"] == "pushforward" else s,
-                      "matrix", ("n", "k", "route"), on_group=True),
+                      "matrix", ("n", "k", "route")),
     "poincare": _Row(lambda n, k, o: poincare_problem(o["z0"]),
                      lambda s, k, o: sl2_to_halfplane(s), "matrix", ("z0",)),
     "cartan-hadamard": _Row(lambda n, k, o: cartan_hadamard_problem(n),
@@ -59,7 +59,7 @@ _PROCESSES = {
     "wishart": _Row(lambda n, k, o: wishart_problem(n, k), lambda s, k, o: gram(s),
                     "matrix", ("n", "k"), wide_k=True),
     "bw-bm": _Row(lambda n, k, o: bures_wasserstein_problem(o["P0"]), None,
-                  "matrix", ("n", "k", "P0"), wide_k=True),
+                  "matrix", ("n", "P0"), wide_k=True),
     "vertical-bm": _Row(lambda n, k, o: vertical_problem(o["M0"]), lambda s, k, o: gram(s),
                         "matrix", ("n", "k", "M0"), wide_k=True),
     "sphere-vertical": _Row(lambda n, k, o: sphere_problem(n), None, "matrix", ("n",)),
@@ -94,6 +94,8 @@ def _load_config_file(path: str, keys: tuple) -> dict:
                 if key in lines:
                     raise ConfigError(f"{path}:{ln}: key {key!r} is set again; "
                                       f"line {lines[key]} set it first")
+                if not val:
+                    raise ConfigError(f"{path}:{ln}: key {key!r} has no value")
                 cfg[key], lines[key] = val, ln
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -172,8 +174,32 @@ def _svg_series(process: str, kind: str, n: int, paths: list) -> tuple:
     return times, {label: v[:len(times)] for label, v in series.items()}
 
 
+class _Input(NamedTuple):
+    """How simulate reads one input flag of a process."""
+    parse: Callable  # the flag's text -> value
+    default: Callable  # (n, k) -> value when the flag is not given
+    sizes: tuple = ()  # for a start file, the size ("n" or "k") each axis of its shape sets
+
+
+def _parse_z0(text: str) -> tuple:
+    z0 = _parse_floats(text, "--z0")
+    if z0.shape[0] != 2:
+        raise ConfigError(f"bad --z0 {text!r}: need two entries x,y")
+    return float(z0[0]), float(z0[1])
+
+
+_INPUTS = {
+    "route": _Input(str, lambda n, k: "pushforward"),
+    "P0": _Input(_read_matrix, lambda n, k: np.eye(n), ("n", "n")),
+    "M0": _Input(_read_matrix, lambda n, k: np.eye(n, k), ("n", "k")),
+    "lam0": _Input(lambda text: _parse_floats(text, "--lam0"),
+                   lambda n, k: np.arange(k, 0, -1, dtype=float)),
+    "z0": _Input(_parse_z0, lambda n, k: (0.0, 1.0)),
+}
+
+
 def cmd_simulate(args) -> int:
-    file_cfg = _load_config_file(args.config, _CONFIG_KEYS) if args.config else {}
+    file_cfg = _load_config_file(args.config, _CONFIG_KEYS) if args.config is not None else {}
     process = _resolve(args, file_cfg, "process", str, None)
     if process is None:
         raise ConfigError("simulate needs --process (or process= in the config file)")
@@ -182,26 +208,25 @@ def cmd_simulate(args) -> int:
     row = _PROCESSES[process]
     _reject_unread(args, f"--process {process}",
                    [flag for flag in _PROCESS_FLAGS if flag not in row.reads], file_cfg)
-    n = _resolve(args, file_cfg, "n", int, None)
-    k = _resolve(args, file_cfg, "k", int, None)
-    # each input flag is parsed once, keyed by the flag: unread ones are rejected above
-    opts = {}
-    problem = None
-    if args.M0:
-        # the factor's shape sets n and k; an explicit n or k must agree
-        opts["M0"] = _read_matrix(args.M0)
-        shape = opts["M0"].shape
-        asked = (shape[0] if n is None else n, shape[1] if k is None else k)
+    # each input flag given is parsed once (unread ones are rejected above);
+    # a start file's shape sets the sizes it spans, and a size given that
+    # disagrees with it is an error
+    size = {"n": _resolve(args, file_cfg, "n", int, None),
+            "k": _resolve(args, file_cfg, "k", int, None)}
+    opts = {flag: spec.parse(getattr(args, flag)) for flag, spec in _INPUTS.items()
+            if getattr(args, flag) is not None}
+    files = {flag: getattr(args, flag) for flag in opts if _INPUTS[flag].sizes}
+    for flag, path in files.items():
+        shape = opts[flag].shape
+        for axis, dim in zip(_INPUTS[flag].sizes, shape):
+            if size[axis] is None:
+                size[axis] = dim
+        asked = tuple(size[axis] for axis in _INPUTS[flag].sizes)
         if asked != shape:
-            raise ConfigError(f"--M0 {args.M0} is {shape[0]}x{shape[1]}, but n and k "
+            raise ConfigError(f"--{flag} {path} is {shape[0]}x{shape[1]}, but the sizes "
                               f"ask for {asked[0]}x{asked[1]}")
-        try:
-            problem = vertical_problem(opts["M0"])
-        except ValueError as exc:
-            raise ConfigError(f"--M0 {args.M0}: {exc}") from exc
-        n, k = shape
-    n = 2 if n is None else n
-    k = (n if row.wide_k else 1) if k is None else k
+    n = 2 if size["n"] is None else size["n"]
+    k = (n if row.wide_k else 1) if size["k"] is None else size["k"]
     t_end = _resolve(args, file_cfg, "t", float, 1.0)
     dt = _resolve(args, file_cfg, "dt", float, 1e-3)
     n_paths = _resolve(args, file_cfg, "paths", int, 1)
@@ -216,49 +241,21 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"need seed >= 0 and stream >= 0; got seed={seed}, stream={stream}")
     if n < 1 or k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
-    if row.on_group and n < 2:
-        raise ConfigError(f"{process} runs Brownian motion on O(n), which needs n >= 2; "
-                          f"got n={n}")
-    if process == "bw-bm" and k != n:
-        raise ConfigError(f"bw-bm needs k = n (square noise); got n={n}, k={k}")
-
-    if "route" in row.reads:
-        opts["route"] = args.route or "pushforward"
-    if "P0" in row.reads:
-        opts["P0"] = _read_matrix(args.P0) if args.P0 else np.eye(n)
-    if args.P0:
-        if opts["P0"].shape != (n, n):
-            raise ConfigError(f"--P0 {args.P0} is {opts['P0'].shape[0]}x"
-                              f"{opts['P0'].shape[1]}, need {n}x{n} for n={n}")
-        try:
-            require_spd(opts["P0"])
-        except ValueError as exc:
-            raise ConfigError(f"--P0 {args.P0}: {exc}") from exc
-    if "M0" in row.reads and not args.M0:
-        opts["M0"] = np.eye(n, k)
-    if "lam0" in row.reads:
-        opts["lam0"] = (_parse_floats(args.lam0, "--lam0") if args.lam0 is not None
-                        else np.arange(k, 0, -1, dtype=float))
-        if opts["lam0"].shape[0] != k:
-            raise ConfigError(f"--lam0 has {opts['lam0'].shape[0]} entries, need k={k}")
-    if "z0" in row.reads:
-        z0 = _parse_floats(args.z0, "--z0") if args.z0 is not None else np.array([0.0, 1.0])
-        if z0.shape[0] != 2 or z0[1] <= 0:
-            raise ConfigError("--z0 must be x,y with y > 0")
-        opts["z0"] = (float(z0[0]), float(z0[1]))
+    for flag in row.reads:
+        if flag in _INPUTS and flag not in opts:
+            opts[flag] = _INPUTS[flag].default(n, k)
 
     cfg = ProcessConfig(t_end=t_end, dt=dt, seed=seed, stream=stream)
     try:
         grid = cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if problem is None:  # vertical-bm's --M0 check built it already
-        try:
-            problem = row.problem(n, k, opts)
-        except ValueError as exc:
-            raise ConfigError(f"--process {process}: {exc}") from exc
-    inputs = {flag: FsPath(getattr(args, flag)).read_bytes() for flag in ("P0", "M0")
-              if getattr(args, flag)}
+    try:
+        problem = row.problem(n, k, opts)
+    except ValueError as exc:
+        given = "".join(f" --{flag} {path}" for flag, path in files.items())
+        raise ConfigError(f"--process {process}{given}: {exc}") from exc
+    inputs = {flag: FsPath(path).read_bytes() for flag, path in files.items()}
 
     # each path's CSV is written when the path ends; only the stop records
     # and the paths that plot.svg draws are kept
@@ -313,12 +310,12 @@ def cmd_drift(args) -> int:
         elif args.which == "gradient":
             j = drift_J_gradient(sqrtm_spd(p))
         else:
-            if not args.R:
+            if args.R is None:
                 raise ConfigError("drift --which J-R needs --R R.csv")
             j = drift_J_R(p, _read_metric(args.R, args.input, p))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_matrix_csv(j, fh)
         print(f"wrote {args.out}")
@@ -339,7 +336,7 @@ def cmd_verify(args) -> int:
     if report is not None:
         for line in report.lines():
             print(line)
-        if args.out:
+        if args.out is not None:
             out = FsPath(args.out)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "constants_report.json", "w", encoding="utf-8",
@@ -358,16 +355,10 @@ def cmd_control(args) -> int:
         raise ConfigError(f"cannot read {args.schedule}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-    p0 = _read_matrix(args.P0)
-    for k, seg in enumerate(schedule.segments, start=1):
-        if seg.R.shape != p0.shape:
-            raise ConfigError(f"--schedule {args.schedule} segment {k} is "
-                              f"{seg.R.shape[0]}x{seg.R.shape[1]}, but --P0 {args.P0} "
-                              f"is {p0.shape[0]}x{p0.shape[1]}")
     try:
-        path = integrate_control(p0, schedule, substeps=args.substeps)
+        path = integrate_control(_read_matrix(args.P0), schedule, substeps=args.substeps)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--schedule {args.schedule} --P0 {args.P0}: {exc}") from exc
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -435,10 +426,10 @@ def cmd_oracle(args) -> int:
     # fd-gradient of the orbit log-volume at M
     _reject_unread(args, "oracle --target fd-gradient",
                    ("kind", "n", "k", "samples", "dt", "seed"))
-    m = _read_matrix(args.input) if args.input else None
-    if m is None:
+    if args.input is None:
         raise ConfigError("oracle --target fd-gradient needs --input M.csv")
-    metric = _read_metric(args.R, args.input, m) if args.R else None
+    m = _read_matrix(args.input)
+    metric = _read_metric(args.R, args.input, m) if args.R is not None else None
     try:
         grad = fd_gradient(lambda x: orbit_log_volume(x, metric), m)
     except ValueError as exc:
@@ -514,6 +505,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for flag in _PATH_FLAGS:
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"--{flag} is an empty path; give a path or leave the flag out")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

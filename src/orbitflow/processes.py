@@ -197,7 +197,7 @@ def sl2_to_halfplane(m) -> np.ndarray:
 def halfplane_start(x: float, y: float) -> np.ndarray:
     """A determinant-one matrix sending i to x + i y (y > 0)."""
     if y <= 0:
-        raise ValueError("need y > 0")
+        raise ValueError(f"need y > 0; got y={y:g}")
     s = np.sqrt(y)
     return np.array([[s, x / s], [0.0, 1.0 / s]])
 
@@ -383,7 +383,7 @@ def eigen_problem(kind: str, lam0, n: int, k: int) -> SdeProblem:
         raise ValueError(f"unknown kind {kind!r}")
     lam0 = np.asarray(lam0, dtype=np.float64)
     if lam0.shape != (k,):
-        raise ValueError("lam0 must hold k eigenvalues")
+        raise ValueError(f"lam0 must hold k={k} eigenvalues; got {lam0.tolist()}")
     if np.any(np.diff(lam0) >= 0) and k > 1:
         raise ValueError("lam0 must be strictly descending")
 

@@ -21,9 +21,8 @@ _U64_SCALE = 2.0 ** -53
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t0 + m * dt, m = 0..steps."""
+    """Uniform time grid m * dt, m = 0..steps, from t = 0."""
 
-    t0: float
     dt: float
     steps: int
 
@@ -35,22 +34,21 @@ class TimeGrid:
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * self.steps
+        return self.dt * self.steps
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        return self.dt * np.arange(self.steps + 1)
 
     @classmethod
-    def regular(cls, t_end: float, dt: float, t0: float = 0.0) -> "TimeGrid":
-        """Grid from t0 to t_end; (t_end - t0) / dt must be a positive whole
-        number to 1e-9 (relative), so the grid never ends short of or past
-        t_end."""
-        ratio = (t_end - t0) / dt
+    def regular(cls, t_end: float, dt: float) -> "TimeGrid":
+        """Grid from 0 to t_end; t_end / dt must be a positive whole number
+        to 1e-9 (relative), so the grid never ends short of or past t_end."""
+        ratio = t_end / dt
         steps = int(round(ratio))
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
             raise ValueError(f"t={t_end:g} is not a whole number of dt={dt:g} steps "
-                             f"from t0={t0:g} (ratio {ratio:.12g})")
-        return cls(t0=t0, dt=dt, steps=steps)
+                             f"(ratio {ratio:.12g})")
+        return cls(dt=dt, steps=steps)
 
 
 class NoiseSource:

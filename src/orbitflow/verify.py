@@ -95,69 +95,36 @@ def constants_suite(samples: int = 8000, seed: int = 0):
     qv_square = qv_oracle(lambda t, s, dw: dw, np.zeros((n, n)), (n, n),
                           dt, samples, seed=seed + 3)
 
-    entries = [
-        ConstantsEntry(
-            context=f"sphere squared-radius drift slope, n={n}",
-            location="circle-example",
-            stated_value=(n - 1) / 2.0,
-            derived_value=float(n - 1),
-            oracle_estimate=float(qv_sphere.inner[0, 0]),
-            oracle_se=float(qv_sphere.inner_se[0, 0]),
-            samples=samples,
-            verdict=""),
-        ConstantsEntry(
-            context=f"orthogonal-frame increment product dA.dA coefficient, n={n}",
-            location="orthogonal-frame-correction",
-            stated_value=-2.0 * n,
-            derived_value=-(n - 1) / 2.0,
-            oracle_estimate=float(qv_skew.square[0, 0]),
-            oracle_se=float(qv_skew.square_se[0, 0]),
-            samples=samples,
-            verdict=""),
-        ConstantsEntry(
-            context=f"rectangular noise contraction dW.dW^T coefficient, n={n}, k={k}",
-            location="rectangular-noise-contraction",
-            stated_value=float(n),
-            derived_value=float(k),
-            oracle_estimate=float(qv_rect.outer[0, 0]),
-            oracle_se=float(qv_rect.outer_se[0, 0]),
-            samples=samples,
-            verdict=""),
-        ConstantsEntry(
-            context=f"square noise contraction dW.dW^T coefficient, n={n}",
-            location="square-noise-contraction",
-            stated_value=float(n),
-            derived_value=float(n),
-            oracle_estimate=float(qv_square.outer[0, 0]),
-            oracle_se=float(qv_square.outer_se[0, 0]),
-            samples=samples,
-            verdict=""),
-        ConstantsEntry(
-            context=f"skew increment normalization dA.dA^T entry, n={n}",
-            location="skew-increment-normalization",
-            stated_value=(n - 1) / 2.0,
-            derived_value=(n - 1) / 2.0,
-            oracle_estimate=float(qv_skew.outer[0, 0]),
-            oracle_se=float(qv_skew.outer_se[0, 0]),
-            samples=samples,
-            verdict=""),
+    # one row per constant: context, location, stated and derived values,
+    # and the oracle's estimate and standard error
+    rows = [
+        (f"sphere squared-radius drift slope, n={n}", "circle-example",
+         (n - 1) / 2.0, float(n - 1), qv_sphere.inner, qv_sphere.inner_se),
+        (f"orthogonal-frame increment product dA.dA coefficient, n={n}",
+         "orthogonal-frame-correction", -2.0 * n, -(n - 1) / 2.0,
+         qv_skew.square, qv_skew.square_se),
+        (f"rectangular noise contraction dW.dW^T coefficient, n={n}, k={k}",
+         "rectangular-noise-contraction", float(n), float(k), qv_rect.outer, qv_rect.outer_se),
+        (f"square noise contraction dW.dW^T coefficient, n={n}", "square-noise-contraction",
+         float(n), float(n), qv_square.outer, qv_square.outer_se),
+        (f"skew increment normalization dA.dA^T entry, n={n}", "skew-increment-normalization",
+         (n - 1) / 2.0, (n - 1) / 2.0, qv_skew.outer, qv_skew.outer_se),
     ]
-    judged = []
-    for e in entries:
-        verdict = "diverges" if abs(e.oracle_estimate - e.stated_value) > 6.0 * e.oracle_se \
-            else "agrees"
-        judged.append(ConstantsEntry(
-            context=e.context, location=e.location, stated_value=e.stated_value,
-            derived_value=e.derived_value, oracle_estimate=e.oracle_estimate,
-            oracle_se=e.oracle_se, samples=e.samples, verdict=verdict))
-    report = ConstantsReport(entries=tuple(judged))
+    entries = []
+    for context, location, stated, derived, estimate, se in rows:
+        estimate, se = float(estimate[0, 0]), float(se[0, 0])
+        verdict = "diverges" if abs(estimate - stated) > 6.0 * se else "agrees"
+        entries.append(ConstantsEntry(
+            context=context, location=location, stated_value=stated, derived_value=derived,
+            oracle_estimate=estimate, oracle_se=se, samples=samples, verdict=verdict))
+    report = ConstantsReport(entries=tuple(entries))
 
     checks = []
     n_div = len(report.divergences)
     checks.append(CheckResult(
         "divergence count", n_div == 3, f"{n_div} divergent entries (want 3)"))
     worst_dev = max(abs(e.oracle_estimate - e.derived_value) / e.oracle_se
-                    for e in judged)
+                    for e in entries)
     checks.append(CheckResult(
         "oracle matches derived values", worst_dev <= 4.0,
         f"max |oracle - derived| = {worst_dev:.2f} SE (tol 4)"))

@@ -100,19 +100,22 @@ def test_simulate_accepts_rounded_whole_step_count(tmp_path):
 
 
 def test_simulate_bw_bm_needs_square_noise(tmp_path, capsys):
+    # the noise is n x n, so k is n and --k is not read
     rc = main(["simulate", "--process", "bw-bm", "--n", "3", "--k", "2",
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "n=3, k=2" in capsys.readouterr().err
-    rc = main(["simulate", "--process", "bw-bm", "--n", "3", "--P0", _spd_csv(tmp_path),
+    assert "--process bw-bm does not read --k" in capsys.readouterr().err
+    p0 = _spd_csv(tmp_path)
+    rc = main(["simulate", "--process", "bw-bm", "--n", "3", "--P0", p0,
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "2x2, need 3x3" in capsys.readouterr().err
+    assert f"--P0 {p0} is 2x2, but the sizes ask for 3x3" in capsys.readouterr().err
     bad = _spd_csv(tmp_path, "bad.csv", "1, 0\n0, -1\n")
     rc = main(["simulate", "--process", "bw-bm", "--n", "2", "--P0", bad,
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "not positive definite" in capsys.readouterr().err
+    assert f"--process bw-bm --P0 {bad}: matrix is not positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_syntax_error_returns_two(tmp_path, capsys):
@@ -190,19 +193,6 @@ def test_simulate_flags_beat_config_file(tmp_path):
     assert man["config"]["dt"] == 1e-2  # file fills the rest
 
 
-def test_simulate_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
-    args = ["simulate", "--process", "wishart", "--n", "2", "--k", "2",
-            "--t", "0.05", "--dt", "1e-2", "--paths", "3", "--seed", "9"]
-    monkeypatch.setenv("ORBITFLOW_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("ORBITFLOW_THREADS", "4")
-    assert main(args + ["--out", str(tmp_path / "pooled")]) == 0
-    for p in range(3):
-        name = f"path_{p:04d}.csv"
-        assert ((tmp_path / "serial" / name).read_bytes()
-                == (tmp_path / "pooled" / name).read_bytes())
-
-
 def test_simulate_vertical_bm_reads_factor_shape(tmp_path):
     m0 = _write(tmp_path / "M0.csv", "1, 0\n0, 1\n1, 1\n")
     out = tmp_path / "run"
@@ -236,6 +226,38 @@ def test_simulate_vertical_bm_rejects_n_k_that_disagree_with_factor(
     err = capsys.readouterr().err
     assert "is 3x2" in err and f"ask for {asked}" in err
     assert not out.exists()
+
+
+# one shape rule for both start files: --P0's shape sets n, --M0's sets n and k
+_START_FILES = {"--P0": ("bw-bm", "3, 0, 0\n0, 2, 0\n0, 0, 1\n", (3, 3)),
+                "--M0": ("vertical-bm", "1, 0\n0, 1\n1, 1\n", (3, 2))}
+
+
+@pytest.mark.parametrize("flag, sizes, asked", [
+    ("--P0", [], None),
+    ("--P0", ["--n", "3"], None),
+    ("--P0", ["--n", "2"], "2x2"),
+    ("--P0", ["--n", "4"], "4x4"),
+    ("--M0", [], None),
+    ("--M0", ["--n", "3", "--k", "2"], None),
+    ("--M0", ["--n", "4"], "4x2"),
+    ("--M0", ["--k", "1"], "3x1"),
+])
+def test_a_start_file_sets_the_sizes_its_shape_spans(tmp_path, capsys, flag, sizes, asked):
+    process, text, shape = _START_FILES[flag]
+    start = _write(tmp_path / "start.csv", text)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--process", process, flag, start, *sizes,
+               "--t", "0.01", "--out", str(out)])
+    if asked is None:
+        assert rc == 0
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        assert (cfg["n"], cfg["k"]) == shape
+    else:
+        assert rc == 2
+        want = f"{flag} {start} is {shape[0]}x{shape[1]}, but the sizes ask for {asked}"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("process, flags, named", [
@@ -545,9 +567,9 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "{NAN} line 2: entry 'nan' is not finite"),
     # schedule segments whose size does not fit --P0
     (["control", "--schedule", "{SCHED}", "--P0", "{P3}", "--out", "{OUT}"],
-     "--schedule {SCHED} segment 1 is 2x2, but --P0 {P3} is 3x3"),
+     "--schedule {SCHED} --P0 {P3}: segment 1 holds a 2x2 R, but the start is 3x3"),
     (["control", "--schedule", "{SCHED_MIXED}", "--P0", "{P}", "--out", "{OUT}"],
-     "--schedule {SCHED_MIXED} segment 2 is 3x3, but --P0 {P} is 2x2"),
+     "--schedule {SCHED_MIXED} --P0 {P}: segment 2 holds a 3x3 R, but the start is 2x2"),
     # a config key set twice, named with the file and both lines
     (["simulate", "--process", "wishart", "--config", "{DUP}", "--t", "0.01",
       "--out", "{OUT}"], "{DUP}:3: key 'n' is set again; line 1 set it first"),
@@ -569,6 +591,31 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "bad --z0 '0,1,': empty entry"),
     (["simulate", "--process", "eigen-bw", "--lam0", "1,3", "--t", "0.01", "--out", "{OUT}"],
      "--process eigen-bw: lam0 must be strictly descending"),
+    # an empty path is not an absent flag, nor the current directory
+    (["simulate", "--config", "", "--process", "wishart", "--t", "0.01", "--out", "{OUT}"],
+     "--config is an empty path"),
+    (["simulate", "--process", "bw-bm", "--P0", "", "--t", "0.01", "--out", "{OUT}"],
+     "--P0 is an empty path"),
+    (["simulate", "--process", "vertical-bm", "--M0", "", "--t", "0.01", "--out", "{OUT}"],
+     "--M0 is an empty path"),
+    (["oracle", "--target", "fd-gradient", "--input", "{P}", "--R", ""], "--R is an empty path"),
+    (["drift", "--which", "spectral", "--input", "{P}", "--out", ""], "--out is an empty path"),
+    (["verify", "--suite", "constants", "--out", ""], "--out is an empty path"),
+    (["simulate", "--process", "wishart", "--config", "{NO_OUT}", "--t", "0.01"],
+     "{NO_OUT}:1: key 'out' has no value"),
+    # starts that the process's builder rejects, named with the process,
+    # the start file and the value
+    (["simulate", "--process", "bw-bm", "--P0", "{M43}", "--t", "0.01", "--out", "{OUT}"],
+     "--P0 {M43} is 4x3, but the sizes ask for 4x4"),
+    (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "3", "--lam0", "2,1",
+      "--t", "0.01", "--out", "{OUT}"],
+     "--process eigen-wishart: lam0 must hold k=3 eigenvalues; got [2.0, 1.0]"),
+    (["simulate", "--process", "poincare", "--z0", "0,-1", "--t", "0.01", "--out", "{OUT}"],
+     "--process poincare: need y > 0; got y=-1"),
+    (["simulate", "--process", "poincare", "--z0", "0,1,2", "--t", "0.01", "--out", "{OUT}"],
+     "bad --z0 '0,1,2': need two entries x,y"),
+    (["simulate", "--process", "on-bm", "--n", "1", "--t", "0.01", "--out", "{OUT}"],
+     "--process on-bm: so(n) needs n >= 2; got n=1"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -586,7 +633,8 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{SCHED_MIXED}": _write(tmp_path / "mixed.txt", "0.2; R = [1, 0, 0, 1]\n"
                                      "0.2; R = [1, 0, 0, 0, 1, 0, 0, 0, 1]\n"),
              "{INF}": _write(tmp_path / "INF.csv", "inf,0\n0,1\n"),
-             "{NAN}": _write(tmp_path / "NAN.csv", "1, 0\n0, nan\n")}
+             "{NAN}": _write(tmp_path / "NAN.csv", "1, 0\n0, nan\n"),
+             "{NO_OUT}": _write(tmp_path / "no_out.cfg", "out =\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)

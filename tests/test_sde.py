@@ -17,14 +17,14 @@ from orbitflow.sde import (NoiseBlock, NoiseSource, Path, QvEstimate, SdeProblem
 
 
 def test_time_grid_basics():
-    grid = TimeGrid(t0=0.0, dt=0.25, steps=4)
+    grid = TimeGrid(dt=0.25, steps=4)
     assert grid.t_end == 1.0
     assert_allclose(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
     assert TimeGrid.regular(1.0, 1e-3).steps == 1000
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, dt=0.0, steps=3)
+        TimeGrid(dt=0.0, steps=3)
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, dt=0.1, steps=0)
+        TimeGrid(dt=0.1, steps=0)
 
 
 def test_time_grid_rejects_partial_steps():
@@ -216,11 +216,11 @@ def test_integrate_requires_source_when_noisy():
     prob = SdeProblem(x0=np.zeros((1,)), diffusion=lambda t, x, dw: dw,
                       noise_shape=(1,))
     with pytest.raises(ValueError):
-        integrate(prob, TimeGrid(0.0, 0.1, 2))
+        integrate(prob, TimeGrid(0.1, 2))
 
 
 def test_constant_problem_stays_put():
-    path = integrate(SdeProblem(x0=np.array([2.0, -1.0])), TimeGrid(0.0, 0.1, 5))
+    path = integrate(SdeProblem(x0=np.array([2.0, -1.0])), TimeGrid(0.1, 5))
     assert_array_equal(path.states, np.tile([2.0, -1.0], (6, 1)))
     assert not path.stopped
 
@@ -235,7 +235,7 @@ def test_zero_noise_euler_matches_closed_form_at_first_order():
 def test_integrate_is_deterministic():
     prob = SdeProblem(x0=np.zeros((2, 2)), diffusion=lambda t, x, dw: dw,
                       noise_shape=(2, 2))
-    grid = TimeGrid(0.0, 0.01, 50)
+    grid = TimeGrid(0.01, 50)
     a = integrate(prob, grid, NoiseSource(21), path_index=3)
     b = integrate(prob, grid, NoiseSource(21), path_index=3)
     assert_array_equal(a.states, b.states)
@@ -257,7 +257,7 @@ def test_integrate_draws_a_path_once_and_steps_with_its_rows():
 
     prob = SdeProblem(x0=np.eye(2), drift=lambda t, x: -0.5 * x,
                       diffusion=lambda t, x, dw: x @ dw, noise_shape=(2, 2))
-    grid = TimeGrid(0.0, 0.01, 40)
+    grid = TimeGrid(0.01, 40)
     path = integrate(prob, grid, Counting(8, stream=3), path_index=5)
     assert calls == [("normals_block", 0, 1, 4, 5, 40)]
     # the same problem stepped by hand with the per-step keyed draws
@@ -271,7 +271,7 @@ def test_integrate_draws_a_path_once_and_steps_with_its_rows():
 def test_guard_stops_without_clamping():
     prob = SdeProblem(x0=np.array([0.0]), drift=lambda t, x: np.ones(1),
                       guard=lambda x: x[0] < 2.5, guard_name="ceiling")
-    path = integrate(prob, TimeGrid(0.0, 1.0, 5))
+    path = integrate(prob, TimeGrid(1.0, 5))
     assert path.stopped and path.stopped_step == 2
     assert path.stop_reason == "ceiling"
     # last valid state is kept; the offending state is discarded, not clamped
@@ -283,7 +283,7 @@ def test_post_step_runs_before_guard():
     prob = SdeProblem(x0=np.array([1.0]), drift=lambda t, x: x,
                       post_step=lambda x: np.minimum(x, 1.5),
                       guard=lambda x: x[0] <= 1.5)
-    path = integrate(prob, TimeGrid(0.0, 1.0, 3))
+    path = integrate(prob, TimeGrid(1.0, 3))
     assert not path.stopped
     assert path.final[0] == 1.5
 
@@ -294,7 +294,7 @@ def test_batch_rows_match_single_paths_and_freeze_at_last_valid_state():
     prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: -x,
                       diffusion=lambda t, x, dw: dw, noise_shape=(2,),
                       guard=lambda x: np.abs(x).max(axis=-1) < 1.0)
-    grid = TimeGrid(0.0, 0.05, 20)
+    grid = TimeGrid(0.05, 20)
     src = NoiseSource(33)
     final, alive = integrate_batch(prob, grid, src, n_paths=6)
     assert final.shape == (6, 2) and not alive.all() and alive.any()
@@ -311,7 +311,7 @@ def test_batch_in_which_every_path_trips_returns_frozen_states():
     prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: np.ones_like(x),
                       diffusion=lambda t, x, dw: 0.2 * dw, noise_shape=(2,),
                       guard=lambda x: np.abs(x[..., 0] - 0.4) >= 0.1)
-    grid = TimeGrid(0.0, 0.05, 20)
+    grid = TimeGrid(0.05, 20)
     src = NoiseSource(33)
     final, alive = integrate_batch(prob, grid, src, n_paths=6)
     assert final.shape == (6, 2) and not alive.any()
@@ -330,7 +330,7 @@ def test_noise_window_changes_no_bit(monkeypatch, words):
     prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: -x,
                       diffusion=lambda t, x, dw: dw, noise_shape=(2,),
                       guard=lambda x: np.abs(x).max(axis=-1) < 1.0)
-    grid = TimeGrid(0.0, 0.05, 20)
+    grid = TimeGrid(0.05, 20)
     calls = []
 
     class Counting(NoiseSource):
@@ -370,7 +370,7 @@ def test_scalar_brownian_second_moment():
     # X_1 is exactly N(0, 1) for pure Brownian increments on any grid
     prob = SdeProblem(x0=np.zeros((1,)), diffusion=lambda t, x, dw: dw,
                       noise_shape=(1,))
-    grid = TimeGrid(0.0, 0.125, 8)
+    grid = TimeGrid(0.125, 8)
     x1 = integrate_batch(prob, grid, NoiseSource(12), n_paths=4000)[0][:, 0]
     m2 = np.mean(x1 ** 2)
     se = np.std(x1 ** 2) / np.sqrt(x1.size)
