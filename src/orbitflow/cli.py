@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .control import integrate_control, load_schedule
+from .control import check_control_inputs, integrate_control, load_schedule
 from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_log_volume
 from .matcore import fd_gradient, mT, require_spd, so_basis, sqrtm_spd
 from .processes import (ProcessConfig, bures_wasserstein_problem, cartan_hadamard_problem,
@@ -130,6 +130,21 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed matrix CSV: {exc}") from exc
+
+
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"--out {path}: {exc.strerror or exc}")
+
+
+def _out_dir(path: str) -> FsPath:
+    """Make the output directory of --out; called before the command's
+    work, so a path that cannot be a directory exits 2 with nothing done."""
+    out = FsPath(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    return out
 
 
 def _read_metric(path: str, input_path: str, x: np.ndarray) -> MetricR:
@@ -259,8 +274,7 @@ def cmd_simulate(args) -> int:
 
     # each path's CSV is written when the path ends; only the stop records
     # and the paths that plot.svg draws are kept
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     emit = emit_eigen_csv if row.kind == "eigen" else emit_csv
     outputs = [f"path_{p:04d}.csv" for p in range(n_paths)]
     stopped, plotted = [], []
@@ -271,11 +285,11 @@ def cmd_simulate(args) -> int:
                 path = integrate(problem, grid, noise, p)
                 if row.image is not None:
                     path = dataclasses.replace(path, states=row.image(path.states, k, opts))
-            except (ValueError, FloatingPointError) as exc:
+                with open(out / outputs[p], "w", encoding="utf-8", newline="\n") as fh:
+                    emit(path.times, path.states, fh)
+            except (ValueError, FloatingPointError, OSError) as exc:
                 print(f"simulate failed at path {p}: {exc}", file=sys.stderr)
                 return 1
-            with open(out / outputs[p], "w", encoding="utf-8", newline="\n") as fh:
-                emit(path.times, path.states, fh)
             if path.stopped:
                 stopped.append({"path": p, "step": path.stopped_step,
                                 "reason": path.stop_reason})
@@ -316,8 +330,11 @@ def cmd_drift(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_matrix_csv(j, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                write_matrix_csv(j, fh)
+        except OSError as exc:
+            raise _unwritable(args.out, exc) from exc
         print(f"wrote {args.out}")
     else:
         write_matrix_csv(j, sys.stdout)
@@ -332,13 +349,12 @@ def cmd_verify(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"need seed >= 0; got seed={args.seed}")
         kwargs["seed"] = args.seed
+    out = None if args.out is None else _out_dir(args.out)
     result, report = run_suite(args.suite, **kwargs)
     if report is not None:
         for line in report.lines():
             print(line)
-        if args.out is not None:
-            out = FsPath(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None:
             with open(out / "constants_report.json", "w", encoding="utf-8",
                       newline="\n") as fh:
                 fh.write(report.to_json() + "\n")
@@ -355,12 +371,13 @@ def cmd_control(args) -> int:
         raise ConfigError(f"cannot read {args.schedule}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
+    p0 = _read_matrix(args.P0)
     try:
-        path = integrate_control(_read_matrix(args.P0), schedule, substeps=args.substeps)
+        check_control_inputs(p0, schedule, args.substeps)
+        out = _out_dir(args.out)
+        path = integrate_control(p0, schedule, substeps=args.substeps)
     except ValueError as exc:
         raise ConfigError(f"--schedule {args.schedule} --P0 {args.P0}: {exc}") from exc
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
         emit_csv(path.times, path.states, fh)
     loewner_min = float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())

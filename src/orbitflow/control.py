@@ -172,24 +172,10 @@ def load_schedule(path) -> ControlSchedule:
         return parse_schedule(fh.read())
 
 
-def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
-    """RK4 integration of dP/dt = drift under the scheduled metrics.
-
-    Each segment holds its metric constant and is split into `substeps` RK4
-    steps.  Every Loewner increment of the exact flow is positive definite,
-    so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
-    rounding.
-
-    `p0` is one (n, n) start with one ControlSchedule, which returns a Path,
-    or a (B, n, n) stack with a sequence of B schedules, which returns a
-    list of B Paths.  Both run the same loop, the single start as a batch of
-    one: segment index s runs every row whose schedule has an s-th segment
-    as one stacked RK4 flow, each row with its own step duration / substeps
-    and its own metric factors.  Row b has the same bits, states and times,
-    as a single call with its own start and schedule.  The starts and the
-    segment sizes are validated here; rk4 keeps every stage exactly
-    symmetric, so the stages go straight to drift_J_R_kernel.
-    """
+def check_control_inputs(p0, schedule, substeps: int) -> tuple:
+    """Validate `integrate_control`'s arguments before any step is taken;
+    returns (single, schedules, starts) with the starts as an SPD (B, n, n)
+    stack and one schedule per start whose segments all fit n."""
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1; got substeps={substeps}")
     single = isinstance(schedule, ControlSchedule)
@@ -208,6 +194,28 @@ def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
                 where = f"segment {k}" if single else f"schedule {b} segment {k}"
                 raise ValueError(f"{where} holds a {seg.R.shape[0]}x{seg.R.shape[1]} R, "
                                  f"but the start is {n}x{n}")
+    return single, schedules, starts
+
+
+def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
+    """RK4 integration of dP/dt = drift under the scheduled metrics.
+
+    Each segment holds its metric constant and is split into `substeps` RK4
+    steps.  Every Loewner increment of the exact flow is positive definite,
+    so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
+    rounding.
+
+    `p0` is one (n, n) start with one ControlSchedule, which returns a Path,
+    or a (B, n, n) stack with a sequence of B schedules, which returns a
+    list of B Paths.  Both run the same loop, the single start as a batch of
+    one: segment index s runs every row whose schedule has an s-th segment
+    as one stacked RK4 flow, each row with its own step duration / substeps
+    and its own metric factors.  Row b has the same bits, states and times,
+    as a single call with its own start and schedule.  The starts and the
+    segment sizes are validated by `check_control_inputs`; rk4 keeps every
+    stage exactly symmetric, so the stages go straight to drift_J_R_kernel.
+    """
+    single, schedules, starts = check_control_inputs(p0, schedule, substeps)
 
     counts = np.array([len(sched.segments) for sched in schedules])
     times = [[np.zeros(1)] for _ in schedules]

@@ -83,19 +83,24 @@ def read_path_csv(path):
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless matrix CSV (one row per line, comma separated).
-    Every entry must be finite."""
+    Every entry must be a finite number; an error names the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = []
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            toks = line.split(",")
-            rows.append([float(tok) for tok in toks])
-            for tok, x in zip(toks, rows[-1]):
+            rows.append([])
+            for tok in line.split(","):
+                try:
+                    x = float(tok)
+                except ValueError:
+                    raise ValueError(f"{path} line {lineno}: entry {tok.strip()!r} "
+                                     f"is not a number") from None
                 if not np.isfinite(x):
                     raise ValueError(f"{path} line {lineno}: entry {tok.strip()!r} "
                                      f"is not finite")
+                rows[-1].append(x)
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     width = len(rows[0])

@@ -17,6 +17,7 @@ from .matcore import mT, sym_part
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
+_U_MAX = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ class NoiseSource:
     counter's last word is m; they are read in blocks of four, block b at
     counter [b + 1, 0, 0, m].  Path p owns the contiguous words
     [p * count, (p + 1) * count) of every step, which the inverse normal CDF
-    maps to normals.  Philox is counter-based, so any window of paths and
+    maps to normals: word w becomes u = ((w >> 11) + 0.5) 2^-53, which rounds
+    to 1.0 for the 2^11 words w >= 2^64 - 2^11 and is clamped to the largest
+    double below 1 so that no word maps to an infinite normal; every other
+    word keeps its bits.  Philox is counter-based, so any window of paths and
     steps is addressed directly: `normals_block` starts one generator at the
     block holding word first * count and, for each step, moves it to that
     step's counter and reads the window's words plus the first * count % 4
@@ -85,7 +89,7 @@ class NoiseSource:
     @staticmethod
     def _to_normal(words: np.ndarray) -> np.ndarray:
         u = ((words >> _U64_SHIFT).astype(np.float64) + 0.5) * _U64_SCALE
-        return ndtri(u)
+        return ndtri(np.minimum(u, _U_MAX, out=u))
 
     def normals(self, path: int, step: int, count: int) -> np.ndarray:
         """Standard normals for one (path, step); shape (count,).  This is
@@ -141,7 +145,9 @@ class SdeProblem:
     shape of dw per step.  guard(x) -> bool is checked on every proposed
     state; on failure the path stops at the last valid state rather than
     clamping.  For `integrate_batch` every function must also accept states
-    with a leading path axis, and the guard then returns one bool per path.
+    with a leading path axis of any length, and the guard then returns one
+    bool per path: once some paths have stopped, the rows are fewer than the
+    paths.
     """
 
     x0: np.ndarray
@@ -198,8 +204,11 @@ def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
     trajectory is kept; returns (states, stop), where stop is the first
     rejected step (states past it are unset) or None.  Otherwise paths
     first..first+n_paths-1 run along a leading axis and only the current
-    states are kept; returns (final states, alive).  A row whose guard trips
-    is frozen by the running alive mask, so it never resumes.
+    states are kept; returns (final states, alive).  A row stops as a lone
+    path does: at its first rejected step its last valid state goes to the
+    output and the row leaves the live states and the noise window, so the
+    step functions see only live rows, as few as one.  The loop ends when
+    no row is left.
     """
     if problem.noise_shape and source is None:
         raise ValueError("problem has noise but no noise source was given")
@@ -211,7 +220,7 @@ def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
         states = np.empty((grid.steps + 1,) + x.shape)
         states[0] = x
     else:
-        alive = np.ones(n_paths, dtype=bool)
+        final, live = np.empty_like(x), np.arange(n_paths)
     count = int(np.prod(problem.noise_shape))
     window = max(1, _WINDOW_WORDS // max(1, rows * count))
     times = grid.times()
@@ -221,6 +230,8 @@ def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
         if problem.noise_shape:
             z = source.normals_block(lo, rows, count, first, hi - lo)
             dws = (np.sqrt(grid.dt) * z).reshape((hi - lo,) + lead + problem.noise_shape)
+            if not lone and len(live) < n_paths:
+                dws = dws[:, live]
         for m in range(lo, hi):
             dw = None if dws is None else dws[m - lo]
             nxt = x
@@ -235,14 +246,19 @@ def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
                 if lone:
                     if not ok:
                         return states, m
-                else:
-                    alive &= ok
-                    if not alive.all():
-                        nxt = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), nxt, x)
+                elif not ok.all():
+                    final[live[~ok]] = x[~ok]
+                    live, nxt = live[ok], nxt[ok]
+                    dws = None if dws is None else dws[:, ok]
+                    if not live.size:
+                        return final, np.zeros(n_paths, dtype=bool)
             x = nxt
             if lone:
                 states[m + 1] = x
-    return (states, None) if lone else (x, alive)
+    if lone:
+        return states, None
+    final[live] = x
+    return final, np.isin(np.arange(n_paths), live)
 
 
 def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
@@ -262,12 +278,13 @@ def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | N
     """Final states of paths 0..n_paths-1 and the mask of paths that never
     tripped the guard; only the current states are kept (see `_euler`).
 
-    The problem's drift, diffusion, guard and post_step receive the states
-    with a leading path axis, and the guard returns one bool per path.  Row p
-    draws the noise of path p, so it equals
-    integrate(problem, grid, source, p).final bit for bit as long as the
-    problem's functions give the same bits on a batch as on one slice.  A path
-    whose guard trips keeps its last valid state to the end of the grid.
+    The problem's drift, diffusion, guard and post_step receive the live
+    states with a leading path axis, and the guard returns one bool per row;
+    a path whose guard trips leaves the batch with its last valid state, so
+    the functions must accept any number of rows, down to one.  Row p draws
+    the noise of path p, so it equals integrate(problem, grid, source,
+    p).final bit for bit as long as the problem's functions give the same
+    bits on a batch as on one slice.
     """
     return _euler(problem, grid, source, 0, n_paths)
 

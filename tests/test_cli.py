@@ -476,6 +476,20 @@ def test_simulate_that_fails_mid_run_exits_one_and_writes_no_manifest(
     assert {f.name for f in out.iterdir()} <= {f"path_{p:04d}.csv" for p in range(3)}
 
 
+def test_simulate_whose_path_csv_cannot_be_written_exits_one(tmp_path, capsys):
+    # a directory in the place of path 1's CSV: the run fails at path 1 as a
+    # failing step would, and writes no manifest
+    out = tmp_path / "run"
+    (out / "path_0001.csv").mkdir(parents=True)
+    rc = main(["simulate", "--process", "wishart", "--t", "0.01", "--paths", "3",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "simulate failed at path 1: " in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+    assert {f.name for f in out.iterdir()} == {"path_0000.csv", "path_0001.csv"}
+
+
 # ---------------------------------------------------------------------------
 # drift
 
@@ -616,6 +630,17 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "bad --z0 '0,1,2': need two entries x,y"),
     (["simulate", "--process", "on-bm", "--n", "1", "--t", "0.01", "--out", "{OUT}"],
      "--process on-bm: so(n) needs n >= 2; got n=1"),
+    # an output that cannot be written is named before any work is done
+    (["simulate", "--process", "wishart", "--t", "0.01", "--out", "{FILE}"],
+     "--out {FILE}: File exists"),
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}", "--out", "{FILE}"],
+     "--out {FILE}: File exists"),
+    (["verify", "--suite", "constants", "--out", "{FILE}"], "--out {FILE}: File exists"),
+    (["drift", "--which", "spectral", "--input", "{P}", "--out", "{NODIR}"],
+     "--out {NODIR}: No such file or directory"),
+    # a matrix entry that is not a number, named with its file and line
+    (["simulate", "--process", "bw-bm", "--P0", "{WORD}", "--t", "0.01", "--out", "{OUT}"],
+     "{WORD} line 2: entry 'x' is not a number"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -634,12 +659,18 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
                                      "0.2; R = [1, 0, 0, 0, 1, 0, 0, 0, 1]\n"),
              "{INF}": _write(tmp_path / "INF.csv", "inf,0\n0,1\n"),
              "{NAN}": _write(tmp_path / "NAN.csv", "1, 0\n0, nan\n"),
-             "{NO_OUT}": _write(tmp_path / "no_out.cfg", "out =\n")}
+             "{NO_OUT}": _write(tmp_path / "no_out.cfg", "out =\n"),
+             "{FILE}": _write(tmp_path / "file.txt", "not a directory\n"),
+             "{NODIR}": str(tmp_path / "nodir" / "J.csv"),
+             "{WORD}": _write(tmp_path / "WORD.csv", "1, 0\n0, x\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)
-    assert named in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert not captured.out
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_drift_rejects_ragged_csv(tmp_path, capsys):

@@ -82,9 +82,30 @@ def test_tripped_guard_freezes_at_last_valid_state():
         assert problem.guard(rows[p])
 
 
+def test_a_trip_costs_one_more_spectrum_and_a_stopped_row_none(monkeypatch):
+    # the BW problem decomposes the start once and each accepted state once,
+    # when the guard checks it: drift and diffusion reuse that spectrum one
+    # step later.  A trip hands the next step fewer rows, which are
+    # decomposed once more; a stopped row is never decomposed again
+    cfg = ProcessConfig(t_end=0.05, dt=1e-3, seed=1)
+    p0 = np.diag([1.0, 2e-6])
+    stops = [processes.bm_bures_wasserstein(p0, cfg, path_index=p).stopped_step
+             for p in range(PATHS)]
+    trips = set(stops) - {None}
+    assert len(trips) >= 2 and None in stops
+    calls = []
+    eigh_desc = processes.eigh_desc
+    monkeypatch.setattr(processes, "eigh_desc",
+                        lambda p: calls.append(len(p)) or eigh_desc(p))
+    rows, alive = ensembles.bw_ensemble(p0, cfg, PATHS)
+    assert len(calls) == 1 + cfg.grid().steps + len(trips)
+    # every decomposition after the last trip sees only the surviving rows
+    assert calls[-1] == alive.sum() == stops.count(None)
+
+
 def test_tripped_rank_guard_keeps_spd_state():
     # a nearly singular start trips the rank guard on some paths; the
-    # frozen states stay positive definite
+    # states of the stopped rows stay positive definite
     cfg = ProcessConfig(t_end=0.05, dt=1e-3, seed=1)
     p0 = np.diag([1.0, 2e-6])
     rows, alive = ensembles.bw_ensemble(p0, cfg, PATHS)

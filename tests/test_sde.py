@@ -4,6 +4,7 @@ guards, and the quadratic-variation oracle."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtri
 
 from orbitflow import sde
 from orbitflow.matcore import LieBasis, mT, so_basis
@@ -160,6 +161,19 @@ def test_a_path_draw_uses_one_generator_and_reads_only_its_words(monkeypatch):
     assert len(made) == 1 and reads == [9]
 
 
+def test_no_word_maps_to_an_infinite_normal():
+    # u = ((w >> 11) + 0.5) 2^-53 rounds to 1.0 for the top 2^11 words; those
+    # are clamped to the largest double below 1, and the words below them
+    # keep the unclamped formula's bits
+    top = np.array([2 ** 64 - 1, 2 ** 64 - 2 ** 11], dtype=np.uint64)
+    z = NoiseSource._to_normal(top)
+    assert np.isfinite(z).all()
+    assert_array_equal(z, ndtri(np.nextafter(1.0, 0.0)))
+    rest = np.array([2 ** 64 - 2 ** 11 - 1, 0], dtype=np.uint64)
+    u = ((rest >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    assert_array_equal(NoiseSource._to_normal(rest), ndtri(u))
+
+
 def test_normal_marginals():
     # inverse-CDF mapping of counter words should give clean N(0, 1) stats
     z = NoiseSource(seed=0).normals_block(step=0, n_paths=200, count=500).ravel()
@@ -306,8 +320,8 @@ def test_batch_rows_match_single_paths_and_freeze_at_last_valid_state():
 
 def test_batch_in_which_every_path_trips_returns_frozen_states():
     # the guard rejects the band 0.3 < x_0 < 0.5 that every path runs into;
-    # a frozen row's later proposals often leave the band again, and the
-    # row must stay frozen (by the running alive mask) instead of resuming
+    # a stopped row's later proposals would often leave the band again, and
+    # the row must stay stopped (it has left the batch) instead of resuming
     prob = SdeProblem(x0=np.zeros((2,)), drift=lambda t, x: np.ones_like(x),
                       diffusion=lambda t, x, dw: 0.2 * dw, noise_shape=(2,),
                       guard=lambda x: np.abs(x[..., 0] - 0.4) >= 0.1)
@@ -319,6 +333,61 @@ def test_batch_in_which_every_path_trips_returns_frozen_states():
         single = integrate(prob, grid, src, path_index=p)
         assert single.stopped and single.stopped_step < grid.steps - 1
         assert_array_equal(final[p], single.final)
+
+
+def _bounded_walk(drift=lambda t, x: -x, diffusion=lambda t, x, dw: dw):
+    # with NoiseSource(33) on TimeGrid(0.05, 20), paths 0-5 stop at steps
+    # 9, -, -, -, 10, 8
+    return SdeProblem(x0=np.zeros((2,)), drift=drift, diffusion=diffusion,
+                      noise_shape=(2,), guard=lambda x: np.abs(x).max(axis=-1) < 1.0)
+
+
+def test_a_row_that_trips_mid_window_leaves_the_batch_and_its_noise():
+    # 4 paths draw all 20 steps in one window; path 0 trips at step 9, so
+    # from step 10 the diffusion gets the noise of paths 1-3 only, each row
+    # its own path's keyed draw, and every row ends with its lone path's bits
+    grid, src = TimeGrid(0.05, 20), NoiseSource(33)
+    seen = []
+
+    def diffusion(t, x, dw):
+        seen.append(dw.copy())
+        return dw
+
+    prob = _bounded_walk(diffusion=diffusion)
+    paths = [integrate(prob, grid, src, path_index=p) for p in range(4)]
+    assert [p.stopped_step for p in paths] == [9, None, None, None]
+    seen.clear()
+    final, alive = integrate_batch(prob, grid, src, n_paths=4)
+    assert_array_equal(alive, [False, True, True, True])
+    for p, path in enumerate(paths):
+        assert_array_equal(final[p], path.final)
+    assert_array_equal(final[0], paths[0].states[9])
+    assert len(seen) == grid.steps
+    for m, dw in enumerate(seen):
+        live = range(4) if m <= 9 else range(1, 4)
+        want = [np.sqrt(grid.dt) * _keyed_normals(33, 0, p, m, 2) for p in live]
+        assert_array_equal(dw, want)
+
+
+def test_step_functions_see_only_live_rows():
+    # a drift spy: the row count falls from 6 to 3 as paths 5, 0 and 4 trip
+    # at steps 8, 9 and 10, and every state it gets is a live path's state
+    grid, src = TimeGrid(0.05, 20), NoiseSource(33)
+    seen = []
+
+    def drift(t, x):
+        seen.append(x.copy())
+        return -x
+
+    prob = _bounded_walk(drift=drift)
+    paths = [integrate(prob, grid, src, path_index=p) for p in range(6)]
+    seen.clear()
+    integrate_batch(prob, grid, src, n_paths=6)
+    assert [len(x) for x in seen] == [6] * 9 + [5, 4] + [3] * 9
+    for m, x in enumerate(seen):
+        live = [p for p, path in enumerate(paths)
+                if path.stopped_step is None or m <= path.stopped_step]
+        assert_array_equal(x, [paths[p].states[m] for p in live])
 
 
 @pytest.mark.parametrize("words", [1, 7, 84])
