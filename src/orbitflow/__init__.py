@@ -33,7 +33,7 @@ from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
                    orbit_log_volume, sff_vertical, vertical_onb,
                    vertical_project)
 from .sde import (NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                  integrate, integrate_batch, qv_oracle, rk4)
+                  integrate, integrate_batch, qv_kind, qv_oracle, rk4)
 from .processes import (ProcessConfig, bm_bures_wasserstein,
                         bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                         bm_poincare, bm_stiefel, eigen_drift, eigen_sde,
@@ -61,7 +61,7 @@ __all__ = [
     "ito_correction_sum", "mean_curvature", "metric_gram",
     "orbit_log_volume", "sff_vertical", "vertical_onb", "vertical_project",
     "NoiseSource", "Path", "QvEstimate", "SdeProblem", "TimeGrid",
-    "integrate", "integrate_batch", "qv_oracle", "rk4",
+    "integrate", "integrate_batch", "qv_kind", "qv_oracle", "rk4",
     "ProcessConfig", "bm_bures_wasserstein",
     "bm_cartan_hadamard", "bm_grassmann", "bm_orthogonal", "bm_poincare",
     "bm_stiefel", "eigen_drift", "eigen_sde", "halfplane_start",

@@ -3,8 +3,11 @@
 Every run is reproducible: paths draw noise keyed by (seed, stream, path,
 step), so path p's CSV is the same bytes whatever the number of paths, and
 each output directory carries a manifest with the resolved config and content
-hashes of the inputs.  Exit codes: 0 success, 1 suite or run failure,
-2 config error.  A simulate run that fails part way writes no manifest.
+hashes of the inputs.  Every subcommand fails one way, and `main` alone maps
+it to an exit code and one `error:` line: bad input (`ConfigError`) is found
+before any output exists and exits 2; a run that fails after it started
+(`RunError`) exits 1, names the path or file, and writes no manifest.  A
+failed verify suite also exits 1.
 """
 
 import argparse
@@ -17,14 +20,14 @@ import numpy as np
 
 from .control import check_control_inputs, integrate_control, load_schedule
 from .geom import MetricR, drift_J_R, drift_J_gradient, drift_J_spectral, orbit_log_volume
-from .matcore import fd_gradient, mT, require_spd, so_basis, sqrtm_spd
+from .matcore import fd_gradient, require_spd, sqrtm_spd
 from .processes import (ProcessConfig, bures_wasserstein_problem, cartan_hadamard_problem,
                         eigen_problem, gram, grassmann_ito_problem, orthogonal_problem,
                         poincare_problem, sl2_to_halfplane, sphere_problem,
                         vertical_problem, wishart_problem)
 from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
                         read_matrix_csv, write_manifest, write_matrix_csv)
-from .sde import integrate, path_chunks, qv_oracle
+from .sde import QV_KINDS, integrate, path_chunks, qv_kind, qv_oracle
 from .verify import SUITE_NAMES, run_suite
 
 _CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out")
@@ -32,6 +35,10 @@ _CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out"
 _PROCESS_FLAGS = ("n", "k", "route", "reproject", "P0", "M0", "lam0", "z0")
 # the flags that name a file or directory, in any subcommand
 _PATH_FLAGS = ("config", "out", "P0", "M0", "input", "R", "schedule")
+# the one rule of each numeric flag or config key: finite and above (">") or
+# at least (">=") its bound
+_NUMERIC = {"t": (">", 0), "dt": (">", 0), "n": (">=", 1), "k": (">=", 1),
+            "paths": (">=", 1), "samples": (">=", 1), "seed": (">=", 0), "stream": (">=", 0)}
 
 
 class _Row(NamedTuple):
@@ -75,6 +82,10 @@ class ConfigError(Exception):
     """Bad flags, malformed input files, or schema violations (exit 2)."""
 
 
+class RunError(Exception):
+    """A run that failed after it started (exit 1); it writes no manifest."""
+
+
 def _load_config_file(path: str, keys: tuple) -> dict:
     """key=value lines; a key outside `keys`, or one set twice, is an error,
     not a silent no-op."""
@@ -111,16 +122,21 @@ def _reject_unread(args, mode: str, flags, file_cfg=()) -> None:
 
 
 def _resolve(args, file_cfg: dict, key: str, cast, default):
-    """Flag wins over config file wins over default."""
-    flag = getattr(args, key.replace("-", "_"))
-    if flag is not None:
-        return flag
-    if key in file_cfg:
+    """Flag wins over config file wins over default; a numeric value given
+    either way must keep the rule of its key in _NUMERIC."""
+    value = getattr(args, key.replace("-", "_"))
+    if value is None and key in file_cfg:
         try:
-            return cast(file_cfg[key])
+            value = cast(file_cfg[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
+    if value is None:
+        return default
+    if key in _NUMERIC:
+        op, bound = _NUMERIC[key]
+        if not ((value > bound if op == ">" else value >= bound) and value < np.inf):
+            raise ConfigError(f"need a finite {key} {op} {bound}; got {key}={value}")
+    return value
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -134,6 +150,16 @@ def _read_matrix(path: str) -> np.ndarray:
 
 def _unwritable(path: str, exc: OSError) -> ConfigError:
     return ConfigError(f"--out {path}: {exc.strerror or exc}")
+
+
+def _write(path: FsPath, write) -> None:
+    """Write one file of an output directory through `write(fh)`; a file that
+    cannot be written fails the run, named."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+    except OSError as exc:
+        raise RunError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _out_dir(path: str) -> FsPath:
@@ -250,12 +276,8 @@ def cmd_simulate(args) -> int:
     out_dir = _resolve(args, file_cfg, "out", str, None)
     if out_dir is None:
         raise ConfigError("simulate needs --out DIR")
-    if t_end <= 0 or dt <= 0 or n_paths < 1:
-        raise ConfigError(f"need t > 0, dt > 0, paths >= 1; got t={t_end}, dt={dt}, paths={n_paths}")
-    if seed < 0 or stream < 0:
-        raise ConfigError(f"need seed >= 0 and stream >= 0; got seed={seed}, stream={stream}")
-    if n < 1 or k < 1 or k > n:
-        raise ConfigError(f"need 1 <= k <= n; got n={n}, k={k}")
+    if k > n:
+        raise ConfigError(f"need k <= n; got n={n}, k={k}")
     for flag in row.reads:
         if flag in _INPUTS and flag not in opts:
             opts[flag] = _INPUTS[flag].default(n, k)
@@ -285,11 +307,9 @@ def cmd_simulate(args) -> int:
                 path = integrate(problem, grid, noise, p)
                 if row.image is not None:
                     path = dataclasses.replace(path, states=row.image(path.states, k, opts))
-                with open(out / outputs[p], "w", encoding="utf-8", newline="\n") as fh:
-                    emit(path.times, path.states, fh)
-            except (ValueError, FloatingPointError, OSError) as exc:
-                print(f"simulate failed at path {p}: {exc}", file=sys.stderr)
-                return 1
+                _write(out / outputs[p], lambda fh: emit(path.times, path.states, fh))
+            except (ValueError, FloatingPointError, RunError) as exc:
+                raise RunError(f"simulate failed at path {p}: {exc}") from exc
             if path.stopped:
                 stopped.append({"path": p, "step": path.stopped_step,
                                 "reason": path.stop_reason})
@@ -297,8 +317,7 @@ def cmd_simulate(args) -> int:
                 plotted.append(path)
     if args.svg:
         times, series = _svg_series(process, row.kind, n, plotted)
-        with open(out / "plot.svg", "w", encoding="utf-8", newline="\n") as fh:
-            emit_svg(times, series, fh, title=process)
+        _write(out / "plot.svg", lambda fh: emit_svg(times, series, fh, title=process))
         outputs.append("plot.svg")
 
     config = {"subcommand": "simulate", "process": process, "n": n, "k": k,
@@ -306,8 +325,7 @@ def cmd_simulate(args) -> int:
               "stream": stream, "svg": bool(args.svg), "route": opts.get("route"),
               "stopped": stopped}
     manifest = build_manifest(config, inputs=inputs, outputs=outputs)
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        write_manifest(manifest, fh)
+    _write(out / "manifest.json", lambda fh: write_manifest(manifest, fh))
     for item in stopped:
         print(f"note: path {item['path']} stopped at step {item['step']}: {item['reason']}")
     print(f"wrote {len(outputs)} artifact(s) to {out}")
@@ -344,20 +362,15 @@ def cmd_drift(args) -> int:
 def cmd_verify(args) -> int:
     _reject_unread(args, f"verify --suite {args.suite}",
                    () if args.suite == "constants" else ("out",))
-    kwargs = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"need seed >= 0; got seed={args.seed}")
-        kwargs["seed"] = args.seed
+    seed = _resolve(args, {}, "seed", int, None)
+    kwargs = {} if seed is None else {"seed": seed}
     out = None if args.out is None else _out_dir(args.out)
     result, report = run_suite(args.suite, **kwargs)
     if report is not None:
         for line in report.lines():
             print(line)
         if out is not None:
-            with open(out / "constants_report.json", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(report.to_json() + "\n")
+            _write(out / "constants_report.json", lambda fh: fh.write(report.to_json() + "\n"))
             print(f"wrote {out / 'constants_report.json'}")
     for line in result.lines():
         print(line)
@@ -378,8 +391,7 @@ def cmd_control(args) -> int:
         path = integrate_control(p0, schedule, substeps=args.substeps)
     except ValueError as exc:
         raise ConfigError(f"--schedule {args.schedule} --P0 {args.P0}: {exc}") from exc
-    with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
-        emit_csv(path.times, path.states, fh)
+    _write(out / "trajectory.csv", lambda fh: emit_csv(path.times, path.states, fh))
     loewner_min = float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())
     config = {"subcommand": "control", "schedule": args.schedule,
               "substeps": args.substeps, "segments": len(schedule.segments),
@@ -387,8 +399,7 @@ def cmd_control(args) -> int:
     inputs = {"schedule": FsPath(args.schedule).read_bytes(),
               "P0": FsPath(args.P0).read_bytes()}
     manifest = build_manifest(config, inputs=inputs, outputs=["trajectory.csv"])
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        write_manifest(manifest, fh)
+    _write(out / "manifest.json", lambda fh: write_manifest(manifest, fh))
     print(f"integrated {len(schedule.segments)} segment(s), "
           f"duration {schedule.total_duration:g}, "
           f"min increment eigenvalue {loewner_min:.3e}")
@@ -407,31 +418,15 @@ def cmd_oracle(args) -> int:
         kind = args.kind or "wiener"
         _reject_unread(args, "oracle --target qv", ("input", "R"))
         _reject_unread(args, f"oracle --kind {kind}", () if kind == "wiener" else ("k",))
-        n = 2 if args.n is None else args.n
-        k = n if args.k is None else args.k
-        dt = 1e-3 if args.dt is None else args.dt
-        samples = 4000 if args.samples is None else args.samples
-        seed = 0 if args.seed is None else args.seed
-        if n < 1 or k < 1 or samples < 1 or dt <= 0 or seed < 0:
-            raise ConfigError(f"oracle needs n >= 1, k >= 1, samples >= 1, dt > 0 and "
-                              f"seed >= 0; got n={n}, k={k}, samples={samples}, "
-                              f"dt={dt:g}, seed={seed}")
-        if kind == "wiener":
-            state = np.zeros((n, k))
-            diffusion = lambda t, s, dw: dw
-            shape = (n, k)
-        elif kind == "skew":
-            try:
-                basis = so_basis(n)
-            except ValueError as exc:
-                raise ConfigError(f"oracle --kind skew: {exc}") from exc
-            diffusion = lambda t, s, dw: basis.combine(dw)
-            state = np.eye(n)
-            shape = (basis.dim,)
-        else:  # sphere
-            state = np.eye(n, 1)
-            diffusion = lambda t, s, dw: dw - s @ (mT(s) @ dw)
-            shape = (n, 1)
+        n = _resolve(args, {}, "n", int, 2)
+        k = _resolve(args, {}, "k", int, n)
+        dt = _resolve(args, {}, "dt", float, 1e-3)
+        samples = _resolve(args, {}, "samples", int, 4000)
+        seed = _resolve(args, {}, "seed", int, 0)
+        try:
+            diffusion, state, shape = qv_kind(kind, n, k)
+        except ValueError as exc:
+            raise ConfigError(f"oracle --kind {kind}: {exc}") from exc
         est = qv_oracle(diffusion, state, shape, dt, samples, seed=seed)
         k_field = f" k={k}" if kind == "wiener" else ""
         print(f"qv oracle: kind={kind} n={n}{k_field} dt={dt:g} samples={samples}")
@@ -506,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="quadratic-variation and gradient oracles")
     orc.add_argument("--target", choices=("qv", "fd-gradient"), required=True)
-    orc.add_argument("--kind", choices=("wiener", "skew", "sphere"), help="default wiener")
+    orc.add_argument("--kind", choices=QV_KINDS, help="default wiener")
     orc.add_argument("--n", type=int, default=None)
     orc.add_argument("--k", type=int, default=None)
     orc.add_argument("--dt", type=float, default=None, help="qv step (default 1e-3)")
@@ -526,9 +521,9 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) == "":
                 raise ConfigError(f"--{flag} is an empty path; give a path or leave the flag out")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

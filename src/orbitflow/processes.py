@@ -494,6 +494,8 @@ def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path
     p0 = require_spd(p0)
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if not np.isfinite(t_end):
+        raise ValueError(f"mcf_ode needs a finite t_end; got t_end={t_end:g}")
     f = (drift_J_kernel if metric is None
          else (lambda p: drift_J_R_kernel(p, metric.factor, metric.factor_inv)))
     return Path(times=np.linspace(0.0, t_end, steps + 1), states=rk4(f, p0, t_end, steps))

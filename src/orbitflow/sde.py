@@ -1,6 +1,7 @@
 """Integration kernel: deterministic noise streams, one Euler-Maruyama
 stepper with state guards for one path or a batch of paths, the RK4 used by
-the deterministic flows, and a quadratic-variation oracle.
+the deterministic flows, and a quadratic-variation oracle with its named
+kinds.
 
 Noise determinism contract: the standard normal attached to
 (seed, stream, path, step, entry) is a pure function of those indices,
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import mT, sym_part
+from .matcore import mT, so_basis, sym_part
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
@@ -28,8 +29,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive; got dt={self.dt:g}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
@@ -44,7 +45,11 @@ class TimeGrid:
     def regular(cls, t_end: float, dt: float) -> "TimeGrid":
         """Grid from 0 to t_end; t_end / dt must be a positive whole number
         to 1e-9 (relative), so the grid never ends short of or past t_end."""
+        if not (np.isfinite(t_end) and np.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"need a finite t and a finite dt > 0; got t={t_end:g}, dt={dt:g}")
         ratio = t_end / dt
+        if not np.isfinite(ratio):
+            raise ValueError(f"t={t_end:g} / dt={dt:g} overflows (ratio {ratio:g})")
         steps = int(round(ratio))
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
             raise ValueError(f"t={t_end:g} is not a whole number of dt={dt:g} steps "
@@ -370,8 +375,8 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     """
     if samples < 1:
         raise ValueError(f"qv_oracle needs samples >= 1; got samples={samples}")
-    if not dt > 0.0:
-        raise ValueError(f"qv_oracle needs dt > 0; got dt={dt:g}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"qv_oracle needs a finite dt > 0; got dt={dt:g}")
     source = NoiseSource(seed, stream=104729)
     state = np.asarray(state, dtype=np.float64)
     nr, nc = state.shape
@@ -407,3 +412,22 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     (outer, outer_se), (inner, inner_se), (square, square_se) = est[:3]
     return QvEstimate(outer=outer, outer_se=outer_se, inner=inner, inner_se=inner_se,
                       square=square, square_se=square_se, samples=samples)
+
+
+QV_KINDS = ("wiener", "skew", "sphere")
+
+
+def qv_kind(kind: str, n: int, k: int | None = None) -> tuple:
+    """The (diffusion, state, noise_shape) that `qv_oracle` takes for a named
+    kind: "wiener" is dX = dW at the n x k zero matrix (k = n unless given),
+    "skew" is dX = dA = so_basis(n).combine(dw) at I, and "sphere" is the
+    tangent-projected dX = dW - x x^T dW at the unit point e_1 of R^n."""
+    if kind == "wiener":
+        k = n if k is None else k
+        return (lambda t, s, dw: dw), np.zeros((n, k)), (n, k)
+    if kind == "skew":
+        basis = so_basis(n)
+        return (lambda t, s, dw: basis.combine(dw)), np.eye(n), (basis.dim,)
+    if kind == "sphere":
+        return (lambda t, s, dw: dw - s @ (mT(s) @ dw)), np.eye(n, 1), (n, 1)
+    raise ValueError(f"unknown qv kind {kind!r}; choose from {', '.join(QV_KINDS)}")

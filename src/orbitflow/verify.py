@@ -21,10 +21,10 @@ from .ensembles import (bw_ensemble, eigen_ensemble, grassmann_ito_ensemble,
 from .geom import (MetricR, drift_J_R, drift_J_spectral, horizontal_project,
                    ito_correction_sum, metric_gram, orbit_log_volume,
                    vertical_project)
-from .matcore import mT, so_basis, sqrtm_spd, sym_part
+from .matcore import sqrtm_spd, sym_part
 from .processes import ProcessConfig, mcf_ode, vertical_bm
 from .reporting import ConstantsEntry, ConstantsReport
-from .sde import qv_oracle
+from .sde import qv_kind, qv_oracle
 
 SUITE_NAMES = ("constants", "invariants", "eigen-consistency", "mcf-match",
                "control")
@@ -80,20 +80,13 @@ def constants_suite(samples: int = 8000, seed: int = 0):
     dt = 1e-3
 
     # sphere: tangent-projected noise at a unit point; radial slope n-1
-    x = np.zeros((n, 1))
-    x[0, 0] = 1.0
-    qv_sphere = qv_oracle(lambda t, s, dw: dw - s @ (mT(s) @ dw), x, (n, 1),
-                          dt, samples, seed=seed)
+    qv_sphere = qv_oracle(*qv_kind("sphere", n), dt, samples, seed=seed)
     # orthogonal frame: dX = dA at Q = I; the plain product dA dA picks up
     # the Ito coefficient -(n-1)/2, the outer product its normalization
-    skew = so_basis(n)
-    qv_skew = qv_oracle(lambda t, s, dw: skew.combine(dw), np.eye(n),
-                        (skew.dim,), dt, samples, seed=seed + 1)
+    qv_skew = qv_oracle(*qv_kind("skew", n), dt, samples, seed=seed + 1)
     # rectangular and square Wiener contractions dW dW^T
-    qv_rect = qv_oracle(lambda t, s, dw: dw, np.zeros((n, k)), (n, k),
-                        dt, samples, seed=seed + 2)
-    qv_square = qv_oracle(lambda t, s, dw: dw, np.zeros((n, n)), (n, n),
-                          dt, samples, seed=seed + 3)
+    qv_rect = qv_oracle(*qv_kind("wiener", n, k), dt, samples, seed=seed + 2)
+    qv_square = qv_oracle(*qv_kind("wiener", n), dt, samples, seed=seed + 3)
 
     # one row per constant: context, location, stated and derived values,
     # and the oracle's estimate and standard error

@@ -490,6 +490,26 @@ def test_simulate_whose_path_csv_cannot_be_written_exits_one(tmp_path, capsys):
     assert {f.name for f in out.iterdir()} == {"path_0000.csv", "path_0001.csv"}
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["simulate", "--process", "wishart", "--t", "0.01", "--svg"], "plot.svg"),
+    (["simulate", "--process", "wishart", "--t", "0.01", "--svg"], "manifest.json"),
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}"], "trajectory.csv"),
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}"], "manifest.json"),
+    (["verify", "--suite", "constants"], "constants_report.json"),
+])
+def test_a_file_the_run_cannot_write_exits_one_and_names_it(tmp_path, capsys, argv, blocked):
+    # a directory in the place of one file of the output directory: the run
+    # fails after it started, so it exits 1 and leaves no manifest file
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    files = {"{SCHED}": _write(tmp_path / "sched.txt", "0.2; R = [1, 0, 0, 1]\n"),
+             "{P}": _spd_csv(tmp_path)}
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out / blocked}: Is a directory"]
+    assert not (out / "manifest.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # drift
 
@@ -641,6 +661,16 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
     # a matrix entry that is not a number, named with its file and line
     (["simulate", "--process", "bw-bm", "--P0", "{WORD}", "--t", "0.01", "--out", "{OUT}"],
      "{WORD} line 2: entry 'x' is not a number"),
+    # times that are not finite, from a flag or a config key, and a step
+    # count too large to hold
+    (["simulate", "--process", "wishart", "--t", "inf", "--out", "{OUT}"], "t=inf"),
+    (["simulate", "--process", "wishart", "--config", "{T_INF}", "--out", "{OUT}"], "t=inf"),
+    (["simulate", "--process", "wishart", "--t", "nan", "--out", "{OUT}"], "t=nan"),
+    (["simulate", "--process", "wishart", "--dt", "nan", "--out", "{OUT}"], "dt=nan"),
+    (["oracle", "--target", "qv", "--dt", "nan"], "dt=nan"),
+    (["oracle", "--target", "qv", "--dt", "inf", "--samples", "10"], "dt=inf"),
+    (["simulate", "--process", "wishart", "--t", "1e308", "--dt", "1e-10", "--out", "{OUT}"],
+     "t=1e+308 / dt=1e-10 overflows"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -662,7 +692,8 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{NO_OUT}": _write(tmp_path / "no_out.cfg", "out =\n"),
              "{FILE}": _write(tmp_path / "file.txt", "not a directory\n"),
              "{NODIR}": str(tmp_path / "nodir" / "J.csv"),
-             "{WORD}": _write(tmp_path / "WORD.csv", "1, 0\n0, x\n")}
+             "{WORD}": _write(tmp_path / "WORD.csv", "1, 0\n0, x\n"),
+             "{T_INF}": _write(tmp_path / "t_inf.cfg", "t = inf\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)

@@ -343,6 +343,12 @@ def test_mcf_ode_doubles_at_t_four():
     assert_allclose(path.final, 2.0 * p0, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
+def test_mcf_ode_rejects_a_non_finite_end_time(t_end):
+    with pytest.raises(ValueError, match=f"t_end={t_end:g}"):
+        mcf_ode(np.eye(2), t_end, 4)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_mcf_ode_trace_is_linear(n):
     rng = np.random.default_rng(50 + n)

@@ -10,7 +10,8 @@ from orbitflow import sde
 from orbitflow.matcore import LieBasis, mT, so_basis
 from orbitflow.processes import invariant_problem
 from orbitflow.sde import (NoiseBlock, NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
-                           integrate, integrate_batch, path_chunks, qv_oracle, rk4)
+                           integrate, integrate_batch, path_chunks, qv_kind, qv_oracle,
+                           rk4)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +41,25 @@ def test_time_grid_rejects_partial_steps():
     # 100.00000000000001 in floating point
     assert TimeGrid.regular(0.1, 1e-3).steps == 100
     assert TimeGrid.regular(0.5, 0.1).steps == 5
+
+
+def test_time_grid_rejects_non_finite_times():
+    # a time that is not finite, or a step count that overflows, is named
+    # with its value rather than building a grid of nan times
+    with pytest.raises(ValueError, match="dt=nan"):
+        TimeGrid(float("nan"), 3)
+    with pytest.raises(ValueError, match="dt=inf"):
+        TimeGrid(np.inf, 3)
+    with pytest.raises(ValueError, match="t=inf"):
+        TimeGrid.regular(np.inf, 1e-3)
+    with pytest.raises(ValueError, match="t=nan"):
+        TimeGrid.regular(float("nan"), 1e-3)
+    with pytest.raises(ValueError, match="dt=nan"):
+        TimeGrid.regular(1.0, float("nan"))
+    with pytest.raises(ValueError, match="dt=0"):
+        TimeGrid.regular(1.0, 0.0)
+    with pytest.raises(ValueError, match=r"t=1e\+308 / dt=1e-10 overflows"):
+        TimeGrid.regular(1e308, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +553,26 @@ def test_qv_oracle_equals_per_sample_definition(name, samples):
     assert est.samples == samples
 
 
+@pytest.mark.parametrize("kind, n, k, name", [("wiener", 3, None, "wiener-square"),
+                                               ("wiener", 3, 2, "wiener-rect"),
+                                               ("skew", 3, None, "skew-basis"),
+                                               ("sphere", 3, None, "sphere")])
+def test_qv_kinds_are_the_diffusions_the_oracle_checks(kind, n, k, name):
+    # the named kinds that `oracle --target qv` and the constants suite use
+    # give the estimates of the diffusions written out above, bit for bit
+    got = qv_oracle(*qv_kind(kind, n, k), 1e-3, 600, seed=2)
+    diffusion, state, shape = QV_DIFFUSIONS[name]
+    want = qv_oracle(diffusion, state, shape, 1e-3, 600, seed=2)
+    for field in ("outer", "outer_se", "inner", "inner_se", "square", "square_se"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("kwargs,name", [({"samples": 0}, "samples=0"),
                                          ({"samples": -3}, "samples=-3"),
                                          ({"dt": 0.0}, "dt=0"),
-                                         ({"dt": -1e-3}, "dt=-0.001")])
+                                         ({"dt": -1e-3}, "dt=-0.001"),
+                                         ({"dt": np.inf}, "dt=inf")])
 def test_qv_oracle_rejects_bad_arguments(kwargs, name):
     args = {"dt": 1e-3, "samples": 10} | kwargs
     with pytest.raises(ValueError, match=name):
