@@ -35,10 +35,12 @@ _CONFIG_KEYS = ("process", "n", "k", "t", "dt", "paths", "seed", "stream", "out"
 _PROCESS_FLAGS = ("n", "k", "route", "reproject", "P0", "M0", "lam0", "z0")
 # the flags that name a file or directory, in any subcommand
 _PATH_FLAGS = ("config", "out", "P0", "M0", "input", "R", "schedule")
-# the one rule of each numeric flag or config key: finite and above (">") or
-# at least (">=") its bound
-_NUMERIC = {"t": (">", 0), "dt": (">", 0), "n": (">=", 1), "k": (">=", 1),
-            "paths": (">=", 1), "samples": (">=", 1), "seed": (">=", 0), "stream": (">=", 0)}
+# the one rule of each numeric flag or config key: finite, above (">") or at
+# least (">=") its bound, and at most its cap.  seed and stream are 64-bit
+# Philox key words, and verify's constants suite keys seed + 1 ... seed + 3
+_NUMERIC = {"t": (">", 0, np.inf), "dt": (">", 0, np.inf), "n": (">=", 1, np.inf),
+            "k": (">=", 1, np.inf), "paths": (">=", 1, np.inf), "samples": (">=", 1, np.inf),
+            "seed": (">=", 0, 2 ** 64 - 4), "stream": (">=", 0, 2 ** 64 - 1)}
 
 
 class _Row(NamedTuple):
@@ -133,9 +135,11 @@ def _resolve(args, file_cfg: dict, key: str, cast, default):
     if value is None:
         return default
     if key in _NUMERIC:
-        op, bound = _NUMERIC[key]
-        if not ((value > bound if op == ">" else value >= bound) and value < np.inf):
-            raise ConfigError(f"need a finite {key} {op} {bound}; got {key}={value}")
+        op, bound, cap = _NUMERIC[key]
+        if not ((value > bound if op == ">" else value >= bound) and value < np.inf
+                and value <= cap):
+            most = "" if cap == np.inf else f" and <= {cap}"
+            raise ConfigError(f"need a finite {key} {op} {bound}{most}; got {key}={value}")
     return value
 
 

@@ -13,7 +13,9 @@ quotient in three independent forms:
 
 The three are cross-validated against each other in the test suite; none is
 defined in terms of another beyond what the formulas below state.  The
-spectral and transported forms take any leading stack axes.  They validate
+vertical and horizontal projections and the spectral and transported forms
+take any leading stack axes, and each matrix of a stack gets the bits of a
+call on it alone.  The projections validate nothing; the two forms validate
 their argument once and then run the kernels drift_J_kernel and
 drift_J_R_kernel, which validate nothing; flows whose states are already
 exactly symmetric (mcf_ode, integrate_control) call the kernels directly.
@@ -94,21 +96,18 @@ def vertical_project(m, w, metric: MetricR | None = None) -> np.ndarray:
     The output is M K where the skew matrix K solves
         (M^T R M) K + K (M^T R M) = M^T R W - W^T R M,
     which is the normal equation for metric-orthogonal projection onto the
-    orbit direction space.
+    orbit direction space.  M and W may carry leading stack axes, broadcast
+    against each other; each matrix gets the bits of a call on it alone.
     """
-    m = as_matrix(m)
-    w = as_matrix(w)
-    r = _metric_or_euclidean(metric, m.shape[0]).R
+    r = _metric_or_euclidean(metric, m.shape[-2]).R
     rm = r @ m
-    rhs = rm.T @ w - w.T @ rm
-    k = solve_lyapunov(sym_part(m.T @ rm), rhs)
+    k = solve_lyapunov(sym_part(mT(m) @ rm), mT(rm) @ w - mT(w) @ rm)
     return m @ k
 
 
 def horizontal_project(m, w, metric: MetricR | None = None) -> np.ndarray:
     """Metric-orthogonal complement of the vertical part; vertical + horizontal
-    recovers the input exactly."""
-    w = as_matrix(w)
+    recovers the input exactly.  Takes stacks as vertical_project does."""
     return w - vertical_project(m, w, metric)
 
 

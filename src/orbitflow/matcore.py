@@ -4,9 +4,9 @@ finite-difference gradients, and the Lie-algebra bases used by the geometry laye
 Everything operates on plain float64 ndarrays.  The require_* validators check
 a caller's matrix where it enters: sqrtm_spd here, and elsewhere MetricR, the
 process builders, the drift routes and the CLI.  eigh_desc and solve_lyapunov
-validate nothing and need exactly symmetric input (as sym_part and
-require_symmetric leave it), because np.linalg.eigh reads only the lower
-triangle.
+take any leading stack axes, validate nothing and need exactly symmetric
+input (as sym_part and require_symmetric leave it), because np.linalg.eigh
+reads only the lower triangle.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ def as_matrix(a) -> np.ndarray:
 
 def mT(a) -> np.ndarray:
     """Transpose over the last two axes of a stack of matrices."""
-    return np.swapaxes(a, -1, -2)
+    return np.asarray(a).swapaxes(-1, -2)
 
 
 def sym_part(a: np.ndarray) -> np.ndarray:
@@ -121,39 +121,29 @@ def sqrtm_spd_kernel(s) -> np.ndarray:
 
 
 def solve_lyapunov(p, b) -> np.ndarray:
-    """Solve P X + X P = B for X, with P symmetric positive definite.
+    """Solve P X + X P = B for X, with P symmetric positive definite; P and B
+    may carry leading stack axes, broadcast against each other.
 
-    Parameters
-    ----------
-    p : (k, k) array, SPD and exactly symmetric (not checked; see eigh_desc)
-    b : (k, k) array
-
-    Returns
-    -------
-    x : (k, k) array
-        In the eigenbasis of P the solution is elementwise:
-        x_ij = b_ij / (lam_i + lam_j).  If `b` is exactly symmetric (or
-        exactly skew) the output is canonicalized to the same storage class,
-        which the true solution belongs to.
-
-    Raises
-    ------
-    ValueError
-        If P is not SPD; lam_i + lam_j may then vanish and the pencil is
-        singular.
+    P must be exactly symmetric (not checked; see eigh_desc).  In the
+    eigenbasis of P the solution is elementwise x_ij = b_ij / (lam_i + lam_j),
+    and where a matrix of B is exactly symmetric (or exactly skew) its
+    solution is canonicalized to that storage class, which the true solution
+    belongs to.  One eigh_desc call takes the whole stack and every product
+    is per matrix, so each matrix gets the bits of a call on it alone.
+    Raises ValueError if any P is not SPD: lam_i + lam_j may then vanish.
     """
-    b = as_matrix(b)
-    lam, u = eigh_desc(as_matrix(p))
-    if lam[-1] <= TAU_SPD * max(lam[0], 0.0) or lam[-1] <= 0.0:
+    lam, u = eigh_desc(p)
+    # lam is sorted, so this one test also fails wherever lam_min <= 0
+    if not (lam[..., -1:] > TAU_SPD * lam[..., :1]).all():
         raise ValueError("Lyapunov solve needs a positive definite coefficient")
-    bt = u.T @ b @ u
-    x = u @ (bt / np.add.outer(lam, lam)) @ u.T
-    # the exact solution inherits b's symmetry class; canonicalize storage
-    if np.array_equal(b, b.T):
-        x = sym_part(x)
-    elif np.array_equal(b, -b.T):
-        x = skew_part(x)
-    return x
+    ut, bt = mT(u), mT(b)
+    x = u @ ((ut @ b @ u) / (lam[..., :, None] + lam[..., None, :])) @ ut
+    # each exact solution inherits its b's symmetry class; canonicalize each
+    # matrix's storage, a zero b (in both classes) as symmetric
+    sym = np.logical_and.reduce(b == bt, axis=(-2, -1), keepdims=True)
+    skew = np.logical_and.reduce(b == -bt, axis=(-2, -1), keepdims=True)
+    out = np.where(skew, skew_part(x), x) if skew.any() else x
+    return np.where(sym, sym_part(x), out) if sym.any() else out
 
 
 def fd_gradient(f, m) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Each process is defined once, by a problem builder (`*_problem`) whose drift,
 diffusion, guard and post_step accept states with any leading batch axes and
-give the same bits on a batch as on one slice (all but `vertical_problem`,
-whose projection works on one matrix).  The single-path functions here
+give the same bits on a batch as on one slice.  The single-path functions here
 (`bm_*`, `wishart`, `eigen_sde`, `vertical_bm`, `sphere_vertical_bm`) run
 that problem through `sde.integrate` for library callers; `orbitflow
 simulate` does not call them: it builds the problem once and runs each path
@@ -418,7 +417,8 @@ def vertical_problem(m0, metric: MetricR | None = None) -> SdeProblem:
     largest.  m0 is rejected when the Lyapunov solve of vertical_project
     rejects its Gram M0^T R M0 (lam_min <= TAU_SPD lam_max, a singular-value
     ratio of G M0 at most sqrt(TAU_SPD)); the error names that ratio.
-    Single path only: the vertical projection works on one matrix.
+    The diffusion and the guard take a leading path axis, as vertical_project
+    and the SVD do.
     """
     m0 = as_matrix(m0)
     gi = None if metric is None else metric.factor_inv
@@ -436,7 +436,7 @@ def vertical_problem(m0, metric: MetricR | None = None) -> SdeProblem:
 
     def guard(x):
         sv = np.linalg.svd(x, compute_uv=False)
-        return sv[-1] > 1e-8 * sv[0]
+        return sv[..., -1] > 1e-8 * sv[..., 0]
 
     return SdeProblem(x0=m0, diffusion=diffusion, noise_shape=m0.shape,
                       guard=guard, guard_name="rank guard")

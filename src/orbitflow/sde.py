@@ -77,8 +77,9 @@ class NoiseSource:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be non-negative")
+        for name, key in (("seed", seed), ("stream", stream)):
+            if not 0 <= key < 2 ** 64:
+                raise ValueError(f"a Philox key word is in [0, 2^64); got {name}={key}")
         self.seed = int(seed)
         self.stream = int(stream)
 

@@ -671,6 +671,18 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
     (["oracle", "--target", "qv", "--dt", "inf", "--samples", "10"], "dt=inf"),
     (["simulate", "--process", "wishart", "--t", "1e308", "--dt", "1e-10", "--out", "{OUT}"],
      "t=1e+308 / dt=1e-10 overflows"),
+    # seeds and streams are 64-bit Philox key words, and the constants suite
+    # keys seed + 1 ... seed + 3
+    (["simulate", "--process", "wishart", "--t", "0.01", "--seed", "18446744073709551616",
+      "--out", "{OUT}"], "seed=18446744073709551616"),
+    (["simulate", "--process", "wishart", "--t", "0.01", "--stream", "18446744073709551616",
+      "--out", "{OUT}"], "stream=18446744073709551616"),
+    (["simulate", "--process", "wishart", "--config", "{SEED_2_64}", "--t", "0.01",
+      "--out", "{OUT}"], "seed=18446744073709551616"),
+    (["oracle", "--target", "qv", "--seed", "18446744073709551616", "--samples", "10"],
+     "seed=18446744073709551616"),
+    (["verify", "--suite", "constants", "--seed", "18446744073709551615"],
+     "seed=18446744073709551615"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -693,7 +705,8 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{FILE}": _write(tmp_path / "file.txt", "not a directory\n"),
              "{NODIR}": str(tmp_path / "nodir" / "J.csv"),
              "{WORD}": _write(tmp_path / "WORD.csv", "1, 0\n0, x\n"),
-             "{T_INF}": _write(tmp_path / "t_inf.cfg", "t = inf\n")}
+             "{T_INF}": _write(tmp_path / "t_inf.cfg", "t = inf\n"),
+             "{SEED_2_64}": _write(tmp_path / "seed.cfg", "seed = 18446744073709551616\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)

@@ -1,18 +1,25 @@
 """Each ensemble runs its process's own problem over a path axis: row p of an
 ensemble equals the single-path run with path_index=p bit for bit, and a
-path whose guard trips keeps its last valid state."""
+path whose guard trips keeps its last valid state.  Every process builder
+meets that contract, the vertical process included."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from orbitflow import ensembles, processes
+from orbitflow.geom import MetricR
 from orbitflow.processes import ProcessConfig
+from orbitflow.sde import integrate, integrate_batch
 
 PATHS = 5
 CFG = ProcessConfig(t_end=0.2, dt=1e-3, seed=3, stream=1)
 P0 = np.diag([3.0, 2.0, 1.0])
 LAM0 = [5.0, 2.0, 1.0]
+M0 = np.array([[1.0, 0.2], [0.1, 1.5], [0.3, -0.4]])
+METRIC = MetricR(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]))
 
 # name -> (ensemble run, single-path run of path p)
 CASES = {
@@ -46,6 +53,14 @@ CASES = {
     "sphere": (
         lambda: ensembles.sphere_ensemble(3, CFG, PATHS)[0],
         lambda p: processes.sphere_vertical_bm(3, CFG, path_index=p)[0]),
+    "vertical": (
+        lambda: integrate_batch(processes.vertical_problem(M0), CFG.grid(), CFG.source(),
+                                PATHS),
+        lambda p: processes.vertical_bm(M0, CFG, path_index=p)[0]),
+    "vertical-metric": (
+        lambda: integrate_batch(processes.vertical_problem(M0, METRIC), CFG.grid(),
+                                CFG.source(), PATHS),
+        lambda p: processes.vertical_bm(M0, CFG, METRIC, path_index=p)[0]),
 }
 
 
@@ -116,3 +131,19 @@ def test_tripped_rank_guard_keeps_spd_state():
         assert_array_equal(rows[p], path.final)
         w = np.linalg.eigvalsh(rows[p])
         assert w[0] > 1e-8 * w[-1]
+
+
+@pytest.mark.parametrize("metric, cap", [(None, 1.04), (METRIC, 1.035)])
+def test_vertical_row_that_trips_mid_window_keeps_its_lone_path_bits(metric, cap):
+    # the rank guard narrowed by a cap on entry (0, 0) that path 0 alone
+    # crosses, at step 129 of 200.  The 200 steps are one noise window, so
+    # row 0 leaves the batch mid-window and the other rows step on without it
+    problem = processes.vertical_problem(M0, metric)
+    rank_guard = problem.guard
+    capped = dataclasses.replace(problem, guard=lambda x: rank_guard(x) & (x[..., 0, 0] < cap))
+    paths = [integrate(capped, CFG.grid(), CFG.source(), p) for p in range(PATHS)]
+    assert [path.stopped_step for path in paths] == [129] + [None] * (PATHS - 1)
+    final, alive = integrate_batch(capped, CFG.grid(), CFG.source(), PATHS)
+    assert_array_equal(alive, [False] + [True] * (PATHS - 1))
+    for p, path in enumerate(paths):
+        assert_array_equal(final[p], path.final)

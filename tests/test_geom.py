@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from orbitflow.geom import (KAPPA_DRIFT, MetricR, drift_J_gradient, drift_J_R,
                             drift_J_spectral, fiber_dim, horizontal_project,
@@ -54,6 +54,20 @@ def test_split_recovers_and_is_orthogonal(n, k, with_metric):
     assert_allclose(vertical_project(m, v, metric), v, rtol=0, atol=1e-10)
     assert_allclose(vertical_project(m, h, metric), np.zeros_like(h),
                     rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_stacked_projections_equal_per_matrix_calls(n, k, with_metric):
+    rng = np.random.default_rng(300 + 10 * n + k + with_metric)
+    metric = _rand_metric(rng, n) if with_metric else None
+    m = rng.standard_normal((5, n, k))
+    w = rng.standard_normal((5, n, k))
+    v = vertical_project(m, w, metric)
+    h = horizontal_project(m, w, metric)
+    for i in range(5):
+        assert_array_equal(v[i], vertical_project(m[i], w[i], metric))
+        assert_array_equal(h[i], horizontal_project(m[i], w[i], metric))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])

@@ -160,6 +160,34 @@ def test_solve_lyapunov_rejects_indefinite():
         solve_lyapunov(np.diag([1.0, 0.0]), np.eye(2))
 
 
+def test_solve_lyapunov_stack_equals_per_matrix_calls():
+    """A stack of symmetric, skew, general and zero right-hand sides: each
+    matrix gets the bits of a call on it alone and its own storage class."""
+    rng = np.random.default_rng(8)
+    p = np.stack([_rand_spd(rng, 3) for _ in range(4)])
+    g = rng.standard_normal((3, 3, 3))
+    b = np.stack([sym_part(g[0]), skew_part(g[1]), g[2], np.zeros((3, 3))])
+    x = solve_lyapunov(p, b)
+    for i in range(4):
+        assert_array_equal(x[i], solve_lyapunov(p[i], b[i]))
+    assert_array_equal(x[0], x[0].T)
+    assert_array_equal(x[1], -x[1].T)
+    assert not np.array_equal(x[2], x[2].T) and not np.array_equal(x[2], -x[2].T)
+    assert_array_equal(x[3], np.zeros((3, 3)))
+    # one coefficient broadcast over a stack of right-hand sides
+    shared = solve_lyapunov(p[0], b)
+    for i in range(4):
+        assert_array_equal(shared[i], solve_lyapunov(p[0], b[i]))
+
+
+def test_solve_lyapunov_rejects_a_stack_with_one_coefficient_not_spd():
+    b = np.zeros((3, 2, 2))
+    for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0])):
+        p = np.stack([np.eye(2), bad, np.diag([2.0, 1.0])])
+        with pytest.raises(ValueError, match="positive definite"):
+            solve_lyapunov(p, b)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10 ** 6))
 def test_solve_lyapunov_property(n, seed):

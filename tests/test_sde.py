@@ -73,6 +73,22 @@ def test_noise_source_validation():
         NoiseSource(0, stream=-2)
 
 
+@pytest.mark.parametrize("seed, stream, named", [
+    (2 ** 64, 0, "seed=18446744073709551616"),
+    (0, 2 ** 64, "stream=18446744073709551616"),
+    (-1, 0, "seed=-1"),
+    (0, -2, "stream=-2"),
+])
+def test_noise_source_rejects_a_key_outside_64_bits(seed, stream, named):
+    with pytest.raises(ValueError, match=named):
+        NoiseSource(seed, stream)
+
+
+def test_noise_source_takes_the_largest_64_bit_keys():
+    z = NoiseSource(2 ** 64 - 1, 2 ** 64 - 1).normals(path=0, step=0, count=4)
+    assert z.shape == (4,) and np.isfinite(z).all()
+
+
 def test_normals_are_pure_functions_of_indices():
     src = NoiseSource(seed=11, stream=2)
     a = src.normals(path=3, step=7, count=5)
