@@ -26,7 +26,7 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
 
 from .matcore import (LieBasis, eigh_desc, fd_gradient, require_skew,
                       require_spd, require_symmetric, sl2_basis, skew_part,
-                      so_basis, so_pairs, solve_lyapunov, sqrtm_spd, sym_part)
+                      so_basis, solve_lyapunov, sqrtm_spd, sym_part)
 from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
                    drift_J_spectral, fiber_dim, horizontal_project,
                    ito_correction_sum, mean_curvature, metric_gram,
@@ -54,8 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LieBasis", "eigh_desc", "fd_gradient",
     "require_skew", "require_spd", "require_symmetric", "sl2_basis",
-    "skew_part", "so_basis", "so_pairs",
-    "solve_lyapunov", "sqrtm_spd", "sym_part",
+    "skew_part", "so_basis", "solve_lyapunov", "sqrtm_spd", "sym_part",
     "KAPPA_DRIFT", "MetricR", "drift_J_R", "drift_J_gradient",
     "drift_J_spectral", "fiber_dim", "horizontal_project",
     "ito_correction_sum", "mean_curvature", "metric_gram",

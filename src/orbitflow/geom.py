@@ -12,16 +12,20 @@ quotient in three independent forms:
                      metric tr(R V W^T).
 
 The three are cross-validated against each other in the test suite; none is
-defined in terms of another beyond what the formulas below state.  The
-vertical and horizontal projections and the spectral and transported forms
-take any leading stack axes, and each matrix of a stack gets the bits of a
-call on it alone.  The projections validate nothing; the two forms validate
-their argument once and then run the kernels drift_J_kernel and
-drift_J_R_kernel, which validate nothing; flows whose states are already
-exactly symmetric (mcf_ode, integrate_control) call the kernels directly.
-Every spectral step runs matcore.eigh_desc, which needs exactly symmetric
-input: the Grams M^T R M built here pass through sym_part, and a caller's
-matrix is checked where it enters (MetricR, drift_J_spectral, drift_J_R).
+defined in terms of another beyond what the formulas below state.
+
+The projections, the spectral and transported forms, metric_gram,
+orbit_log_volume and sff_vertical take any leading stack axes, and each
+matrix of a stack gets the bits of a call on it alone.  A fiber frame is one (fiber_dim(k), ...) stack in matcore.pair_index
+order, and mean_curvature and ito_correction_sum sum over it with
+matcore.add_in_order, the order of a loop over the frame.  The drift forms
+and metric_gram validate their argument once and then run the kernels
+drift_J_kernel, drift_J_R_kernel and metric_gram_kernel, which validate
+nothing; flows whose states are already exactly symmetric (mcf_ode,
+integrate_control) and orbit_log_volume call the kernels directly.  Every
+spectral step runs matcore.eigh_desc, which needs exactly symmetric input:
+the Grams M^T R M built here pass through sym_part, and a caller's matrix is
+checked where it enters (MetricR, drift_J_spectral, drift_J_R).
 """
 
 from dataclasses import dataclass, field
@@ -30,17 +34,18 @@ from functools import cache
 import numpy as np
 
 from .matcore import (
+    add_in_order,
     as_matrix,
     eigh_desc,
     fd_gradient,
     mT,
+    pair_index,
     require_skew,
     require_spd,
     require_symmetric,
     solve_lyapunov,
     sqrtm_spd,
     sym_part,
-    so_pairs,
     TAU_RANK,
 )
 
@@ -111,39 +116,35 @@ def horizontal_project(m, w, metric: MetricR | None = None) -> np.ndarray:
     return w - vertical_project(m, w, metric)
 
 
-def _onb_generators(m, metric: MetricR | None) -> list[np.ndarray]:
-    """Skew generators A with {M A} an orthonormal fiber frame at M.
+def _onb_generators(m, metric: MetricR | None) -> np.ndarray:
+    """Skew generators A with {M A} an orthonormal fiber frame at M, as one
+    (fiber_dim(k), k, k) stack in pair_index order.
 
     Diagonalize M^T R M = V diag(l^2) V^T; the generators are
     V A~_ij V^T with A~_ij = (E_ij - E_ji) / sqrt(l_i^2 + l_j^2).
     """
-    m = as_matrix(m)
     kdim = m.shape[1]
     r = _metric_or_euclidean(metric, m.shape[0]).R
     lam, v = eigh_desc(sym_part(m.T @ r @ m))
     if lam[-1] <= TAU_RANK * lam[0]:
         raise ValueError("fiber frame needs full-rank M")
-    gens = []
-    for i, j in so_pairs(kdim):
-        a = np.zeros((kdim, kdim))
-        scale = 1.0 / np.sqrt(lam[i] + lam[j])
-        a[i, j] = scale
-        a[j, i] = -scale
-        gens.append(v @ a @ v.T)
-    return gens
+    i, j, units = pair_index(kdim)
+    return v @ (units / np.sqrt(lam[i] + lam[j])[:, None, None]) @ v.T
 
 
-def vertical_onb(m, metric: MetricR | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the fiber tangent space at M under the metric."""
+def vertical_onb(m, metric: MetricR | None = None) -> np.ndarray:
+    """Orthonormal basis of the fiber tangent space at M under the metric, as
+    a (fiber_dim(k), n, k) stack."""
     m = as_matrix(m)
-    return [m @ a for a in _onb_generators(m, metric)]
+    return m @ _onb_generators(m, metric)
 
 
 def sff_vertical(m, a, metric: MetricR | None = None) -> np.ndarray:
     """Second fundamental form of the fiber along the vertical field M A.
 
     For the curve t -> M exp(t A) the acceleration is M A^2; the form is its
-    component normal to the fiber, i.e. the horizontal part of M A^2.
+    component normal to the fiber, i.e. the horizontal part of M A^2.  Each
+    skew matrix of a stack `a` is checked to 1e-12 relative.
     """
     m = as_matrix(m)
     a = require_skew(a)
@@ -152,57 +153,51 @@ def sff_vertical(m, a, metric: MetricR | None = None) -> np.ndarray:
 
 def mean_curvature(m, metric: MetricR | None = None) -> np.ndarray:
     """Mean curvature vector of the fiber through M (average of sff over an
-    orthonormal fiber frame)."""
+    orthonormal fiber frame, summed in frame order)."""
     m = as_matrix(m)
     dim = fiber_dim(m.shape[1])
     if dim == 0:
         return np.zeros_like(m)
-    total = np.zeros_like(m)
-    for a in _onb_generators(m, metric):
-        total += sff_vertical(m, a, metric)
-    return total / dim
+    sff = sff_vertical(m, _onb_generators(m, metric), metric)
+    return add_in_order(np.zeros_like(m), sff) / dim
 
 
-def metric_gram(p, check: bool = True) -> np.ndarray:
+def metric_gram_kernel(p) -> np.ndarray:
+    """metric_gram without validation; `p` must be exactly symmetric.  Each
+    entry adds its four masked terms from 0.0 in the order of the formula."""
+    i, j, _ = pair_index(p.shape[-1])
+    ia, ja, ib, jb = i[:, None], j[:, None], i[None, :], j[None, :]
+    return 0.5 * (0.0 + np.where(ja == jb, p[..., ia, ib], 0.0)
+                  + np.where(ia == ib, p[..., ja, jb], 0.0)
+                  - np.where(ja == ib, p[..., ia, jb], 0.0)
+                  - np.where(ia == jb, p[..., ja, ib], 0.0))
+
+
+def metric_gram(p) -> np.ndarray:
     """Gram matrix of the orbit tangent frame {M A_ij / sqrt(2)} given P = M^T M.
 
     Entries over pairs (i<j), (m<l):
         g = (d_jl P_im + d_im P_jl - d_jm P_il - d_il P_jm) / 2.
-    Symmetric positive definite whenever P is.
+    Symmetric positive definite whenever P is, which require_spd checks.
     """
-    p = require_spd(as_matrix(p)) if check else sym_part(p)
-    kdim = p.shape[0]
-    pairs = so_pairs(kdim)
-    npairs = len(pairs)
-    g = np.empty((npairs, npairs))
-    for a, (i, j) in enumerate(pairs):
-        for b, (mm, ll) in enumerate(pairs):
-            val = 0.0
-            if j == ll:
-                val += p[i, mm]
-            if i == mm:
-                val += p[j, ll]
-            if j == mm:
-                val -= p[i, ll]
-            if i == ll:
-                val -= p[j, mm]
-            g[a, b] = 0.5 * val
-    return g
+    return metric_gram_kernel(require_spd(p))
 
 
-def orbit_log_volume(m, metric: MetricR | None = None) -> float:
+def orbit_log_volume(m, metric: MetricR | None = None):
     """Log-volume of the orbit M O(k) under the metric, up to the constant
-    group-volume factor: (1/2) log det of the orbit-frame Gram matrix."""
-    m = as_matrix(m)
-    if m.shape[1] == 1:
+    group-volume factor: (1/2) log det of the orbit-frame Gram matrix.  One
+    value per matrix of a stack; a scalar for one matrix."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2:
+        raise ValueError(f"expected matrices over the last two axes, got shape {m.shape}")
+    if m.shape[-1] == 1:
         # single-column orbits are points; volume factor is trivial
-        return 0.0
-    r = _metric_or_euclidean(metric, m.shape[0]).R
-    g = metric_gram(m.T @ r @ m, check=False)
-    sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0:
+        return np.zeros(m.shape[:-2])[()]
+    r = _metric_or_euclidean(metric, m.shape[-2]).R
+    sign, logdet = np.linalg.slogdet(metric_gram_kernel(sym_part(mT(m) @ r @ m)))
+    if (sign <= 0).any():
         raise ValueError("orbit frame is degenerate")
-    return 0.5 * float(logdet)
+    return 0.5 * logdet
 
 
 def drift_J_kernel(s) -> np.ndarray:
@@ -252,11 +247,7 @@ def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
     m = as_matrix(m)
     met = _metric_or_euclidean(metric, m.shape[0])
     mt = met.factor @ m
-
-    def logvol(x):
-        return orbit_log_volume(x, None)
-
-    v = fd_gradient(logvol, mt)
+    v = fd_gradient(orbit_log_volume, mt)
     j = KAPPA_DRIFT * (v @ mt.T + mt @ v.T)
     gi = met.factor_inv
     return sym_part(gi @ j @ gi.T)
@@ -290,14 +281,12 @@ def drift_J_R(p, metric: MetricR) -> np.ndarray:
 
 
 def ito_correction_sum(m, metric: MetricR | None = None) -> np.ndarray:
-    """Sum of xi xi^T over the fiber orthonormal frame at M.
+    """Sum of xi xi^T over the fiber orthonormal frame at M, in frame order.
 
     This is the quadratic-variation contribution of fiber-valued noise to the
     image process; it must reproduce drift_J_spectral(M M^T) exactly in the
     Euclidean metric.
     """
     m = as_matrix(m)
-    out = np.zeros((m.shape[0], m.shape[0]))
-    for xi in vertical_onb(m, metric):
-        out += xi @ xi.T
-    return out
+    xi = vertical_onb(m, metric)
+    return add_in_order(np.zeros((m.shape[0], m.shape[0])), xi @ mT(xi))

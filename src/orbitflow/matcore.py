@@ -1,5 +1,6 @@
-"""Dense matrix kernels: validators, spectral ops, Lyapunov solves,
-finite-difference gradients, and the Lie-algebra bases used by the geometry layer.
+"""Dense matrix kernels: validators, spectral ops, Lyapunov solves, the
+in-order adder, finite-difference gradients, and the Lie-algebra bases and
+pair index used by the geometry layer.
 
 Everything operates on plain float64 ndarrays.  The require_* validators check
 a caller's matrix where it enters: sqrtm_spd here, and elsewhere MetricR, the
@@ -10,7 +11,7 @@ reads only the lower triangle.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,34 +46,41 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - mT(a))
 
 
-def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Validate symmetry of each matrix to `tol` (relative to that matrix's
-    largest entry, at least 1) and return the symmetrized array.  Takes any
-    leading stack axes.  A non-finite entry is rejected by name, since
-    neither test below can see it (an inf scale passes any deviation)."""
+def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
+    """`a` as float64 once each matrix equals sign times its transpose to tol
+    (relative to that matrix's largest entry, at least 1)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
+    # the tolerance test cannot see a non-finite entry: an inf scale passes
+    # any deviation, and a NaN deviation passes every comparison
     finite = np.isfinite(a)
     if not finite.all():
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"matrix entry {float(a[idx])!r} at index {idx} is not finite")
-    dev = np.abs(a - mT(a))
+    dev = np.abs(a - sign * mT(a))
     # every scale is at least 1, so a deviation within tol passes every
     # matrix without the per-matrix scales
-    if dev.max() > tol:
-        scale = np.maximum(np.abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
-        if (dev > tol * scale).any():
-            raise ValueError("matrix is not symmetric")
-    return sym_part(a)
+    if dev.max(initial=0.0) > tol:
+        bad = dev > tol * np.maximum(np.abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"matrix is not {name}: entry {float(a[idx])!r} at index {idx} "
+                             f"is off by {float(dev[idx]):.3g}")
+    return a
+
+
+def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
+    """Validate symmetry of each matrix to `tol` (relative to that matrix's
+    largest entry, at least 1) and return the symmetrized array.  Takes any
+    leading stack axes; a non-square input is rejected by shape and a
+    non-finite entry by value and index."""
+    return sym_part(_require_class(a, tol, 1, "symmetric"))
 
 
 def require_skew(a, tol: float = 1e-12) -> np.ndarray:
-    a = as_matrix(a)
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a + a.T).max() > tol * scale:
-        raise ValueError("matrix is not skew-symmetric")
-    return skew_part(a)
+    """require_symmetric for skew-symmetry; returns the skew part."""
+    return skew_part(_require_class(a, tol, -1, "skew-symmetric"))
 
 
 def require_spd(a, tol: float = TAU_SPD) -> np.ndarray:
@@ -146,37 +154,39 @@ def solve_lyapunov(p, b) -> np.ndarray:
     return np.where(sym, sym_part(x), out) if sym.any() else out
 
 
+def add_in_order(s: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """s + terms[0] + terms[1] + ..., added left to right; terms.sum(axis=0)
+    would regroup the additions and change the rounding."""
+    return np.add.accumulate(np.concatenate((s[None], terms)), axis=0)[-1]
+
+
 def fd_gradient(f, m) -> np.ndarray:
     """Entrywise central-difference gradient of a scalar field on matrices.
 
     Parameters
     ----------
     f : callable
-        Maps an (n, k) array to a finite float.
+        Maps a (count, n, k) stack to its count finite field values, each
+        the value at that matrix alone.
     m : (n, k) array
         Point at which to differentiate.
 
     Returns
     -------
     g : (n, k) array with g[a, b] = (f(m + h E_ab) - f(m - h E_ab)) / (2 h),
-        with the step h = 1e-5 * (1 + max|m|).
+        with the step h = 1e-5 * (1 + max|m|).  f is called twice, on the
+        n * k forward and the n * k backward points in row-major entry order.
     """
     m = as_matrix(m)
     h = 1e-5 * (1.0 + float(np.abs(m).max()))
-    g = np.empty_like(m)
-    pert = m.copy()
-    for a in range(m.shape[0]):
-        for b in range(m.shape[1]):
-            orig = pert[a, b]
-            pert[a, b] = orig + h
-            fp = f(pert)
-            pert[a, b] = orig - h
-            fm = f(pert)
-            pert[a, b] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise ValueError(f"non-finite field value at entry ({a}, {b})")
-            g[a, b] = (fp - fm) / (2.0 * h)
-    return g
+    eye = np.eye(m.size, dtype=bool).reshape((m.size,) + m.shape)
+    fp = f(np.where(eye, m + h, m))
+    fm = f(np.where(eye, m - h, m))
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        a, b = divmod(int(np.argmax(bad)), m.shape[1])
+        raise ValueError(f"non-finite field value at entry ({a}, {b})")
+    return ((fp - fm) / (2.0 * h)).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -201,22 +211,25 @@ class LieBasis:
                          self._stacked)
 
 
-def so_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@cache
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, units): the pairs i < j < n in lexicographic order and
+    the stack of E_ij - E_ji over them, the order of so_basis and of every
+    fiber frame."""
+    i, j = np.triu_indices(n, 1)
+    units = np.zeros((len(i), n, n))
+    units[np.arange(len(i)), i, j] = 1.0
+    units[np.arange(len(i)), j, i] = -1.0
+    for a in (i, j, units):
+        a.flags.writeable = False
+    return i, j, units
 
 
 def so_basis(n: int) -> LieBasis:
     """Frobenius-orthonormal basis of the skew matrices: (E_ij - E_ji)/sqrt(2)."""
     if n < 2:
         raise ValueError(f"so(n) needs n >= 2; got n={n}")
-    mats = []
-    for i, j in so_pairs(n):
-        a = np.zeros((n, n))
-        a[i, j] = 1.0 / np.sqrt(2.0)
-        a[j, i] = -1.0 / np.sqrt(2.0)
-        mats.append(a)
-    return LieBasis(name=f"so({n})", mats=tuple(mats))
+    return LieBasis(name=f"so({n})", mats=tuple(pair_index(n)[2] / np.sqrt(2.0)))
 
 
 def sl2_basis() -> LieBasis:

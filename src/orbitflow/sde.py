@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import mT, so_basis, sym_part
+from .matcore import add_in_order, mT, so_basis, sym_part
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
@@ -78,8 +78,8 @@ class NoiseSource:
 
     def __init__(self, seed: int, stream: int = 0):
         for name, key in (("seed", seed), ("stream", stream)):
-            if not 0 <= key < 2 ** 64:
-                raise ValueError(f"a Philox key word is in [0, 2^64); got {name}={key}")
+            if not (isinstance(key, (int, np.integer)) and 0 <= key < 2 ** 64):
+                raise ValueError(f"a Philox key word is an integer in [0, 2^64); got {name}={key!r}")
         self.seed = int(seed)
         self.stream = int(stream)
 
@@ -352,12 +352,6 @@ class QvEstimate:
     samples: int
 
 
-def _add_in_order(s: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """s + terms[0] + terms[1] + ..., added left to right; terms.sum(axis=0)
-    would regroup the additions and change the rounding."""
-    return np.add.accumulate(np.concatenate((s[None], terms)), axis=0)[-1]
-
-
 def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
               seed: int = 0) -> QvEstimate:
     """Estimate quadratic-variation contractions of `diffusion` at `state`.
@@ -398,8 +392,8 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
             dx = diffusion(0.0, np.broadcast_to(state, (len(dw), nr, nc)), dw)
             dxt = mT(dx)
             terms = [dx @ dxt / dt, dxt @ dx / dt] + ([dx @ dx / dt] if sq else [])
-            sums = [_add_in_order(s, t) for s, t in zip(sums, terms)]
-            sums2 = [_add_in_order(s, t * t) for s, t in zip(sums2, terms)]
+            sums = [add_in_order(s, t) for s, t in zip(sums, terms)]
+            sums2 = [add_in_order(s, t * t) for s, t in zip(sums2, terms)]
         done += take
         step += 1
     n = float(samples)

@@ -1,5 +1,7 @@
 """Fiber geometry checks: splittings, frames, curvature, and the three drift routes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,67 @@ def test_orbit_log_volume_two_by_two_closed_form():
     m = rng.standard_normal((2, 2))
     want = 0.5 * np.log(0.5 * np.trace(m.T @ m))
     assert_allclose(orbit_log_volume(m), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (2, 2), (4, 3)])
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_stacked_orbit_log_volume_equals_per_matrix_calls(n, k, with_metric):
+    rng = np.random.default_rng(520 + 10 * n + k)
+    stack = rng.standard_normal((2, 3, n, k))
+    metric = _rand_metric(rng, n) if with_metric else None
+    got = orbit_log_volume(stack, metric)
+    assert got.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert got[idx] == orbit_log_volume(stack[idx], metric)
+
+
+def test_stacked_sff_equals_per_generator_calls():
+    rng = np.random.default_rng(530)
+    m = rng.standard_normal((4, 3))
+    metric = _rand_metric(rng, 4)
+    gens = skew_part(rng.standard_normal((5, 3, 3)))
+    for met in (None, metric):
+        got = sff_vertical(m, gens, met)
+        for a, want in zip(gens, got):
+            assert_array_equal(sff_vertical(m, a, met), want)
+
+
+# sha256 of the float64 bytes of each output on the inputs of
+# test_fiber_geometry_keeps_its_bits, taken when every sum here still ran as
+# a Python loop over frame vectors, pairs and entries; the stacked kernels
+# add in the same order and must keep these bits
+GOLDEN = {
+    False: {
+        "vertical_onb": "915df98bf82c02a6028d413079e6b8d597f8bd52aaef9b82ebae4aaae02170e4",
+        "mean_curvature": "2050b08fa1b238c7664fb8577206dd08ffbb531c37b598a1492b8c62012583a7",
+        "ito_correction_sum": "dd8c90edef507aba2cf136cf8a953869f54b6afd4ad7ed0a7559b8f7dac02a98",
+        "metric_gram": "9c3d8513c367cb6e9cc77133a64a5fbb41364a48c29bff2b048a9cfef420708d",
+        "drift_J_gradient": "0548b8001f8eafcca2bcf400b65a7c12663cb0610f685261bbc8868ccc1b8c39",
+    },
+    True: {
+        "vertical_onb": "5d781e9ac45bb4419bf2e11740783e3c85deb1dd347ed009f2504f3bd2aa9bc0",
+        "mean_curvature": "f7be12e721e177d4fcae983716d8a496b446ffd654f6ec8319fe1e51d4230c94",
+        "ito_correction_sum": "7a59ee2238fa99b9f294cc1762ccac3f4be3da3cec8004260ca0d5f3577807b2",
+        "metric_gram": "7938858f7d7be6eb03a2c337fb7701373aa5ad35adff2d5ee03c8266b4499b95",
+        "drift_J_gradient": "f9c52ec8c91b49dbfbca1f10c8aff66e66899111158d2e9ae01c75ec77fb1172",
+    },
+}
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_fiber_geometry_keeps_its_bits(with_metric):
+    rng = np.random.default_rng(2020)
+    m = rng.standard_normal((4, 3))
+    metric = _rand_metric(rng, 4) if with_metric else None
+    got = {"vertical_onb": vertical_onb(m, metric),
+           "mean_curvature": mean_curvature(m, metric),
+           "ito_correction_sum": ito_correction_sum(m, metric),
+           "metric_gram": metric_gram(_rand_spd(rng, 4)),
+           "drift_J_gradient": drift_J_gradient(m, metric)}
+    digests = {name: hashlib.sha256(np.ascontiguousarray(value, dtype=np.float64)
+                                    .tobytes()).hexdigest()
+               for name, value in got.items()}
+    assert digests == GOLDEN[with_metric]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from orbitflow.control import ControlSchedule, ScheduleSegment, integrate_control
 from orbitflow.geom import MetricR
 from orbitflow.matcore import (TAU_LYAP, LieBasis, as_matrix, eigh_desc,
-                               fd_gradient, require_skew,
+                               fd_gradient, mT, require_skew,
                                require_spd, require_symmetric, sl2_basis,
-                               skew_part, so_basis, so_pairs, solve_lyapunov,
+                               skew_part, so_basis, solve_lyapunov,
                                sqrtm_spd, sym_part)
 from orbitflow.processes import mcf_ode
 
@@ -55,6 +55,27 @@ def test_validators_accept_and_reject():
     with pytest.raises(ValueError):
         require_skew(np.eye(2))
     require_skew(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad, named", [
+    ([[0.0, np.nan], [-1.0, 0.0]], "matrix entry nan at index (0, 1) is not finite"),
+    ([[0.0, np.inf], [-1.0, 0.0]], "matrix entry inf at index (0, 1) is not finite"),
+    (np.zeros((2, 3)), "got shape (2, 3)"),
+], ids=["nan", "inf", "non-square"])
+def test_require_skew_rejects_bad_matrices(bad, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        require_skew(bad)
+
+
+def test_require_skew_checks_each_matrix_of_a_stack_at_its_own_scale():
+    # a deviation of 4e-9 is within 1e-12 of a matrix of scale 1e4, but not
+    # of one of scale 1
+    big = np.array([[0.0, 1e4], [-1e4, 2e-9]])
+    small = np.array([[0.0, 1.0], [-1.0, 2e-9]])
+    assert_array_equal(require_skew(np.stack([big, big]))[1], skew_part(big))
+    with pytest.raises(ValueError, match=re.escape("not skew-symmetric: entry 2e-09 at "
+                                                   "index (1, 1, 1)")):
+        require_skew(np.stack([big, small]))
 
 
 def _schedule_from(p):
@@ -203,29 +224,64 @@ def test_solve_lyapunov_property(n, seed):
 def test_fd_gradient_linear_and_quadratic():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 3))
-    assert_allclose(fd_gradient(np.trace, m), np.eye(3), rtol=0, atol=1e-9)
-    g = fd_gradient(lambda x: 0.5 * float(np.sum(x * x)), m)
+    g = fd_gradient(lambda x: np.trace(x, axis1=-2, axis2=-1), m)
+    assert_allclose(g, np.eye(3), rtol=0, atol=1e-9)
+    g = fd_gradient(lambda x: 0.5 * np.sum(x * x, axis=(-2, -1)), m)
     assert_allclose(g, m, rtol=0, atol=1e-9)
 
 
 def test_fd_gradient_logdet():
     """grad logdet(M M^T) = 2 M^{-T} for square M."""
-    g = fd_gradient(lambda x: float(np.log(np.linalg.det(x @ x.T))), np.eye(2))
+    def logdet(x):
+        return np.log(np.linalg.det(x @ mT(x)))
+
+    g = fd_gradient(logdet, np.eye(2))
     assert_allclose(g, 2.0 * np.eye(2), rtol=0, atol=1e-9)
     rng = np.random.default_rng(6)
     m = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
-    g = fd_gradient(lambda x: float(np.log(np.linalg.det(x @ x.T))), m)
+    g = fd_gradient(logdet, m)
     assert_allclose(g, 2.0 * np.linalg.inv(m).T, rtol=1e-6, atol=1e-8)
 
 
 def test_fd_gradient_rejects_non_finite():
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ValueError):
-        fd_gradient(lambda x: float(np.log(x[0, 0])), np.zeros((1, 1)))
+        fd_gradient(lambda x: np.log(x[..., 0, 0]), np.zeros((1, 1)))
+
+    # finite except at the forward point of entry (1, 0), which is named
+    def f(x):
+        return np.where(x[..., 1, 0] > 0.0, np.nan, np.sum(x, axis=(-2, -1)))
+
+    with pytest.raises(ValueError, match=re.escape("non-finite field value at entry (1, 0)")):
+        fd_gradient(f, np.zeros((2, 3)))
 
 
-def test_so_pairs_order():
-    assert so_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert len(so_pairs(6)) == 15
+def test_fd_gradient_calls_the_field_once_per_direction():
+    # all forward points in one stack, then all backward points, each in
+    # row-major entry order
+    m = np.arange(6.0).reshape(2, 3)
+    h = 1e-5 * (1.0 + 5.0)
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.sum(x, axis=(-2, -1))
+
+    fd_gradient(f, m)
+    assert len(seen) == 2 and seen[0].shape == seen[1].shape == (6, 2, 3)
+    for e in range(6):
+        a, b = divmod(e, 3)
+        for stack, sign in zip(seen, (1.0, -1.0)):
+            want = m.copy()
+            want[a, b] = m[a, b] + sign * h
+            assert_array_equal(stack[e], want)
+
+
+def test_so_basis_order():
+    # lexicographic pairs (0, 1), (0, 2), (1, 2): each matrix's +1/sqrt(2)
+    # sits at (i, j)
+    got = [tuple(int(x) for x in np.argwhere(a > 0)[0]) for a in so_basis(3).mats]
+    assert got == [(0, 1), (0, 2), (1, 2)]
+    assert so_basis(6).dim == 15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

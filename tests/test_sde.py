@@ -1,6 +1,8 @@
 """Integration kernel checks: noise determinism, increment statistics, steppers,
 guards, and the quadratic-variation oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,7 +10,7 @@ from scipy.special import ndtri
 
 from orbitflow import sde
 from orbitflow.matcore import LieBasis, mT, so_basis
-from orbitflow.processes import invariant_problem
+from orbitflow.processes import ProcessConfig, invariant_problem
 from orbitflow.sde import (NoiseBlock, NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
                            integrate, integrate_batch, path_chunks, qv_kind, qv_oracle,
                            rk4)
@@ -82,6 +84,29 @@ def test_noise_source_validation():
 def test_noise_source_rejects_a_key_outside_64_bits(seed, stream, named):
     with pytest.raises(ValueError, match=named):
         NoiseSource(seed, stream)
+
+
+@pytest.mark.parametrize("seed, stream, named", [
+    (1.5, 0, "seed=1.5"),
+    (0, 2.0, "stream=2.0"),
+    ("3", 0, "seed='3'"),
+    (np.float64(1.0), 0, "seed=np.float64(1.0)"),
+])
+def test_noise_source_rejects_a_key_that_is_not_an_integer(seed, stream, named):
+    # int() would truncate 1.5 to seed 1's normals
+    with pytest.raises(ValueError, match=re.escape(f"an integer in [0, 2^64); got {named}")):
+        NoiseSource(seed, stream)
+
+
+def test_process_config_rejects_a_fractional_seed():
+    with pytest.raises(ValueError, match="seed=2.9"):
+        ProcessConfig(1.0, 1e-3, seed=2.9).source()
+
+
+def test_noise_source_takes_numpy_integer_keys():
+    want = NoiseSource(3, 2).normals(path=1, step=4, count=5)
+    for seed, stream in ((np.int64(3), np.uint64(2)), (np.uint8(3), np.int32(2))):
+        assert_array_equal(NoiseSource(seed, stream).normals(path=1, step=4, count=5), want)
 
 
 def test_noise_source_takes_the_largest_64_bit_keys():
