@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import as_matrix, require_spd, sqrtm_spd_kernel, sym_part
-from .geom import MetricR, drift_J_R_kernel
+from .geom import MetricR, quotient_flow
 from .sde import Path, rk4
 
 
@@ -200,20 +200,18 @@ def check_control_inputs(p0, schedule, substeps: int) -> tuple:
 def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
     """RK4 integration of dP/dt = drift under the scheduled metrics.
 
-    Each segment holds its metric constant and is split into `substeps` RK4
-    steps.  Every Loewner increment of the exact flow is positive definite,
-    so consecutive saved states satisfy P(t2) - P(t1) > 0 up to integrator
-    rounding.
+    Each segment holds its metric constant for `substeps` RK4 steps of
+    geom.quotient_flow.  Every Loewner increment of the exact flow is
+    positive definite, so consecutive saved states satisfy
+    P(t2) - P(t1) > 0 up to integrator rounding.
 
     `p0` is one (n, n) start with one ControlSchedule, which returns a Path,
     or a (B, n, n) stack with a sequence of B schedules, which returns a
     list of B Paths.  Both run the same loop, the single start as a batch of
     one: segment index s runs every row whose schedule has an s-th segment
-    as one stacked RK4 flow, each row with its own step duration / substeps
-    and its own metric factors.  Row b has the same bits, states and times,
-    as a single call with its own start and schedule.  The starts and the
-    segment sizes are validated by `check_control_inputs`; rk4 keeps every
-    stage exactly symmetric, so the stages go straight to drift_J_R_kernel.
+    as one stacked flow (one eigh_desc), each row with its own duration and
+    metric factors, and row b gets the bits, states and times, of a single
+    call with its own start and schedule.  `check_control_inputs` validates.
     """
     single, schedules, starts = check_control_inputs(p0, schedule, substeps)
 
@@ -229,8 +227,7 @@ def integrate_control(p0, schedule, substeps: int = 64) -> Path | list[Path]:
         g = np.stack([m.factor for m in metrics])
         g_inv = np.stack([m.factor_inv for m in metrics])
         duration = np.array([seg.duration for seg in segs])
-        seg_states = rk4(lambda q: drift_J_R_kernel(q, g, g_inv), p[rows], duration,
-                         substeps)[1:]
+        seg_states = quotient_flow(p[rows], duration, substeps, g, g_inv)[1:]
         # t += h step by step, left to right, as a scalar loop would add
         h = np.broadcast_to(duration / substeps, (substeps, rows.size))
         seg_times = np.add.accumulate(np.concatenate((t[None, rows], h)), axis=0)[1:]
@@ -297,7 +294,7 @@ def reach_probe(p0, u, cone_coeffs) -> ProbeReport:
         cmat = (u * alpha(mu)) @ u.T
 
         def fdir(q):
-            # rk4 keeps every stage exactly symmetric; p0 was checked above
+            # p0 and the values are exactly symmetric, so every stage is too
             m = sqrtm_spd_kernel(q)
             return sym_part(m @ cmat @ m.T)
 

@@ -16,16 +16,15 @@ defined in terms of another beyond what the formulas below state.
 
 The projections, the spectral and transported forms, metric_gram,
 orbit_log_volume and sff_vertical take any leading stack axes, and each
-matrix of a stack gets the bits of a call on it alone.  A fiber frame is one (fiber_dim(k), ...) stack in matcore.pair_index
-order, and mean_curvature and ito_correction_sum sum over it with
-matcore.add_in_order, the order of a loop over the frame.  The drift forms
-and metric_gram validate their argument once and then run the kernels
-drift_J_kernel, drift_J_R_kernel and metric_gram_kernel, which validate
-nothing; flows whose states are already exactly symmetric (mcf_ode,
-integrate_control) and orbit_log_volume call the kernels directly.  Every
-spectral step runs matcore.eigh_desc, which needs exactly symmetric input:
-the Grams M^T R M built here pass through sym_part, and a caller's matrix is
-checked where it enters (MetricR, drift_J_spectral, drift_J_R).
+matrix of a stack gets the bits of a call on it alone.  A fiber frame is
+one (fiber_dim(k), ...) stack in matcore.pair_index order, and
+mean_curvature and ito_correction_sum sum over it with matcore.add_in_order,
+the order of a loop over the frame.  The drift forms and metric_gram check
+their argument once and run the unchecked drift_J_kernel and
+metric_gram_kernel (which orbit_log_volume calls directly); quotient_flow,
+behind mcf_ode and integrate_control, makes one eigh_desc per start.
+eigh_desc needs exactly symmetric input: the Grams M^T R M built here pass
+through sym_part, and a caller's matrix is checked where it enters.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from .matcore import (
     sym_part,
     TAU_RANK,
 )
+from .sde import rk4
 
 # Scale applied to the pushed-forward log-volume gradient so that the gradient
 # route reproduces the spectral drift.  The naive fiber-dimension/2 scaling is
@@ -200,27 +200,28 @@ def orbit_log_volume(m, metric: MetricR | None = None):
     return 0.5 * logdet
 
 
-def drift_J_kernel(s) -> np.ndarray:
-    """drift_J_spectral without validation, over any leading stack axes.
+def _spectral_rate(lam) -> np.ndarray:
+    """drift_J_spectral's diagonal d(lam), rank rule included, for descending
+    spectra with any leading stack axes; the kept j are summed in ascending
+    order, so each spectrum of a stack gets the bits of a call on it alone."""
+    pos = lam > TAU_RANK * lam[..., :1]
+    keep = pos[..., :, None] & pos[..., None, :] & ~np.eye(lam.shape[-1], dtype=bool)
+    li = lam[..., :, None]
+    ratio = np.divide(li, li + lam[..., None, :], out=np.zeros(keep.shape), where=keep)
+    return np.add.accumulate(ratio, axis=-1)[..., -1]
 
-    `s` must be exactly symmetric, as sym_part and require_symmetric leave
-    it; nothing checks that.  The whole stack goes through one eigh_desc
-    call, and lam_i / (lam_i + lam_j) is summed over the kept j in ascending
-    order, so every matrix of a stack gets the same bits as a call on it
-    alone.
-    """
+
+def drift_J_kernel(s) -> np.ndarray:
+    """drift_J_spectral without validation, over any leading stack axes: `s`
+    must be exactly symmetric (unchecked), and the whole stack goes through
+    one eigh_desc call, so every matrix gets the bits of a call on it alone."""
     lam, u = eigh_desc(s)
     top = lam[..., :1]
     if (top <= 0.0).any():
         raise ValueError("drift needs a nonzero positive semidefinite matrix")
     if (lam[..., -1:] < -TAU_RANK * top).any():
         raise ValueError("negative eigenvalue outside rank tolerance")
-    pos = lam > TAU_RANK * top
-    keep = pos[..., :, None] & pos[..., None, :] & ~np.eye(lam.shape[-1], dtype=bool)
-    li = lam[..., :, None]
-    ratio = np.divide(li, li + lam[..., None, :], out=np.zeros(keep.shape), where=keep)
-    d = np.add.accumulate(ratio, axis=-1)[..., -1]
-    return sym_part((u * d[..., None, :]) @ mT(u))
+    return sym_part((u * _spectral_rate(lam)[..., None, :]) @ mT(u))
 
 
 def drift_J_spectral(p) -> np.ndarray:
@@ -253,17 +254,6 @@ def drift_J_gradient(m, metric: MetricR | None = None) -> np.ndarray:
     return sym_part(gi @ j @ gi.T)
 
 
-def drift_J_R_kernel(p, g, g_inv) -> np.ndarray:
-    """drift_J_R without validation, over any leading stack axes of `p`.
-
-    `g` and `g_inv` are a metric's factors G and G^-1 (MetricR.factor and
-    factor_inv): one pair for every matrix of `p`, or stacked with one pair
-    per matrix.  Every matrix gets the same bits as a call on it alone.
-    """
-    inner = drift_J_kernel(sym_part(mT(g) @ p @ g))
-    return sym_part(mT(g_inv) @ inner @ g_inv)
-
-
 def drift_J_R(p, metric: MetricR) -> np.ndarray:
     """Quotient drift under the metric tr(R V W^T), R = G^T G.
 
@@ -273,11 +263,29 @@ def drift_J_R(p, metric: MetricR) -> np.ndarray:
     with the orientation G^-1 J(G P G^T) G^-T, and orthogonal-equivariance of
     the spectral form makes the value factor-independent).  Takes any
     leading stack axes: each matrix of `p` is checked for symmetry (to 1e-10
-    relative), and the unsymmetrized `p` goes on to drift_J_R_kernel.
+    relative), and the unsymmetrized `p` is conjugated.
     """
     p = np.asarray(p, dtype=np.float64)
     require_symmetric(p, tol=1e-10)
-    return drift_J_R_kernel(p, metric.factor, metric.factor_inv)
+    g, g_inv = metric.factor, metric.factor_inv
+    return sym_part(mT(g_inv) @ drift_J_kernel(sym_part(mT(g) @ p @ g)) @ g_inv)
+
+
+def quotient_flow(p0, duration, steps: int, g, g_inv) -> np.ndarray:
+    """RK4 states (steps + 1, ..., n, n) of dP/dt = G^-T J(G^T P G) G^-1 from
+    the SPD stack p0 (unchecked), for a metric's factors g = G, g_inv = G^-1.
+
+    J(Q) commutes with Q, so the eigenframe U of Q = G^T P0 G stays fixed
+    and only the spectrum moves, by dlam/dt = d(lam): one eigh_desc per
+    start, rk4 on the spectra (forward in time the rates are >= 0 and keep
+    them descending), and each state maps back as G^-T U diag(lam) U^T G^-1,
+    symmetrized; state 0 is p0.  g, g_inv and `duration` are shared or one
+    per start; every start gets the bits of a run on it alone."""
+    lam, u = eigh_desc(sym_part(mT(g) @ p0 @ g))
+    lams = rk4(_spectral_rate, lam, duration, steps)
+    states = sym_part(mT(g_inv) @ (u * lams[..., None, :]) @ mT(u) @ g_inv)
+    states[0] = p0
+    return states
 
 
 def ito_correction_sum(m, metric: MetricR | None = None) -> np.ndarray:

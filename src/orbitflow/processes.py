@@ -26,8 +26,8 @@ import numpy as np
 
 from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_spd, \
     sl2_basis, so_basis, sym_part
-from .geom import MetricR, drift_J_kernel, drift_J_R_kernel, vertical_project
-from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, rk4
+from .geom import MetricR, quotient_flow, vertical_project
+from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate
 
 
 @dataclass(frozen=True)
@@ -481,21 +481,20 @@ def sphere_vertical_bm(n: int, cfg: ProcessConfig,
 
 
 def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path:
-    """Classical RK4 integration of the quotient flow dP/dt = J(P).
-
-    With a metric argument the transported drift drift_J_R is used.  The
-    trace grows exactly linearly with slope n(n-1)/2 in the Euclidean case,
-    which RK4 reproduces to rounding.  `p0` may carry leading stack axes;
-    the states then carry them after the time axis, and each start's flow
-    has the same bits as when it runs alone.  `p0` is validated here; rk4
-    keeps every stage exactly symmetric, so the stages go straight to the
-    drift kernels.
+    """Classical RK4 integration of the quotient flow dP/dt = J(P), or of the
+    transported drift drift_J_R with a metric, by geom.quotient_flow: one
+    eigh_desc per start, then RK4 on the spectrum.  The trace grows exactly
+    linearly with slope n(n-1)/2 in the Euclidean case, which RK4 reproduces
+    to rounding.  `p0` may carry leading stack axes; the states then carry
+    them after the time axis, and each start's flow has the same bits as
+    when it runs alone.  The inputs are validated here; t_end must be
+    finite and >= 0.
     """
     p0 = require_spd(p0)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not np.isfinite(t_end):
-        raise ValueError(f"mcf_ode needs a finite t_end; got t_end={t_end:g}")
-    f = (drift_J_kernel if metric is None
-         else (lambda p: drift_J_R_kernel(p, metric.factor, metric.factor_inv)))
-    return Path(times=np.linspace(0.0, t_end, steps + 1), states=rk4(f, p0, t_end, steps))
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"mcf_ode needs a finite t_end >= 0; got t_end={t_end:g}")
+    metric = MetricR.euclidean(p0.shape[-1]) if metric is None else metric
+    states = quotient_flow(p0, t_end, steps, metric.factor, metric.factor_inv)
+    return Path(times=np.linspace(0.0, t_end, steps + 1), states=states)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import add_in_order, mT, so_basis, sym_part
+from .matcore import add_in_order, mT, so_basis
 
 _U64_SHIFT = np.uint64(11)
 _U64_SCALE = 2.0 ** -53
@@ -78,7 +78,7 @@ class NoiseSource:
 
     def __init__(self, seed: int, stream: int = 0):
         for name, key in (("seed", seed), ("stream", stream)):
-            if not (isinstance(key, (int, np.integer)) and 0 <= key < 2 ** 64):
+            if isinstance(key, bool) or not (isinstance(key, (int, np.integer)) and 0 <= key < 2 ** 64):
                 raise ValueError(f"a Philox key word is an integer in [0, 2^64); got {name}={key!r}")
         self.seed = int(seed)
         self.stream = int(stream)
@@ -309,29 +309,25 @@ def path_chunks(source: NoiseSource, n_paths: int, count: int, steps: int):
 
 
 def rk4(f, x0: np.ndarray, duration, steps: int) -> np.ndarray:
-    """Classical RK4 for a symmetric-matrix flow dP/dt = f(P); every stage
-    and step is symmetrized, so f only ever sees exactly symmetric input
-    after x0.  Returns the states at the steps+1 grid points, time axis
-    first.
+    """Classical RK4 for dx/dt = f(x) with h = duration / steps; returns the
+    states at the steps+1 grid points, time axis first.
 
     x0 may carry leading stack axes, which f must then accept.  `duration`
-    is one float for every matrix, or one per matrix (shape x0.shape[:-2]);
-    each matrix steps by h = duration / steps, broadcast as (..., 1, 1).
-    The products h * k are elementwise, so every matrix of a stack gets the
-    same bits as a run on it alone with its own scalar duration.
+    is one float, or an array of x0's leading shape with one per stack entry,
+    broadcast over the trailing axes.  The products h * k are elementwise, so every entry of
+    a stack gets the bits of a run on it alone with its own duration.
     """
-    h = np.asarray(duration, dtype=np.float64)[..., None, None] / steps
+    h = np.asarray(duration, dtype=np.float64) / steps
+    h = h.reshape(h.shape + (1,) * (x0.ndim - h.ndim))
     half, sixth = 0.5 * h, h / 6.0
     states = np.empty((steps + 1,) + x0.shape)
-    states[0] = x0
-    p = x0
+    states[0] = x = x0
     for m in range(steps):
-        k1 = f(p)
-        k2 = f(sym_part(p + half * k1))
-        k3 = f(sym_part(p + half * k2))
-        k4 = f(sym_part(p + h * k3))
-        p = sym_part(p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        states[m + 1] = p
+        k1 = f(x)
+        k2 = f(x + half * k1)
+        k3 = f(x + half * k2)
+        k4 = f(x + h * k3)
+        states[m + 1] = x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return states
 
 

@@ -9,8 +9,7 @@ from orbitflow.control import (ControlSchedule, ProbeReport, ScheduleSegment,
                                alpha, alpha_from_pairs, alpha_jacobian, alpha_sos,
                                alpha_sos_sum, integrate_control, load_schedule,
                                parse_schedule, reach_probe)
-from orbitflow import matcore
-from orbitflow.geom import MetricR, drift_J_R
+from orbitflow import geom, matcore
 from orbitflow.matcore import sqrtm_spd, sym_part
 from orbitflow.sde import rk4
 
@@ -157,17 +156,17 @@ def test_integrate_control_increments_are_loewner_monotone():
     assert worst > -1e-10
 
 
-def test_integrate_control_kernel_path_equals_rk4_with_validating_drift():
-    # the segments' stages skip validation; rk4 on the public drift_J_R,
-    # segment after segment, must give the same bits
-    sched = parse_schedule("0.4; R = [2, 0.3, 0.3, 1]\n0.6; G = [1, 0.5, 0, 1]\n")
-    p0 = np.array([[2.0, 0.2], [0.2, 0.5]])
-    path = integrate_control(p0, sched, substeps=16)
-    want = [p0]
-    for seg in sched.segments:
-        metric = MetricR(seg.R)
-        want.extend(rk4(lambda q: drift_J_R(q, metric), want[-1], seg.duration, 16)[1:])
-    assert np.array_equal(path.states, np.stack(want))
+def test_integrate_control_makes_one_eigh_per_segment_index(monkeypatch):
+    # rows of 1, 2 and 3 segments: one eigh of the stacked segment starts
+    # for each segment index
+    calls = []
+    monkeypatch.setattr(geom, "eigh_desc", lambda s: calls.append(s.shape) or matcore.eigh_desc(s))
+    rng = np.random.default_rng(12)
+    counts = [2, 1, 3]
+    scheds = [ControlSchedule(tuple(ScheduleSegment(0.3, _spd(rng, 2)) for _ in range(c)))
+              for c in counts]
+    integrate_control(np.stack([_spd(rng, 2) for _ in counts]), scheds, substeps=8)
+    assert calls == [(3, 2, 2), (2, 2, 2), (1, 2, 2)]
 
 
 def test_integrate_control_rejects_indefinite_start():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from orbitflow import matcore
+from orbitflow import geom, matcore, verify
+from orbitflow.control import integrate_control, parse_schedule
 from orbitflow.geom import MetricR, drift_J_R, drift_J_spectral
+from orbitflow.matcore import sym_part
 from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  bm_cartan_hadamard, bm_grassmann, bm_orthogonal,
                                  bm_poincare, bm_stiefel, bures_wasserstein_problem,
@@ -18,7 +20,7 @@ from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  poincare_problem, sl2_to_halfplane,
                                  sphere_vertical_bm, vertical_bm, wishart,
                                  wishart_problem)
-from orbitflow.sde import NoiseSource, integrate, integrate_batch, rk4
+from orbitflow.sde import NoiseSource, integrate, integrate_batch
 
 
 def _cfg(t_end, dt, seed=0):
@@ -349,6 +351,12 @@ def test_mcf_ode_rejects_a_non_finite_end_time(t_end):
         mcf_ode(np.eye(2), t_end, 4)
 
 
+def test_mcf_ode_rejects_a_negative_end_time():
+    # backward in time the rates would drive the spectrum out of the cone
+    with pytest.raises(ValueError, match="t_end=-1"):
+        mcf_ode(np.diag([3.0, 1.0]), -1.0, 100)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_mcf_ode_trace_is_linear(n):
     rng = np.random.default_rng(50 + n)
@@ -391,14 +399,98 @@ def test_mcf_ode_stack_rows_equal_single_flows(with_metric):
         assert np.array_equal(stacked.states[:, b], mcf_ode(p0, 1.3, 60, metric=metric).states)
 
 
+def _matrix_rk4(f, p0, duration, steps):
+    """The matrix RK4 that mcf_ode and integrate_control ran before their
+    spectral flow, the reference for it: f on every stage, an eigh per call,
+    each stage and step symmetrized."""
+    h = duration / steps
+    states = [p0]
+    for _ in range(steps):
+        p = states[-1]
+        k1 = f(p)
+        k2 = f(sym_part(p + 0.5 * h * k1))
+        k3 = f(sym_part(p + 0.5 * h * k2))
+        k4 = f(sym_part(p + h * k3))
+        states.append(sym_part(p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+    return np.stack(states)
+
+
+def _assert_within_reference(got, ref):
+    # the routes are the same RK4 and differ only by rounding, about 1e-14
+    # relative here; the 1e-12 bound was set before the spectral flow ran
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("with_metric", [False, True])
-def test_mcf_ode_kernel_path_equals_rk4_with_validating_drift(with_metric):
-    # the flow's stages skip validation; running rk4 on the public drift
-    # must give the same bits
+def test_mcf_ode_matches_matrix_rk4_on_validating_drift(with_metric):
+    # n = 2, 3 and 5, and the rank-band start, whose 3e-9 eigenvalue both
+    # routes hold at rate 0
+    rng = np.random.default_rng(71)
+    starts = [np.diag([1.0, 3e-9, 2.0])]
+    for n in (2, 3, 5):
+        a = rng.standard_normal((n, n))
+        starts.append(a @ a.T + 0.5 * np.eye(n))
+    for p0 in starts:
+        n = p0.shape[0]
+        b = rng.standard_normal((n, n))
+        metric = MetricR(b @ b.T + n * np.eye(n)) if with_metric else None
+        f = drift_J_spectral if metric is None else (lambda p: drift_J_R(p, metric))
+        for steps in (50, 200):
+            _assert_within_reference(mcf_ode(p0, 1.0, steps, metric=metric).states,
+                                     _matrix_rk4(f, p0, 1.0, steps))
+
+
+def test_integrate_control_matches_matrix_rk4_on_validating_drift(monkeypatch):
+    # the reference runs each segment on the validating drift_J_R; cases are
+    # one hand-made schedule and the control suite's 25 schedules at seed 0,
+    # caught on their way in
+    cases = [(np.array([[2.0, 0.2], [0.2, 0.5]]),
+              parse_schedule("0.4; R = [2, 0.3, 0.3, 1]\n0.6; G = [1, 0.5, 0, 1]\n"), 16)]
+
+    def caught(p0, schedules, substeps):
+        cases.extend(zip(p0, schedules, [substeps] * len(schedules)))
+        return integrate_control(p0, schedules, substeps)
+
+    monkeypatch.setattr(verify, "integrate_control", caught)
+    verify.control_suite(seed=0)
+    assert len(cases) == 26
+    for p0, sched, substeps in cases:
+        ref = [p0[None]]
+        for seg in sched.segments:
+            metric = MetricR(seg.R)
+            ref.append(_matrix_rk4(lambda q: drift_J_R(q, metric), ref[-1][-1], seg.duration,
+                                   substeps)[1:])
+        _assert_within_reference(integrate_control(p0, sched, substeps=substeps).states,
+                                 np.concatenate(ref))
+
+
+def test_mcf_ode_holds_a_rank_band_eigenvalue():
+    path = mcf_ode(np.diag([1.0, 3e-9, 2.0]), 1.0, 50)
+    assert_allclose(np.diag(path.final), [4.0 / 3.0, 3e-9, 8.0 / 3.0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_mcf_ode_makes_one_eigh_per_call(monkeypatch, with_metric):
+    calls = []
+    monkeypatch.setattr(geom, "eigh_desc", lambda s: calls.append(s.shape) or matcore.eigh_desc(s))
     metric = MetricR(np.array([[2.0, 0.3], [0.3, 1.0]])) if with_metric else None
-    f = drift_J_spectral if metric is None else (lambda p: drift_J_R(p, metric))
-    p0 = np.array([[3.0, 0.4], [0.4, 1.0]])
-    assert np.array_equal(mcf_ode(p0, 1.0, 50, metric=metric).states, rk4(f, p0, 1.0, 50))
+    mcf_ode(np.stack([np.diag([3.0, 1.0]), np.eye(2)]), 1.0, 40, metric=metric)
+    mcf_ode(np.diag([3.0, 1.0]), 1.0, 40, metric=metric)
+    assert calls == [(2, 2, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_mcf_ode_is_fourth_order(with_metric):
+    # max-entry error against a 5120-step run at 5, 10, 20 and 40 steps:
+    # each halving of the step divides it by 2^4, up to higher-order terms
+    p0 = np.array([[4.0, 1.0, 0.2], [1.0, 2.0, 0.3], [0.2, 0.3, 0.05]])
+    r = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+    metric = MetricR(r) if with_metric else None
+    ref = mcf_ode(p0, 2.0, 5120, metric=metric).final
+    errs = [np.abs(mcf_ode(p0, 2.0, steps, metric=metric).final - ref).max()
+            for steps in (5, 10, 20, 40)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert ((3.7 <= orders) & (orders <= 4.3)).all(), orders
 
 
 def test_mcf_ode_rejects_bad_arguments():

@@ -91,9 +91,11 @@ def test_noise_source_rejects_a_key_outside_64_bits(seed, stream, named):
     (0, 2.0, "stream=2.0"),
     ("3", 0, "seed='3'"),
     (np.float64(1.0), 0, "seed=np.float64(1.0)"),
+    (True, 0, "seed=True"),
+    (0, False, "stream=False"),
 ])
 def test_noise_source_rejects_a_key_that_is_not_an_integer(seed, stream, named):
-    # int() would truncate 1.5 to seed 1's normals
+    # int() would truncate 1.5 to seed 1's normals, and True is seed 1
     with pytest.raises(ValueError, match=re.escape(f"an integer in [0, 2^64); got {named}")):
         NoiseSource(seed, stream)
 

@@ -47,18 +47,24 @@ def test_constants_suite_adjudicates_three_divergences():
 
 
 def test_control_suite_runs_its_schedules_as_stacks(monkeypatch):
-    # segment s of all 25 schedules is one stacked flow: at most 3 segments
-    # of 32 RK4 steps with 4 stages, plus the 100 drift_J_R calls of the
-    # conjugation identity.  One call per schedule and stage made 5604.
-    calls = 0
-    kernel = geom.drift_J_R_kernel
+    # segment s of all 25 schedules is one stacked flow with one eigh: at
+    # most 3 flows, plus one eigh in each of the 100 drift_J_R calls of the
+    # conjugation identity
+    flows, eighs = 0, 0
+    flow, eigh = control.quotient_flow, geom.eigh_desc
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
+    def counted_flow(*args):
+        nonlocal flows
+        flows += 1
+        return flow(*args)
 
-    monkeypatch.setattr(geom, "drift_J_R_kernel", counted)
-    monkeypatch.setattr(control, "drift_J_R_kernel", counted)
+    def counted_eigh(s):
+        nonlocal eighs
+        eighs += 1
+        return eigh(s)
+
+    monkeypatch.setattr(control, "quotient_flow", counted_flow)
+    monkeypatch.setattr(geom, "eigh_desc", counted_eigh)
     assert control_suite(seed=0).passed
-    assert calls <= 3 * 32 * 4 + 100
+    assert 1 <= flows <= 3
+    assert eighs == flows + 100
