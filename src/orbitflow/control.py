@@ -6,15 +6,20 @@ The central object is the vector field
     alpha(lam)_i = sum_{j != i} 1 / (lam_i + lam_j)
 on descending positive spectra; the matrix controls realize directions
 M V diag(alpha) V^T M^T at a base point P = M M^T.
+
+alpha and alpha_from_pairs are sequential routes, compared bit for bit;
+alpha_jacobian, alpha_sos and alpha_sos_sum take leading stack axes, and
+each spectrum of a stack gets the bits of a call on it alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, require_spd, sqrtm_spd_kernel, sym_part
+from .matcore import (add_in_order, as_matrix, mT, pair_index, require_spd,
+                      sqrtm_spd_kernel, sym_part)
 from .geom import MetricR, quotient_flow
-from .sde import Path, rk4
+from .sde import Path, require_count, rk4
 
 
 def alpha(lam) -> np.ndarray:
@@ -56,24 +61,21 @@ def alpha_jacobian(lam) -> np.ndarray:
     """Closed-form Jacobian of alpha.
 
     d_alpha[i, j] = -1/(lam_i + lam_j)^2 for i != j and
-    d_alpha[i, i] = -sum_{j != i} 1/(lam_i + lam_j)^2.  Negative
-    semidefinite always; singular for n = 2 (row sums vanish) and negative
-    definite for n >= 3.
+    d_alpha[i, i] = -sum_{j != i} 1/(lam_i + lam_j)^2, summed over ascending
+    j.  Negative semidefinite always; singular for n = 2 (row sums vanish)
+    and negative definite for n >= 3.  `lam` may carry leading stack axes;
+    each spectrum gets the bits of a call on it alone.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    n = lam.shape[0]
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                w = 1.0 / (lam[i] + lam[j]) ** 2
-                d[i, j] = -w
-                d[i, i] -= w
-    return d
+    off = ~np.eye(lam.shape[-1], dtype=bool)
+    w = np.where(off, 1.0 / (lam[..., :, None] + lam[..., None, :]) ** 2, 0.0)
+    diag = add_in_order(np.zeros(lam.shape), np.moveaxis(w, -1, 0))
+    return np.where(off, -w, -diag[..., None])
 
 
-def alpha_sos(lam) -> list[np.ndarray]:
-    """Sum-of-squares factors for the Jacobian: -d_alpha = sum_k M_k M_k^T.
+def alpha_sos(lam) -> np.ndarray:
+    """Sum-of-squares factors for the Jacobian: -d_alpha = sum_k M_k M_k^T,
+    as one (n - 1, ..., n, n) array over lam's leading stack axes.
 
     M_k is supported on rows k..n-1: row k holds 1/(lam_k + lam_j) in
     column j for j > k, and each row j > k holds the same value on its own
@@ -82,25 +84,19 @@ def alpha_sos(lam) -> list[np.ndarray]:
     n = 2.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    n = lam.shape[0]
-    mats = []
-    for k in range(n - 1):
-        mk = np.zeros((n, n))
-        for j in range(k + 1, n):
-            w = 1.0 / (lam[k] + lam[j])
-            mk[k, j] = w
-            mk[j, j] = w
-        mats.append(mk)
+    n = lam.shape[-1]
+    i, j, _ = pair_index(n)
+    w = np.moveaxis(1.0 / (lam[..., i] + lam[..., j]), -1, 0)
+    mats = np.zeros((n - 1,) + lam.shape + (n,))
+    mats[i, ..., i, j] = mats[i, ..., j, j] = w
     return mats
 
 
 def alpha_sos_sum(lam) -> np.ndarray:
-    """Assembled certificate sum_k M_k M_k^T (should equal -alpha_jacobian)."""
-    total = None
-    for mk in alpha_sos(lam):
-        term = mk @ mk.T
-        total = term if total is None else total + term
-    return total
+    """Assembled certificate sum_k M_k M_k^T (should equal -alpha_jacobian),
+    added in ladder order, over lam's leading stack axes."""
+    mats = alpha_sos(lam)
+    return add_in_order(np.zeros(mats.shape[1:]), mats @ mT(mats))
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,8 @@ def parse_schedule(text: str) -> ControlSchedule:
 
     One segment per line: `duration; R = [r11, r12, ..., rnn]` with the n^2
     entries row-major, or `G = [...]` for a factor (the metric is then
-    G^T G).  `#` starts a comment; blank lines are skipped.
+    G^T G).  `#` starts a comment; blank lines are skipped, but an empty or
+    blank matrix entry, `[]` included, is an error.
     """
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,7 +147,10 @@ def parse_schedule(text: str) -> ControlSchedule:
             payload = payload.strip()
             if not (payload.startswith("[") and payload.endswith("]")):
                 raise ValueError("matrix entries must be bracketed")
-            entries = [float(tok) for tok in payload[1:-1].split(",") if tok.strip()]
+            tokens = payload[1:-1].split(",")
+            if not all(tok.strip() for tok in tokens):
+                raise ValueError(f"empty entry in {payload}")
+            entries = [float(tok) for tok in tokens]
             bad = [x for x in entries if not np.isfinite(x)]
             if bad:
                 raise ValueError(f"matrix entry {bad[0]} is not finite")
@@ -176,8 +176,7 @@ def check_control_inputs(p0, schedule, substeps: int) -> tuple:
     """Validate `integrate_control`'s arguments before any step is taken;
     returns (single, schedules, starts) with the starts as an SPD (B, n, n)
     stack and one schedule per start whose segments all fit n."""
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1; got substeps={substeps}")
+    require_count(substeps, "substeps")
     single = isinstance(schedule, ControlSchedule)
     schedules = [schedule] if single else list(schedule)
     starts = require_spd(p0)

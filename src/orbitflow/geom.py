@@ -14,12 +14,12 @@ quotient in three independent forms:
 The three are cross-validated against each other in the test suite; none is
 defined in terms of another beyond what the formulas below state.
 
-The projections, the spectral and transported forms, metric_gram,
-orbit_log_volume and sff_vertical take any leading stack axes, and each
-matrix of a stack gets the bits of a call on it alone.  A fiber frame is
-one (fiber_dim(k), ...) stack in matcore.pair_index order, and
-mean_curvature and ito_correction_sum sum over it with matcore.add_in_order,
-the order of a loop over the frame.  The drift forms and metric_gram check
+Every matrix argument except drift_J_gradient's may carry leading stack
+axes, and each matrix of a stack gets the bits of a call on it alone.  A
+fiber frame is one (fiber_dim(k), ...) stack in matcore.pair_index order
+with the stack axes after the frame axis, and mean_curvature and
+ito_correction_sum sum over it with matcore.add_in_order, the order of a
+loop over the frame.  The drift forms and metric_gram check
 their argument once and run the unchecked drift_J_kernel and
 metric_gram_kernel (which orbit_log_volume calls directly); quotient_flow,
 behind mcf_ode and integrate_control, makes one eigh_desc per start.
@@ -34,6 +34,7 @@ import numpy as np
 
 from .matcore import (
     add_in_order,
+    as_matrices,
     as_matrix,
     eigh_desc,
     fd_gradient,
@@ -82,8 +83,10 @@ class MetricR:
         """The identity metric on R^n: one shared instance per n."""
         return cls(np.eye(n))
 
-    def inner(self, v, w) -> float:
-        return float(np.trace(self.R @ as_matrix(v) @ as_matrix(w).T))
+    def inner(self, v, w):
+        """tr(R V W^T): one value per pair of the stacks v and w, broadcast
+        against each other; a scalar for one pair."""
+        return np.trace(self.R @ as_matrices(v) @ mT(as_matrices(w)), axis1=-2, axis2=-1)
 
 
 def _metric_or_euclidean(metric, n: int) -> MetricR:
@@ -118,24 +121,24 @@ def horizontal_project(m, w, metric: MetricR | None = None) -> np.ndarray:
 
 def _onb_generators(m, metric: MetricR | None) -> np.ndarray:
     """Skew generators A with {M A} an orthonormal fiber frame at M, as one
-    (fiber_dim(k), k, k) stack in pair_index order.
+    (fiber_dim(k), ..., k, k) stack in pair_index order over the stack `m`.
 
     Diagonalize M^T R M = V diag(l^2) V^T; the generators are
     V A~_ij V^T with A~_ij = (E_ij - E_ji) / sqrt(l_i^2 + l_j^2).
     """
-    kdim = m.shape[1]
-    r = _metric_or_euclidean(metric, m.shape[0]).R
-    lam, v = eigh_desc(sym_part(m.T @ r @ m))
-    if lam[-1] <= TAU_RANK * lam[0]:
+    r = _metric_or_euclidean(metric, m.shape[-2]).R
+    lam, v = eigh_desc(sym_part(mT(m) @ r @ m))
+    if (lam[..., -1] <= TAU_RANK * lam[..., 0]).any():
         raise ValueError("fiber frame needs full-rank M")
-    i, j, units = pair_index(kdim)
-    return v @ (units / np.sqrt(lam[i] + lam[j])[:, None, None]) @ v.T
+    i, j, units = pair_index(m.shape[-1])
+    scale = np.sqrt(np.moveaxis(lam[..., i] + lam[..., j], -1, 0))[..., None, None]
+    return v @ (np.expand_dims(units, tuple(range(1, m.ndim - 1))) / scale) @ mT(v)
 
 
 def vertical_onb(m, metric: MetricR | None = None) -> np.ndarray:
     """Orthonormal basis of the fiber tangent space at M under the metric, as
-    a (fiber_dim(k), n, k) stack."""
-    m = as_matrix(m)
+    a (fiber_dim(k), ..., n, k) stack over the stack `m`."""
+    m = as_matrices(m)
     return m @ _onb_generators(m, metric)
 
 
@@ -144,18 +147,19 @@ def sff_vertical(m, a, metric: MetricR | None = None) -> np.ndarray:
 
     For the curve t -> M exp(t A) the acceleration is M A^2; the form is its
     component normal to the fiber, i.e. the horizontal part of M A^2.  Each
-    skew matrix of a stack `a` is checked to 1e-12 relative.
+    skew matrix of a stack `a` is checked to 1e-12 relative; `m` and `a`
+    broadcast against each other.
     """
-    m = as_matrix(m)
+    m = as_matrices(m)
     a = require_skew(a)
     return horizontal_project(m, m @ a @ a, metric)
 
 
 def mean_curvature(m, metric: MetricR | None = None) -> np.ndarray:
-    """Mean curvature vector of the fiber through M (average of sff over an
-    orthonormal fiber frame, summed in frame order)."""
-    m = as_matrix(m)
-    dim = fiber_dim(m.shape[1])
+    """Mean curvature vector of the fiber through each M of the stack `m`
+    (average of sff over an orthonormal fiber frame, summed in frame order)."""
+    m = as_matrices(m)
+    dim = fiber_dim(m.shape[-1])
     if dim == 0:
         return np.zeros_like(m)
     sff = sff_vertical(m, _onb_generators(m, metric), metric)
@@ -187,9 +191,7 @@ def orbit_log_volume(m, metric: MetricR | None = None):
     """Log-volume of the orbit M O(k) under the metric, up to the constant
     group-volume factor: (1/2) log det of the orbit-frame Gram matrix.  One
     value per matrix of a stack; a scalar for one matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2:
-        raise ValueError(f"expected matrices over the last two axes, got shape {m.shape}")
+    m = as_matrices(m)
     if m.shape[-1] == 1:
         # single-column orbits are points; volume factor is trivial
         return np.zeros(m.shape[:-2])[()]
@@ -293,8 +295,7 @@ def ito_correction_sum(m, metric: MetricR | None = None) -> np.ndarray:
 
     This is the quadratic-variation contribution of fiber-valued noise to the
     image process; it must reproduce drift_J_spectral(M M^T) exactly in the
-    Euclidean metric.
+    Euclidean metric.  One (n, n) sum per matrix of the stack `m`.
     """
-    m = as_matrix(m)
     xi = vertical_onb(m, metric)
-    return add_in_order(np.zeros((m.shape[0], m.shape[0])), xi @ mT(xi))
+    return add_in_order(np.zeros(xi.shape[1:-1] + (xi.shape[-2],)), xi @ mT(xi))

@@ -30,6 +30,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(a) -> np.ndarray:
+    """as_matrix for any leading stack axes: at least 2-D, float64."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim < 2:
+        raise ValueError(f"expected matrices over the last two axes, got shape {m.shape}")
+    return m
+
+
 def mT(a) -> np.ndarray:
     """Transpose over the last two axes of a stack of matrices."""
     return np.asarray(a).swapaxes(-1, -2)
@@ -50,7 +58,7 @@ def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
     """`a` as float64 once each matrix equals sign times its transpose to tol
     (relative to that matrix's largest entry, at least 1)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
     # the tolerance test cannot see a non-finite entry: an inf scale passes
     # any deviation, and a NaN deviation passes every comparison
@@ -73,8 +81,8 @@ def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
 def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
     """Validate symmetry of each matrix to `tol` (relative to that matrix's
     largest entry, at least 1) and return the symmetrized array.  Takes any
-    leading stack axes; a non-square input is rejected by shape and a
-    non-finite entry by value and index."""
+    leading stack axes; a non-square or 0 x 0 input is rejected by shape and
+    a non-finite entry by value and index."""
     return sym_part(_require_class(a, tol, 1, "symmetric"))
 
 

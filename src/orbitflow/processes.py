@@ -27,7 +27,7 @@ import numpy as np
 from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_spd, \
     sl2_basis, so_basis, sym_part
 from .geom import MetricR, quotient_flow, vertical_project
-from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate
+from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, require_count
 
 
 @dataclass(frozen=True)
@@ -488,13 +488,14 @@ def mcf_ode(p0, t_end: float, steps: int, metric: MetricR | None = None) -> Path
     to rounding.  `p0` may carry leading stack axes; the states then carry
     them after the time axis, and each start's flow has the same bits as
     when it runs alone.  The inputs are validated here; t_end must be
-    finite and >= 0.
+    finite and >= 0, and every state of a zero-length flow is its start.
     """
     p0 = require_spd(p0)
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = require_count(steps)
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"mcf_ode needs a finite t_end >= 0; got t_end={t_end:g}")
     metric = MetricR.euclidean(p0.shape[-1]) if metric is None else metric
     states = quotient_flow(p0, t_end, steps, metric.factor, metric.factor_inv)
+    if t_end == 0.0:
+        states[1:] = p0  # the eigenframe round trip would move them by rounding
     return Path(times=np.linspace(0.0, t_end, steps + 1), states=states)

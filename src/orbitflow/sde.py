@@ -21,6 +21,13 @@ _U64_SCALE = 2.0 ** -53
 _U_MAX = np.nextafter(1.0, 0.0)
 
 
+def require_count(value, name: str = "steps") -> int:
+    """A count of steps or samples as an int: an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1; got {name}={value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid m * dt, m = 0..steps, from t = 0."""
@@ -31,8 +38,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive; got dt={self.dt:g}")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        require_count(self.steps)
 
     @property
     def t_end(self) -> float:
@@ -364,8 +370,7 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     bits on a slice as on one sample.  The running sums add the samples in
     index order, so the estimate does not depend on the slice size.
     """
-    if samples < 1:
-        raise ValueError(f"qv_oracle needs samples >= 1; got samples={samples}")
+    require_count(samples, "samples")
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"qv_oracle needs a finite dt > 0; got dt={dt:g}")
     source = NoiseSource(seed, stream=104729)

@@ -16,13 +16,12 @@ from .control import (alpha, alpha_from_pairs, alpha_jacobian, alpha_sos,
                       alpha_sos_sum, ControlSchedule, ScheduleSegment,
                       integrate_control, reach_probe)
 from .ensembles import (bw_ensemble, eigen_ensemble, grassmann_ito_ensemble,
-                        grassmann_pushforward_ensemble, orthogonal_ensemble,
-                        wishart_ensemble)
+                        orthogonal_ensemble, wishart_ensemble)
 from .geom import (MetricR, drift_J_R, drift_J_spectral, horizontal_project,
                    ito_correction_sum, metric_gram, orbit_log_volume,
                    vertical_project)
-from .matcore import sqrtm_spd, sym_part
-from .processes import ProcessConfig, mcf_ode, vertical_bm
+from .matcore import mT, sym_part
+from .processes import ProcessConfig, gram, mcf_ode, vertical_bm
 from .reporting import ConstantsEntry, ConstantsReport
 from .sde import qv_kind, qv_oracle
 
@@ -58,11 +57,20 @@ class SuiteResult:
         return out
 
 
-def _seeded_spd(rng, n, spread=1.0):
-    lam = np.exp(spread * rng.standard_normal(n))
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    return sym_part((q * lam) @ q.T)
+def _frames(z):
+    """Orthogonal QR factors of the stack z, signed so R's diagonal is positive."""
+    q, r = np.linalg.qr(z)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _seeded_spd(rng, n, spread=1.0, count=None):
+    """An SPD matrix U diag(exp(spread z)) U^T from n normals z and a frame U
+    of n x n normals; with `count`, a (count, n, n) stack whose row b holds
+    the matrix of the b-th of count single draws."""
+    z = rng.standard_normal((1 if count is None else count, n + n * n))
+    q = _frames(z[:, n:].reshape(-1, n, n))
+    p = sym_part((q * np.exp(spread * z[:, None, :n])) @ mT(q))
+    return p[0] if count is None else p
 
 
 # --- constants -------------------------------------------------------------
@@ -136,11 +144,9 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     checks = []
 
     # spectral drift trace identity and closed forms
-    worst = 0.0
-    for n in range(2, 7):
-        for _ in range(40):
-            p = _seeded_spd(rng, n)
-            worst = max(worst, abs(np.trace(drift_J_spectral(p)) - n * (n - 1) / 2.0))
+    worst = max(np.max(np.abs(np.trace(drift_J_spectral(_seeded_spd(rng, n, count=40)),
+                                       axis1=1, axis2=2) - n * (n - 1) / 2.0))
+                for n in range(2, 7))
     checks.append(CheckResult(
         "drift trace identity", worst <= 1e-12,
         f"max |tr J - n(n-1)/2| = {worst:.2e} (tol 1e-12)"))
@@ -151,10 +157,8 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
         "identity-point drift", worst <= 1e-12,
         f"max |J(I) - (n-1)/2 I| = {worst:.2e} (tol 1e-12)"))
 
-    worst = 0.0
-    for _ in range(40):
-        p = _seeded_spd(rng, 2)
-        worst = max(worst, np.max(np.abs(drift_J_spectral(p) - p / np.trace(p))))
+    p = _seeded_spd(rng, 2, count=40)
+    worst = np.max(np.abs(drift_J_spectral(p) - p / np.trace(p, axis1=1, axis2=2)[:, None, None]))
     checks.append(CheckResult(
         "2x2 drift closed form", worst <= 1e-12,
         f"max |J - P/tr P| = {worst:.2e} (tol 1e-12)"))
@@ -164,18 +168,14 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     for n, k in [(3, 3), (4, 2), (5, 3)]:
         for with_r in (False, True):
             metric = MetricR(_seeded_spd(rng, n, 0.4)) if with_r else MetricR.euclidean(n)
-            for _ in range(10):
-                m = rng.standard_normal((n, k))
-                w = rng.standard_normal((n, k))
-                scale = max(1.0, float(np.linalg.norm(w)))
-                v = vertical_project(m, w, metric)
-                h = horizontal_project(m, w, metric)
-                worst = max(
-                    worst,
-                    np.max(np.abs(v + h - w)) / scale,
-                    np.max(np.abs(vertical_project(m, v, metric) - v)) / scale,
-                    np.max(np.abs(vertical_project(m, h, metric))) / scale,
-                    abs(metric.inner(v, h)) / scale ** 2)
+            m, w = np.moveaxis(rng.standard_normal((10, 2, n, k)), 1, 0)
+            scale = np.maximum(1.0, np.linalg.norm(w, axis=(-2, -1)))
+            v = vertical_project(m, w, metric)
+            h = horizontal_project(m, w, metric)
+            defects = np.stack((v + h - w, vertical_project(m, v, metric) - v,
+                                vertical_project(m, h, metric)))
+            worst = max(worst, np.max(np.abs(defects).max(axis=(-2, -1)) / scale),
+                        np.max(np.abs(metric.inner(v, h)) / scale ** 2))
     checks.append(CheckResult(
         "projection split", worst <= 1e-10,
         f"max split/idempotence/orthogonality defect = {worst:.2e} (tol 1e-10)"))
@@ -185,31 +185,26 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     for n, k in [(2, 2), (3, 3), (4, 2)]:
         for with_r in (False, True):
             metric = MetricR(_seeded_spd(rng, n, 0.4)) if with_r else MetricR.euclidean(n)
-            for _ in range(10):
-                m = rng.standard_normal((n, k))
-                p = m @ m.T
-                want = drift_J_R(p, metric) if with_r else drift_J_spectral(p)
-                worst = max(worst, np.max(np.abs(ito_correction_sum(m, metric) - want)))
+            m = rng.standard_normal((10, n, k))
+            p = m @ mT(m)
+            want = drift_J_R(p, metric) if with_r else drift_J_spectral(p)
+            worst = max(worst, np.max(np.abs(ito_correction_sum(m, metric) - want)))
     checks.append(CheckResult(
         "Ito-correction identity", worst <= 1e-10,
         f"max |sum xi xi^T - J| = {worst:.2e} (tol 1e-10)"))
 
     # gram determinant and orbit-volume invariance
-    worst = 0.0
-    for _ in range(40):
-        p = _seeded_spd(rng, 2)
-        worst = max(worst, abs(np.linalg.det(metric_gram(p)) - 0.5 * np.trace(p)))
+    p = _seeded_spd(rng, 2, count=40)
+    worst = np.max(np.abs(np.linalg.det(metric_gram(p)) - 0.5 * np.trace(p, axis1=1, axis2=2)))
     checks.append(CheckResult(
         "2x2 gram determinant", worst <= 1e-12,
         f"max |det g - tr P / 2| = {worst:.2e} (tol 1e-12)"))
 
     worst = 0.0
     for n, k in [(3, 3), (4, 2)]:
-        for _ in range(10):
-            m = rng.standard_normal((n, k))
-            q, r = np.linalg.qr(rng.standard_normal((k, k)))
-            q = q * np.sign(np.diag(r))
-            worst = max(worst, abs(orbit_log_volume(m @ q) - orbit_log_volume(m)))
+        z = rng.standard_normal((10, n * k + k * k))
+        m, q = z[:, :n * k].reshape(10, n, k), _frames(z[:, n * k:].reshape(10, k, k))
+        worst = max(worst, np.max(np.abs(orbit_log_volume(m @ q) - orbit_log_volume(m))))
     checks.append(CheckResult(
         "orbit volume right-invariance", worst <= 1e-10,
         f"max |log vol(MQ) - log vol(M)| = {worst:.2e} (tol 1e-10)"))
@@ -217,14 +212,16 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     # quick manifold preservation: O(3) frame and a Grassmann projector
     cfg = ProcessConfig(t_end=0.5, dt=1e-3, seed=seed)
     q = orthogonal_ensemble(3, cfg, paths=4)
-    defect = max(np.linalg.norm(qi.T @ qi - np.eye(3)) for qi in q)
+    defect = np.max(np.linalg.norm(mT(q) @ q - np.eye(3), axis=(-2, -1)))
     checks.append(CheckResult(
         "orthogonal frame defect", defect <= 1e-3,
         f"max |Q^T Q - I| = {defect:.2e} (tol 1e-3)"))
 
-    p = grassmann_pushforward_ensemble(3, 1, cfg, paths=4)
-    defect = max(np.linalg.norm(pi @ pi - pi) for pi in p)
-    tr_defect = max(abs(np.trace(pi) - 1.0) for pi in p)
+    # the projectors Q I_1 Q^T of the same O(3) paths, as
+    # grassmann_pushforward_ensemble(3, 1, cfg, paths=4) would integrate them
+    p = gram(q[..., :1])
+    defect = np.max(np.linalg.norm(p @ p - p, axis=(-2, -1)))
+    tr_defect = np.max(np.abs(np.trace(p, axis1=1, axis2=2) - 1.0))
     checks.append(CheckResult(
         "grassmann projector defect", defect <= 1e-3 and tr_defect <= 1e-6,
         f"max |P^2 - P| = {defect:.2e} (tol 1e-3), max |tr P - k| = {tr_defect:.2e} (tol 1e-6)"))
@@ -234,7 +231,7 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     # guard within tens of steps, so the guard is widened to let the paths
     # run to t = 0.5 and only the trace is asserted here
     p = grassmann_ito_ensemble(3, 1, cfg, paths=4, guard_tol=0.25)
-    tr_defect = max(abs(np.trace(pi) - 1.0) for pi in p)
+    tr_defect = np.max(np.abs(np.trace(p, axis1=1, axis2=2) - 1.0))
     checks.append(CheckResult(
         "grassmann ito-route trace", tr_defect <= 1e-12,
         f"max |tr P - k| = {tr_defect:.2e} (tol 1e-12)"))
@@ -304,13 +301,12 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
         f"|P(4) - 2 P0| = {err:.2e} (tol 1e-6)"))
 
     # ten starts, one stacked flow
-    p0 = np.stack([_seeded_spd(rng, 2) for _ in range(10)])
+    p0 = _seeded_spd(rng, 2, count=10)
     t_end = 1.3
     path = mcf_ode(p0, t_end=t_end, steps=300)
-    worst = 0.0
-    for start, final in zip(p0, path.final):
-        want = (1.0 + t_end / np.trace(start)) * start
-        worst = max(worst, np.max(np.abs(final - want)) / np.max(np.abs(want)))
+    want = (1.0 + t_end / np.trace(p0, axis1=1, axis2=2))[:, None, None] * p0
+    worst = np.max(np.max(np.abs(path.final - want), axis=(-2, -1))
+                   / np.max(np.abs(want), axis=(-2, -1)))
     checks.append(CheckResult(
         "2x2 scaling law", worst <= 1e-8,
         f"max relative error vs (1 + t/tr P0) P0 = {worst:.2e} (tol 1e-8)"))
@@ -325,20 +321,14 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
     # image of vertical noise follows the curvature ODE path by path
     m0 = np.diag([np.sqrt(3.0), 1.0])
     cfg = ProcessConfig(t_end=1.0, dt=1e-3, seed=seed)
-    _, image = vertical_bm(m0, cfg)
-    ref = mcf_ode(m0 @ m0.T, t_end=1.0, steps=200).final
-    err = np.max(np.abs(image.final - ref)) / np.max(np.abs(ref))
-    checks.append(CheckResult(
-        "vertical image matches ODE", err <= 2e-2,
-        f"relative endpoint gap = {err:.2e} (tol 2e-2)"))
-
-    metric = MetricR(np.array([[2.0, 0.3], [0.3, 1.0]]))
-    _, image = vertical_bm(m0, cfg, metric=metric)
-    ref = mcf_ode(m0 @ m0.T, t_end=1.0, steps=200, metric=metric).final
-    err = np.max(np.abs(image.final - ref)) / np.max(np.abs(ref))
-    checks.append(CheckResult(
-        "metric vertical image matches ODE", err <= 2e-2,
-        f"relative endpoint gap = {err:.2e} (tol 2e-2)"))
+    for name, metric in (("vertical image matches ODE", None),
+                         ("metric vertical image matches ODE",
+                          MetricR(np.array([[2.0, 0.3], [0.3, 1.0]])))):
+        _, image = vertical_bm(m0, cfg, metric=metric)
+        ref = mcf_ode(m0 @ m0.T, t_end=1.0, steps=200, metric=metric).final
+        err = np.max(np.abs(image.final - ref)) / np.max(np.abs(ref))
+        checks.append(CheckResult(name, err <= 2e-2,
+                                  f"relative endpoint gap = {err:.2e} (tol 2e-2)"))
 
     return SuiteResult("mcf-match", tuple(checks))
 
@@ -346,11 +336,9 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
 # --- control ---------------------------------------------------------------
 
 def _seeded_schedule(rng, n, max_segments=3) -> ControlSchedule:
-    segs = []
-    for _ in range(int(rng.integers(1, max_segments + 1))):
-        segs.append(ScheduleSegment(duration=float(rng.uniform(0.1, 0.6)),
-                                    R=_seeded_spd(rng, n, 0.5)))
-    return ControlSchedule(segments=tuple(segs))
+    return ControlSchedule(segments=tuple(
+        ScheduleSegment(duration=float(rng.uniform(0.1, 0.6)), R=_seeded_spd(rng, n, 0.5))
+        for _ in range(int(rng.integers(1, max_segments + 1)))))
 
 
 def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
@@ -367,20 +355,15 @@ def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
         "alpha equals pair-accumulated route bit for bit" if exact
         else "routes disagree"))
 
-    worst = -np.inf
-    for n in range(3, 7):
-        for _ in range(250):
-            lam = np.exp(rng.standard_normal(n))
-            worst = max(worst, float(np.linalg.eigvalsh(alpha_jacobian(lam))[-1]))
+    worst = max(float(np.linalg.eigvalsh(alpha_jacobian(np.exp(rng.standard_normal((250, n)))))
+                      [:, -1].max())
+                for n in range(3, 7))
     checks.append(CheckResult(
         "jacobian negative definite (n>=3)", worst < 0.0,
         f"max eigenvalue over seeds = {worst:.2e}"))
 
-    worst = 0.0
-    for _ in range(100):
-        lam = np.exp(rng.standard_normal(2))
-        ev = np.linalg.eigvalsh(alpha_jacobian(lam))
-        worst = max(worst, abs(ev[-1]) / abs(ev[0]))
+    ev = np.linalg.eigvalsh(alpha_jacobian(np.exp(rng.standard_normal((100, 2)))))
+    worst = np.max(np.abs(ev[:, -1]) / np.abs(ev[:, 0]))
     checks.append(CheckResult(
         "jacobian singular at n=2", worst <= 1e-13,
         f"max |top eigenvalue| / |bottom| = {worst:.2e} (tol 1e-13)"))
@@ -388,22 +371,21 @@ def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
     worst = 0.0
     ladder_ok = True
     for n in range(2, 7):
-        for _ in range(20):
-            lam = np.exp(rng.standard_normal(n))
-            worst = max(worst, np.max(np.abs(alpha_sos_sum(lam) + alpha_jacobian(lam))))
-            ranks = [int(np.sum(np.linalg.svd(mk, compute_uv=False)
-                                > 1e-8 * max(np.linalg.norm(mk), 1.0)))
-                     for mk in alpha_sos(lam)]
-            ladder_ok = ladder_ok and ranks == list(range(n - 1, 0, -1))
+        lam = np.exp(rng.standard_normal((20, n)))
+        worst = max(worst, np.max(np.abs(alpha_sos_sum(lam) + alpha_jacobian(lam))))
+        mats = alpha_sos(lam)  # (n - 1, 20, n, n)
+        tol = 1e-8 * np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1.0)
+        ranks = np.sum(np.linalg.svd(mats, compute_uv=False) > tol[..., None], axis=-1)
+        ladder_ok = ladder_ok and (ranks == np.arange(n - 1, 0, -1)[:, None]).all()
     checks.append(CheckResult(
         "sum-of-squares certificate", worst <= 1e-12 and ladder_ok,
         f"max residual = {worst:.2e} (tol 1e-12), rank ladder "
         f"{'ok' if ladder_ok else 'broken'}"))
 
-    starts, drawn = [], []
-    for _ in range(schedules):
-        starts.append(_seeded_spd(rng, 3))
-        drawn.append(_seeded_schedule(rng, 3))
+    # each start draws its schedule before the next start: one loop draws
+    # them, one stacked integration runs them
+    starts, drawn = zip(*[(_seeded_spd(rng, 3), _seeded_schedule(rng, 3))
+                          for _ in range(schedules)])
     paths = integrate_control(np.stack(starts), drawn, substeps=32)
     worst = min(float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())
                 for path in paths)

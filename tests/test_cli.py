@@ -683,6 +683,9 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "seed=18446744073709551616"),
     (["verify", "--suite", "constants", "--seed", "18446744073709551615"],
      "seed=18446744073709551615"),
+    # an empty schedule matrix
+    (["control", "--schedule", "{SCHED_EMPTY}", "--P0", "{P}", "--out", "{OUT}"],
+     "schedule line 1: empty entry in []"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -697,6 +700,7 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{M43}": _write(tmp_path / "M43.csv", "1, 0, 0\n0, 1, 0\n0, 0, 1\n1, 1, 1\n"),
              "{SCHED_NAN}": _write(tmp_path / "nan.txt", "nan; R = [1,0,0,1]\n"),
              "{SCHED_INF}": _write(tmp_path / "inf.txt", "inf; R = [1,0,0,1]\n"),
+             "{SCHED_EMPTY}": _write(tmp_path / "empty.txt", "1; R = []\n"),
              "{SCHED_MIXED}": _write(tmp_path / "mixed.txt", "0.2; R = [1, 0, 0, 1]\n"
                                      "0.2; R = [1, 0, 0, 0, 1, 0, 0, 0, 1]\n"),
              "{INF}": _write(tmp_path / "INF.csv", "inf,0\n0,1\n"),

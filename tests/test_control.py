@@ -1,6 +1,8 @@
 """Controllability checks: interaction field routes, Jacobian certificates,
 schedule parsing and integration, and the reachability probe."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -68,6 +70,67 @@ def test_alpha_jacobian_singular_for_two_levels():
         assert w[0] < 0.0
 
 
+def _former_jacobian(lam, square=lambda x: x ** 2):
+    # the per-entry loop alpha_jacobian replaced; on a scalar, x ** 2 is
+    # libm's pow
+    n = lam.shape[0]
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                w = 1.0 / square(lam[i] + lam[j])
+                d[i, j] = -w
+                d[i, i] -= w
+    return d
+
+
+def _former_sos(lam):
+    n = lam.shape[0]
+    mats = []
+    for k in range(n - 1):
+        mk = np.zeros((n, n))
+        for j in range(k + 1, n):
+            w = 1.0 / (lam[k] + lam[j])
+            mk[k, j] = w
+            mk[j, j] = w
+        mats.append(mk)
+    return mats
+
+
+def _former_sos_sum(lam):
+    total = None
+    for mk in _former_sos(lam):
+        term = mk @ mk.T
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_jacobian_and_certificate_keep_the_bits_of_their_loops(n):
+    # the certificate adds the same terms in the same order as the loops;
+    # the Jacobian squares each pair sum as an array does, which differs
+    # from the scalar pow of the former loop by one ulp in rare sums
+    rng = np.random.default_rng(60 + n)
+    for lam in np.exp(rng.standard_normal((200, n))):
+        assert_array_equal(alpha_sos(lam), np.array(_former_sos(lam)))
+        assert_array_equal(alpha_sos_sum(lam), _former_sos_sum(lam))
+        assert_array_equal(alpha_jacobian(lam), _former_jacobian(lam, np.square))
+        former = _former_jacobian(lam)
+        assert_allclose(alpha_jacobian(lam), former, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_jacobian_and_certificate_take_stacks():
+    rng = np.random.default_rng(70)
+    lam = np.exp(rng.standard_normal((2, 3, 4)))
+    jac, sos, total = alpha_jacobian(lam), alpha_sos(lam), alpha_sos_sum(lam)
+    assert jac.shape == total.shape == (2, 3, 4, 4)
+    assert sos.shape == (3, 2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        assert_array_equal(jac[idx], alpha_jacobian(lam[idx]))
+        assert_array_equal(sos[(slice(None),) + idx], alpha_sos(lam[idx]))
+        assert_array_equal(total[idx], alpha_sos_sum(lam[idx]))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_sos_certificate_assembles_jacobian(n):
     rng = np.random.default_rng(40 + n)
@@ -115,9 +178,15 @@ def test_parse_schedule_r_and_g_forms():
     ("nan; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
     ("inf; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
     ("1.0; R = [1, 0, 0, inf]", "line 1: matrix entry inf is not finite"),
+    # an empty or blank entry is not skipped, and an empty matrix is refused
+    ("1; R = [1,,0,0,1]", "line 1: empty entry in [1,,0,0,1]"),
+    ("1; R = [1,0,0,1,]", "line 1: empty entry in [1,0,0,1,]"),
+    ("1; R = [,1,0,0,1]", "line 1: empty entry in [,1,0,0,1]"),
+    ("1; G = [2, ,0, 0, 1]", "line 1: empty entry in [2, ,0, 0, 1]"),
+    ("1; R = []", "line 1: empty entry in []"),
 ])
 def test_parse_schedule_errors_carry_line_numbers(bad, frag):
-    with pytest.raises(ValueError, match=frag):
+    with pytest.raises(ValueError, match=re.escape(frag)):
         parse_schedule(bad)
 
 
@@ -167,6 +236,12 @@ def test_integrate_control_makes_one_eigh_per_segment_index(monkeypatch):
               for c in counts]
     integrate_control(np.stack([_spd(rng, 2) for _ in counts]), scheds, substeps=8)
     assert calls == [(3, 2, 2), (2, 2, 2), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("substeps", [0, True, 2.5])
+def test_integrate_control_rejects_a_bad_substep_count(substeps):
+    with pytest.raises(ValueError, match=re.escape(f"got substeps={substeps!r}")):
+        integrate_control(np.eye(2), parse_schedule("1; R = [1,0,0,1]"), substeps=substeps)
 
 
 def test_integrate_control_rejects_indefinite_start():

@@ -247,6 +247,41 @@ def test_stacked_sff_equals_per_generator_calls():
             assert_array_equal(sff_vertical(m, a, met), want)
 
 
+@pytest.mark.parametrize("n,k", [(2, 2), (4, 3), (3, 1)])
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_stacked_fiber_frames_equal_per_matrix_calls(n, k, with_metric):
+    # frames carry the frame axis first, then the stack axes of m
+    rng = np.random.default_rng(540 + 10 * n + k)
+    m = rng.standard_normal((2, 3, n, k))
+    metric = _rand_metric(rng, n) if with_metric else None
+    gens = skew_part(rng.standard_normal((k, k)))
+    frame, sff = vertical_onb(m, metric), sff_vertical(m, gens, metric)
+    curv, ito = mean_curvature(m, metric), ito_correction_sum(m, metric)
+    assert frame.shape == (fiber_dim(k), 2, 3, n, k)
+    assert curv.shape == sff.shape == m.shape and ito.shape == (2, 3, n, n)
+    for idx in np.ndindex(2, 3):
+        assert_array_equal(frame[(slice(None),) + idx], vertical_onb(m[idx], metric))
+        assert_array_equal(sff[idx], sff_vertical(m[idx], gens, metric))
+        assert_array_equal(curv[idx], mean_curvature(m[idx], metric))
+        assert_array_equal(ito[idx], ito_correction_sum(m[idx], metric))
+
+
+def test_fiber_frame_rejects_a_rank_deficient_matrix_of_a_stack():
+    m = np.stack([np.eye(3, 2), np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="full-rank"):
+        vertical_onb(m)
+
+
+def test_metric_inner_gives_one_value_per_pair():
+    rng = np.random.default_rng(550)
+    metric = _rand_metric(rng, 3)
+    v, w = rng.standard_normal((2, 4, 3, 2))
+    got = metric.inner(v, w)
+    assert got.shape == (4,)
+    for b in range(4):
+        assert got[b] == metric.inner(v[b], w[b]) == np.trace(metric.R @ v[b] @ w[b].T)
+
+
 # sha256 of the float64 bytes of each output on the inputs of
 # test_fiber_geometry_keeps_its_bits, taken when every sum here still ran as
 # a Python loop over frame vectors, pairs and entries; the stacked kernels

@@ -67,6 +67,15 @@ def test_require_skew_rejects_bad_matrices(bad, named):
         require_skew(bad)
 
 
+@pytest.mark.parametrize("check", [require_symmetric, require_skew, require_spd])
+def test_validators_reject_a_zero_by_zero_matrix_by_shape(check):
+    # an empty stack of matrices is valid; an empty matrix is not
+    for shape in [(0, 0), (3, 0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            check(np.zeros(shape))
+    assert check(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
 def test_require_skew_checks_each_matrix_of_a_stack_at_its_own_scale():
     # a deviation of 4e-9 is within 1e-12 of a matrix of scale 1e4, but not
     # of one of scale 1

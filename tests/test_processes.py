@@ -1,6 +1,7 @@
 """Process-level checks: drift skeletons against closed forms, pushforward
 consistency, guards, and determinism of the named simulations."""
 
+import re
 import sys
 
 import numpy as np
@@ -349,6 +350,27 @@ def test_mcf_ode_doubles_at_t_four():
 def test_mcf_ode_rejects_a_non_finite_end_time(t_end):
     with pytest.raises(ValueError, match=f"t_end={t_end:g}"):
         mcf_ode(np.eye(2), t_end, 4)
+
+
+@pytest.mark.parametrize("steps", [0, -2, True, 2.5, 3.0, "4"])
+def test_mcf_ode_rejects_a_bad_step_count(steps):
+    with pytest.raises(ValueError, match=re.escape(f"got steps={steps!r}")):
+        mcf_ode(np.eye(2), 1.0, steps)
+
+
+def test_zero_length_flow_stays_at_its_start():
+    # the eigenframe round trip G^-T U diag(lam) U^T G^-1 moves P by up to
+    # 8.9e-16; a flow of length 0 returns its start bit for bit, one start
+    # or a stack, and a flow of positive length is the quotient flow as is
+    p = np.array([[4.0, 1.0, 0.2], [1.0, 2.0, 0.3], [0.2, 0.3, 0.05]])
+    for start in (p, np.stack([p, np.diag([3.0, 2.0, 1.0])])):
+        for metric in (None, MetricR(np.diag([2.0, 1.0, 0.5]))):
+            path = mcf_ode(start, 0.0, 3, metric=metric)
+            assert path.states.shape == (4,) + start.shape
+            assert np.array_equal(path.states, np.broadcast_to(start, path.states.shape))
+            g = MetricR.euclidean(3) if metric is None else metric
+            assert np.array_equal(mcf_ode(start, 0.5, 3, metric=metric).states,
+                                  geom.quotient_flow(start, 0.5, 3, g.factor, g.factor_inv))
 
 
 def test_mcf_ode_rejects_a_negative_end_time():

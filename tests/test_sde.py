@@ -27,8 +27,9 @@ def test_time_grid_basics():
     assert TimeGrid.regular(1.0, 1e-3).steps == 1000
     with pytest.raises(ValueError):
         TimeGrid(dt=0.0, steps=3)
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.1, steps=0)
+    for steps in (0, True, 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"got steps={steps!r}")):
+            TimeGrid(dt=0.1, steps=steps)
 
 
 def test_time_grid_rejects_partial_steps():

@@ -3,7 +3,7 @@ structure of the adjudicated-constants report."""
 
 import pytest
 
-from orbitflow import control, geom
+from orbitflow import control, geom, verify
 from orbitflow.verify import (SUITE_NAMES, CheckResult, SuiteResult,
                               constants_suite, control_suite, run_suite)
 
@@ -68,3 +68,38 @@ def test_control_suite_runs_its_schedules_as_stacks(monkeypatch):
     assert control_suite(seed=0).passed
     assert 1 <= flows <= 3
     assert eighs == flows + 100
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    return counts
+
+
+def test_invariants_suite_makes_one_kernel_call_per_group(monkeypatch):
+    # one call per size and metric, and one O(3) ensemble for the frame and
+    # the Grassmann projector checks
+    counts = _count_calls(monkeypatch, (
+        "drift_J_spectral", "drift_J_R", "vertical_project", "horizontal_project",
+        "ito_correction_sum", "metric_gram", "orbit_log_volume", "orthogonal_ensemble",
+        "grassmann_ito_ensemble"))
+    assert verify.invariants_suite(seed=0).passed
+    assert counts == {"drift_J_spectral": 5 + 5 + 1 + 3, "drift_J_R": 3,
+                      "vertical_project": 6 * 3, "horizontal_project": 6,
+                      "ito_correction_sum": 6, "metric_gram": 1, "orbit_log_volume": 2 * 2,
+                      "orthogonal_ensemble": 1, "grassmann_ito_ensemble": 1}
+
+
+def test_control_suite_loops_only_over_its_sequential_checks(monkeypatch):
+    # the cone identity compares two sequential routes per sample and the
+    # conjugation identity builds one metric per sample; the Jacobian and
+    # certificate checks make one call per size
+    counts = _count_calls(monkeypatch, ("alpha", "alpha_from_pairs", "alpha_jacobian",
+                                        "alpha_sos", "alpha_sos_sum", "drift_J_R"))
+    control_suite(seed=0)
+    assert counts == {"alpha": 100, "alpha_from_pairs": 100, "alpha_jacobian": 4 + 1 + 5,
+                      "alpha_sos": 5, "alpha_sos_sum": 5, "drift_J_R": 2 * 50}
