@@ -1,14 +1,13 @@
 """Named stochastic processes and deterministic flows on matrix manifolds.
 
 Each process is defined once, by a problem builder (`*_problem`) whose drift,
-diffusion, guard and post_step accept states with any leading batch axes and
-give the same bits on a batch as on one slice.  The single-path functions here
-(`bm_*`, `wishart`, `eigen_sde`, `vertical_bm`, `sphere_vertical_bm`) run
-that problem through `sde.integrate` for library callers; `orbitflow
-simulate` does not call them: it builds the problem once and runs each path
-through `sde.integrate` itself, mapping states through `gram`,
-`sl2_to_halfplane` or a column cut as they do.  `ensembles` runs the same
-problem over a path axis with `sde.integrate_batch`.  The builders validate
+diffusion, guard and post_step take states with a leading path axis (a lone
+path is a batch of one) and give each row the bits it would get alone.  The
+single-path functions here (`bm_*`, `wishart`, `eigen_sde`, `vertical_bm`,
+`sphere_vertical_bm`) serve library callers; `orbitflow simulate` builds the
+problem once and runs each path through `sde.integrate` itself, mapping
+states through `gram`, `sl2_to_halfplane` or a column cut as they do, and
+`ensembles` runs it through `sde.integrate_batch`.  The builders validate
 their inputs; the step functions do not.
 
 Group-valued diffusions integrate the right-invariant Stratonovich equation
@@ -108,7 +107,8 @@ def orthogonal_problem(n: int) -> SdeProblem:
     eye = np.eye(n)
 
     def guard(q):
-        return np.linalg.norm(mT(q) @ q - eye, axis=(-2, -1)) <= 1e-2
+        d = mT(q) @ q - eye  # np.linalg.norm's Frobenius sum, without its Python dispatch
+        return np.sqrt(np.add.reduce(d * d, axis=(-2, -1))) <= 1e-2
 
     return invariant_problem(so_basis(n), eye, guard=guard,
                              guard_name="orthogonality guard")

@@ -1,7 +1,7 @@
 """Integration kernel: deterministic noise streams, one Euler-Maruyama
-stepper with state guards for one path or a batch of paths, the RK4 used by
-the deterministic flows, and a quadratic-variation oracle with its named
-kinds.
+stepper with state guards for a batch of paths (one path is a batch of one),
+the RK4 used by the deterministic flows, and a quadratic-variation oracle
+with its named kinds.
 
 Noise determinism contract: the standard normal attached to
 (seed, stream, path, step, entry) is a pure function of those indices,
@@ -63,6 +63,13 @@ class TimeGrid:
         return cls(dt=dt, steps=steps)
 
 
+def _word(name: str, value) -> int:
+    """A Philox key or counter word as an int: an integer in [0, 2^64), not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 64):
+        raise ValueError(f"a noise key is an integer in [0, 2^64); got {name}={value!r}")
+    return int(value)
+
+
 class NoiseSource:
     """Counter-based standard-normal supply keyed by (seed, stream).
 
@@ -83,19 +90,23 @@ class NoiseSource:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        for name, key in (("seed", seed), ("stream", stream)):
-            if isinstance(key, bool) or not (isinstance(key, (int, np.integer)) and 0 <= key < 2 ** 64):
-                raise ValueError(f"a Philox key word is an integer in [0, 2^64); got {name}={key!r}")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed, self.stream = _word("seed", seed), _word("stream", stream)
 
-    def _generator(self, path: int, step: int, count: int) -> tuple:
+    def _generator(self, path: int, step: int, count: int, n_paths: int = 1,
+                   steps: int = 1) -> tuple:
         """Philox generator whose next word, after dropping the returned
-        skip, is word path * count of step `step`; returns (generator, skip)."""
+        skip, is word path * count of step `step`; returns (generator, skip).
+        The last block and step of the draw it starts must fit in 64 bits."""
+        path, step = _word("path", path), _word("step", step)
+        if -((path + n_paths) * count // -4) >= 2 ** 64 or step + steps > 2 ** 64:
+            raise ValueError(f"{n_paths} path(s) from path={path} and {steps} step(s) from "
+                             f"step={step} of {count} word(s) pass the 64-bit Philox counter")
         start = path * count
         # numpy generates the first block at counter + 1, so this counter
-        # makes block start // 4 the first one read
-        bg = np.random.Philox(key=[self.seed, self.stream], counter=[start // 4, 0, 0, step])
+        # makes block start // 4 the first one read; the words go in as
+        # uint64, since numpy reads a list holding one >= 2^63 as float64
+        bg = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64),
+                              counter=np.array([start // 4, 0, 0, step], dtype=np.uint64))
         return bg, start % 4
 
     @staticmethod
@@ -114,9 +125,9 @@ class NoiseSource:
         """Standard normals for paths first..first+n_paths-1 at steps
         step..step+steps-1, from one generator; shape (steps, n_paths, count).
         Entry [m, p] is bit-identical to normals(first + p, step + m, count)."""
+        bg, skip = self._generator(first, step, count, n_paths, steps)
         if count == 0:
             return np.empty((steps, n_paths, 0))
-        bg, skip = self._generator(first, step, count)
         state = bg.state  # taken with an empty buffer, so every reset drops buffered words
         words = np.empty((steps, n_paths * count), dtype=np.uint64)
         for m in range(steps):
@@ -154,12 +165,12 @@ class SdeProblem:
     drift(t, x) -> array or None; diffusion(t, x, dw) -> array or None (the
     whole noise increment of one step, not a coefficient: b(x) dw for an Ito
     equation, or a group step such as X (cay(dW) - I)); noise_shape is the
-    shape of dw per step.  guard(x) -> bool is checked on every proposed
-    state; on failure the path stops at the last valid state rather than
-    clamping.  For `integrate_batch` every function must also accept states
-    with a leading path axis of any length, and the guard then returns one
-    bool per path: once some paths have stopped, the rows are fewer than the
-    paths.
+    shape of dw per step.  x0 is one state, but every function receives
+    states (and dw) with a leading path axis, one row per live path, even
+    for a lone path, and must give each row the bits it would give that row
+    alone.  guard(x) returns one bool per row and is checked on every
+    proposed state; a row that fails stops at its last valid state rather
+    than being clamped, and the rows shrink to the paths still running.
     """
 
     x0: np.ndarray
@@ -204,101 +215,90 @@ _WINDOW_WORDS = 2 ** 14
 
 
 def _euler(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
-           first: int, n_paths: int | None = None) -> tuple:
+           first: int, n_paths: int, keep: bool) -> tuple:
     """The one Euler-Maruyama loop behind `integrate` and `integrate_batch`:
 
         x' = post_step(x + drift(t, x) dt + diffusion(t, x, dw))
 
-    Step m of path p uses dw = sqrt(dt) normals(p, m, count), reshaped to
-    noise_shape and drawn in windows of steps by `normals_block`.
-
-    With n_paths None, path `first` runs alone with no path axis and the
-    trajectory is kept; returns (states, stop), where stop is the first
-    rejected step (states past it are unset) or None.  Otherwise paths
-    first..first+n_paths-1 run along a leading axis and only the current
-    states are kept; returns (final states, alive).  A row stops as a lone
-    path does: at its first rejected step its last valid state goes to the
-    output and the row leaves the live states and the noise window, so the
-    step functions see only live rows, as few as one.  The loop ends when
-    no row is left.
+    Paths first..first+n_paths-1 are the rows of a leading path axis; step m
+    of path p uses dw = sqrt(dt) normals(p, m, count), reshaped to noise_shape
+    and drawn in windows of steps by `normals_block`.  A row stops at its
+    first rejected step and leaves the live states and the noise window; the
+    loop ends when no row is left.  Returns (out, stop): stop[r] is row r's
+    first rejected step, or grid.steps if it never stopped.  With `keep`, out
+    is the (steps + 1, n_paths, ...) trajectory, unset past each row's stop;
+    without, out holds each row's last valid state.
     """
     if problem.noise_shape and source is None:
         raise ValueError("problem has noise but no noise source was given")
-    lone = n_paths is None
-    rows = 1 if lone else n_paths
-    lead = () if lone else (n_paths,)
-    x = np.broadcast_to(problem.x0, lead + problem.x0.shape).copy()
-    if lone:
-        states = np.empty((grid.steps + 1,) + x.shape)
-        states[0] = x
-    else:
-        final, live = np.empty_like(x), np.arange(n_paths)
+    dt, times = grid.dt, grid.times()
+    x = np.broadcast_to(problem.x0, (n_paths,) + problem.x0.shape).copy()
+    out = np.empty(((grid.steps + 1,) if keep else ()) + x.shape)
+    if keep:
+        out[0] = x
+    stop = np.full(n_paths, grid.steps)
+    # the live rows, and the same rows as an index into out and into a
+    # window's draw: a slice, so a view, until the first row stops
+    live, rows = np.arange(n_paths), slice(None)
     count = int(np.prod(problem.noise_shape))
-    window = max(1, _WINDOW_WORDS // max(1, rows * count))
-    times = grid.times()
+    window = max(1, _WINDOW_WORDS // max(1, n_paths * count))
     dws = None
     for lo in range(0, grid.steps, window):
         hi = min(lo + window, grid.steps)
         if problem.noise_shape:
-            z = source.normals_block(lo, rows, count, first, hi - lo)
-            dws = (np.sqrt(grid.dt) * z).reshape((hi - lo,) + lead + problem.noise_shape)
-            if not lone and len(live) < n_paths:
-                dws = dws[:, live]
+            z = source.normals_block(lo, n_paths, count, first, hi - lo)
+            dws = (np.sqrt(dt) * z).reshape((hi - lo, n_paths) + problem.noise_shape)[:, rows]
         for m in range(lo, hi):
-            dw = None if dws is None else dws[m - lo]
             nxt = x
             if problem.drift is not None:
-                nxt = nxt + problem.drift(times[m], x) * grid.dt
+                nxt = nxt + problem.drift(times[m], x) * dt
             if problem.diffusion is not None:
-                nxt = nxt + problem.diffusion(times[m], x, dw)
+                nxt = nxt + problem.diffusion(times[m], x, None if dws is None else dws[m - lo])
             if problem.post_step is not None:
                 nxt = problem.post_step(nxt)
             if problem.guard is not None:
                 ok = problem.guard(nxt)
-                if lone:
-                    if not ok:
-                        return states, m
-                elif not ok.all():
-                    final[live[~ok]] = x[~ok]
-                    live, nxt = live[ok], nxt[ok]
-                    dws = None if dws is None else dws[:, ok]
+                # count_nonzero costs a third of ok.all() on a few rows
+                if np.count_nonzero(ok) < len(live):
+                    stop[live[~ok]] = m
+                    if not keep:
+                        out[live[~ok]] = x[~ok]
+                    live = rows = live[ok]
                     if not live.size:
-                        return final, np.zeros(n_paths, dtype=bool)
+                        return out, stop
+                    nxt = nxt[ok]
+                    dws = None if dws is None else dws[:, ok]
             x = nxt
-            if lone:
-                states[m + 1] = x
-    if lone:
-        return states, None
-    final[live] = x
-    return final, np.isin(np.arange(n_paths), live)
+            if keep:
+                out[m + 1, rows] = x
+    if not keep:
+        out[rows] = x
+    return out, stop
 
 
 def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = None,
               path_index: int = 0) -> Path:
-    """Integrate path `path_index` of the problem over the grid (see
-    `_euler`); the path ends at the last valid state if the guard trips."""
-    states, stop = _euler(problem, grid, source, path_index)
-    times = grid.times()
-    if stop is None:
-        return Path(times=times, states=states, path_index=path_index)
-    return Path(times=times[: stop + 1], states=states[: stop + 1], path_index=path_index,
-                stopped_step=stop, stop_reason=problem.guard_name)
+    """Path `path_index` of the problem over the grid: row 0 of a batch of
+    one that keeps its trajectory (see `_euler`).  If the guard trips, the
+    path ends at its last valid state."""
+    states, stop = _euler(problem, grid, source, path_index, 1, keep=True)
+    end = int(stop[0])
+    stopped = end < grid.steps
+    return Path(times=grid.times()[:end + 1], states=states[:end + 1, 0],
+                path_index=path_index, stopped_step=end if stopped else None,
+                stop_reason=problem.guard_name if stopped else None)
 
 
 def integrate_batch(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None,
                     n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final states of paths 0..n_paths-1 and the mask of paths that never
     tripped the guard; only the current states are kept (see `_euler`).
-
-    The problem's drift, diffusion, guard and post_step receive the live
-    states with a leading path axis, and the guard returns one bool per row;
-    a path whose guard trips leaves the batch with its last valid state, so
-    the functions must accept any number of rows, down to one.  Row p draws
-    the noise of path p, so it equals integrate(problem, grid, source,
-    p).final bit for bit as long as the problem's functions give the same
-    bits on a batch as on one slice.
-    """
-    return _euler(problem, grid, source, 0, n_paths)
+    Row p draws the noise of path p, so it equals integrate(problem, grid,
+    source, p).final bit for bit when the problem keeps the row contract of
+    `SdeProblem`."""
+    final, stop = _euler(problem, grid, source, 0, require_count(n_paths, "n_paths"),
+                         keep=False)
+    return final, stop == grid.steps
 
 
 def path_chunks(source: NoiseSource, n_paths: int, count: int, steps: int):

@@ -1,7 +1,8 @@
 """Each ensemble runs its process's own problem over a path axis: row p of an
 ensemble equals the single-path run with path_index=p bit for bit, and a
 path whose guard trips keeps its last valid state.  Every process builder
-meets that contract, the vertical process included."""
+meets that contract: the ten `*_problem` builders, the vertical process with
+and without a metric, and the invariant process with no guard."""
 
 import dataclasses
 
@@ -11,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from orbitflow import ensembles, processes
 from orbitflow.geom import MetricR
+from orbitflow.matcore import sl2_basis
 from orbitflow.processes import ProcessConfig
 from orbitflow.sde import integrate, integrate_batch
 
@@ -19,6 +21,9 @@ CFG = ProcessConfig(t_end=0.2, dt=1e-3, seed=3, stream=1)
 P0 = np.diag([3.0, 2.0, 1.0])
 LAM0 = [5.0, 2.0, 1.0]
 M0 = np.array([[1.0, 0.2], [0.1, 1.5], [0.3, -0.4]])
+# an unguarded invariant process: the determinant-one group from a point
+# other than the identity
+SL2, Z0 = sl2_basis(), processes.halfplane_start(0.3, 1.2)
 METRIC = MetricR(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]))
 
 # name -> (ensemble run, single-path run of path p)
@@ -53,6 +58,10 @@ CASES = {
     "sphere": (
         lambda: ensembles.sphere_ensemble(3, CFG, PATHS)[0],
         lambda p: processes.sphere_vertical_bm(3, CFG, path_index=p)[0]),
+    "invariant": (
+        lambda: integrate_batch(processes.invariant_problem(SL2, Z0), CFG.grid(), CFG.source(),
+                                PATHS),
+        lambda p: processes.invariant_bm(SL2, Z0, CFG, path_index=p)),
     "vertical": (
         lambda: integrate_batch(processes.vertical_problem(M0), CFG.grid(), CFG.source(),
                                 PATHS),

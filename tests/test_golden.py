@@ -1,6 +1,7 @@
-"""The output ledger's cheap slice: `verify` at seed 0 for every suite and
-the control run keep the bytes and exit codes that tests/golden.json
-records.  `python tests/golden.py --check` runs every entry."""
+"""The output ledger's cheap slice: `verify` at seed 0 for every suite, and
+every `control`, `simulate`, `drift` and `oracle` entry, keep the bytes and
+exit codes that tests/golden.json records.  `python tests/golden.py --check`
+runs every entry."""
 
 import golden
 

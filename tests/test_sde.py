@@ -1,6 +1,8 @@
 """Integration kernel checks: noise determinism, increment statistics, steppers,
 guards, and the quadratic-variation oracle."""
 
+import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtri
 
-from orbitflow import sde
+from orbitflow import cli, sde
 from orbitflow.matcore import LieBasis, mT, so_basis
 from orbitflow.processes import ProcessConfig, invariant_problem
 from orbitflow.sde import (NoiseBlock, NoiseSource, Path, QvEstimate, SdeProblem, TimeGrid,
@@ -117,6 +119,50 @@ def test_noise_source_takes_the_largest_64_bit_keys():
     assert z.shape == (4,) and np.isfinite(z).all()
 
 
+@pytest.mark.parametrize("method, args, named", [
+    ("normals", (-1, 0, 4), "path=-1"),
+    ("normals", (0, -1, 4), "step=-1"),
+    ("normals_block", (0, 2, 4, -1), "path=-1"),
+    ("normals", (True, 0, 4), "path=True"),
+    ("normals", (0, 1.0, 4), "step=1.0"),
+    ("normals", (2 ** 64, 0, 4), "path=18446744073709551616"),
+    # the last block of these draws is at counter 2^64, and the last step
+    # of the block draw is 2^64
+    ("normals", (2 ** 64 - 1, 0, 4), "path=18446744073709551615"),
+    ("normals_block", (0, 2, 4, 2 ** 64 - 2), "path=18446744073709551614"),
+    ("normals_block", (2 ** 64 - 1, 1, 4, 0, 2), "step=18446744073709551615"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_a_draw_outside_the_noise_keying_is_refused(method, args, named):
+    # a negative index would wrap the Philox counter and a bool is index 1:
+    # both would hand out another index's normals
+    with pytest.raises(ValueError, match=re.escape(named)):
+        getattr(NoiseSource(0), method)(*args)
+
+
+def test_the_last_indices_inside_the_keying_draw():
+    src = NoiseSource(0)
+    assert np.isfinite(src.normals(2 ** 64 - 2, 2 ** 64 - 1, 4)).all()
+    assert_array_equal(src.normals_block(2 ** 64 - 2, 1, 4, first=2 ** 64 - 3, steps=2)[1, 0],
+                       src.normals(2 ** 64 - 3, 2 ** 64 - 1, 4))
+
+
+def _wiener():
+    return SdeProblem(x0=np.zeros(2), diffusion=lambda t, x, dw: dw, noise_shape=(2,))
+
+
+@pytest.mark.parametrize("index", [True, -1, 1.0])
+def test_integrate_refuses_a_path_index_outside_the_keying(index):
+    # integrate(problem, grid, src, True) would be path 1 bit for bit
+    with pytest.raises(ValueError, match=re.escape(f"got path={index!r}")):
+        integrate(_wiener(), TimeGrid(0.1, 3), NoiseSource(5), index)
+
+
+@pytest.mark.parametrize("n_paths", [-1, 0, True, 2.0])
+def test_integrate_batch_refuses_a_path_count_that_is_not_a_count(n_paths):
+    with pytest.raises(ValueError, match=re.escape(f"got n_paths={n_paths!r}")):
+        integrate_batch(_wiener(), TimeGrid(0.1, 3), NoiseSource(5), n_paths)
+
+
 def test_normals_are_pure_functions_of_indices():
     src = NoiseSource(seed=11, stream=2)
     a = src.normals(path=3, step=7, count=5)
@@ -149,8 +195,23 @@ def _keyed_normals(seed, stream, path, step, count):
     # the keying definition: step `step` reads the Philox stream keyed
     # (seed, stream) with counter [0, 0, 0, step] from its first word, and
     # path `path` owns words [path * count, (path + 1) * count)
-    bg = np.random.Philox(key=[seed, stream], counter=[0, 0, 0, step])
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64),
+                          counter=np.array([0, 0, 0, step], dtype=np.uint64))
     return NoiseSource._to_normal(bg.random_raw((path + 1) * count)[path * count:])
+
+
+def test_key_and_counter_words_above_2_63_keep_every_bit():
+    # numpy reads a Python list holding a word >= 2^63 as float64, which
+    # rounds 2^63 + 1 to 2^63 and casts 2^64 - 1 to 0: those seeds and steps
+    # would draw another key's or step's normals
+    assert np.any(NoiseSource(2 ** 63 + 1).normals(0, 0, 4) != NoiseSource(2 ** 63).normals(0, 0, 4))
+    assert np.any(NoiseSource(2 ** 64 - 1).normals(0, 0, 4) != NoiseSource(0).normals(0, 0, 4))
+    src = NoiseSource(5)
+    assert np.any(src.normals(0, 2 ** 63 + 1, 4) != src.normals(0, 2 ** 63, 4))
+    for seed, stream, path, step in [(2 ** 64 - 1, 2 ** 63 + 1, 3, 2 ** 64 - 1),
+                                     (2 ** 63 + 1, 7, 0, 2 ** 63 + 1)]:
+        assert_array_equal(NoiseSource(seed, stream).normals(path, step, 3),
+                           _keyed_normals(seed, stream, path, step, 3))
 
 
 @pytest.mark.parametrize("count", [1, 3, 6, 9])
@@ -487,6 +548,120 @@ def test_noise_window_changes_no_bit(monkeypatch, words):
         assert got.stopped_step == want.stopped_step
         assert_array_equal(got.times, want.times)
         assert_array_equal(got.states, want.states)
+
+
+def _lone_reference(problem, grid, source, p):
+    """The lone-path Euler loop as it ran before a lone path became a batch
+    of one, written out: the state has no path axis, step m draws
+    normals(p, m, count) and the guard's one bool ends the path at its first
+    rejected step.  Returns (states, stop), stop None if it never tripped."""
+    x, states = problem.x0, [problem.x0]
+    count = int(np.prod(problem.noise_shape))
+    for m, t in enumerate(grid.times()[:-1]):
+        nxt = x
+        if problem.drift is not None:
+            nxt = nxt + problem.drift(t, x) * grid.dt
+        if problem.diffusion is not None:
+            dw = (np.sqrt(grid.dt) * source.normals(p, m, count)).reshape(problem.noise_shape)
+            nxt = nxt + problem.diffusion(t, x, dw)
+        if problem.post_step is not None:
+            nxt = problem.post_step(nxt)
+        if problem.guard is not None and not problem.guard(nxt):
+            return np.array(states), m
+        x = nxt
+        states.append(x)
+    return np.array(states), None
+
+
+def _tripping(problem, step):
+    """The problem with its guard (or none) narrowed to reject the state
+    proposed at `step`, counted by calls: a lone path calls it once a step."""
+    calls, base, lead = itertools.count(), problem.guard, problem.x0.ndim
+
+    def guard(x):
+        ok = np.full(x.shape[:x.ndim - lead], True) if base is None else base(x)
+        return ok & (next(calls) != step)
+
+    return dataclasses.replace(problem, guard=guard)
+
+
+def _process_problems():
+    # every row of the simulate table at its defaults, and the Ito route of
+    # the Grassmann row, whose projector guard stops most paths by itself
+    rows = []
+    for name, row in cli._PROCESSES.items():
+        n, k = 2, 2 if row.wide_k else 1
+        opts = {flag: cli._INPUTS[flag].default(n, k) for flag in row.reads
+                if flag in cli._INPUTS}
+        rows.append((name, lambda row=row, n=n, k=k, opts=opts: row.problem(n, k, opts)))
+    opts = {"route": "ito"}
+    rows.append(("grassmann-ito", lambda: cli._PROCESSES["grassmann"].problem(2, 1, opts)))
+    return rows
+
+
+@pytest.mark.parametrize("words", [2 ** 14, 5])
+@pytest.mark.parametrize("trip", [None, 0, 23, 59])
+@pytest.mark.parametrize("name, build", _process_problems(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_integrate_is_the_former_lone_path_loop(monkeypatch, name, build, trip, words):
+    # bit for bit, trajectory and stop step, for every process, with its own
+    # guard and with one narrowed to trip at the first, a middle and the
+    # last step; 5 words make windows of one to five steps
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", words)
+    grid, src = TimeGrid(1e-3, 60), NoiseSource(7, stream=2)
+    make = build if trip is None else lambda: _tripping(build(), trip)
+    for p in (0, 3):
+        states, stop = _lone_reference(make(), grid, src, p)
+        problem = make()
+        path = integrate(problem, grid, src, p)
+        assert path.stopped_step == stop
+        assert path.stop_reason == (None if stop is None else problem.guard_name)
+        assert_array_equal(path.times, grid.times()[:len(states)])
+        assert_array_equal(path.states, states)
+        if trip is not None:
+            assert stop == trip or (name == "grassmann-ito" and stop < trip)
+
+
+class _TableNoise:
+    """Normals read from a table z[step, path, entry]."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def normals_block(self, step, n_paths, count, first=0, steps=1):
+        return self.z[step:step + steps, first:first + n_paths, :count]
+
+
+def _jumps(stops):
+    # path p takes small steps and jumps past the guard at step stops[p]
+    z = np.random.default_rng(0).uniform(-0.05, 0.05, (12, len(stops), 1))
+    for p, m in enumerate(stops):
+        if m is not None:
+            z[m, p] = 5.0
+    return _TableNoise(z)
+
+
+@pytest.mark.parametrize("stops", [[0, 5, 11, None, 5], [6, 6, 6, 6, 6], [None] * 5])
+def test_kept_batch_rows_are_their_own_runs(monkeypatch, stops):
+    # rows of one kept batch stop at step 0, mid-window (windows of four
+    # steps), at the last step, never, or all at once; each row's slice up
+    # to its stop step is its own lone run, and the unkept batch ends each
+    # row at the same state
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", 16)
+    prob = SdeProblem(x0=np.zeros(1), drift=lambda t, x: -x, diffusion=lambda t, x, dw: dw,
+                      noise_shape=(1,), guard=lambda x: x[..., 0] < 1.0)
+    grid, noise = TimeGrid(1.0, 12), _jumps(stops)
+    out, stop = sde._euler(prob, grid, noise, 1, 4, keep=True)
+    final, final_stop = sde._euler(prob, grid, noise, 1, 4, keep=False)
+    assert out.shape == (13, 4, 1)
+    assert_array_equal(final_stop, stop)
+    for r in range(4):
+        path = integrate(prob, grid, noise, 1 + r)
+        want = stops[1 + r]
+        assert path.stopped_step == want
+        assert stop[r] == (grid.steps if want is None else want)
+        assert_array_equal(out[:stop[r] + 1, r], path.states)
+        assert_array_equal(final[r], path.final)
 
 
 def test_rk4_matches_closed_form_flow():
