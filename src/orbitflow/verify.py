@@ -8,6 +8,7 @@ ODE against closed forms and the vertical-noise image; `control` runs the
 interaction-field and monotonicity battery.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +26,42 @@ from .processes import ProcessConfig, gram, mcf_ode, vertical_bm
 from .reporting import ConstantsEntry, ConstantsReport
 from .sde import qv_kind, qv_oracle
 
-SUITE_NAMES = ("constants", "invariants", "eigen-consistency", "mcf-match",
-               "control")
+_RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+          "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Reading:
+    """A measured value and its bound, the literal as written: the verdict
+    compares `value` with float(bound) by `rule`, the text prints the literal,
+    and `fmt` is a str.format template over (label, value)."""
+    label: str
+    value: float
+    rule: str
+    bound: str
+    fmt: str = "{} = {:.2e}"
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RULES[self.rule](self.value, float(self.bound)))
+
+    def text(self) -> str:
+        word = "want" if self.rule == "==" else "tol"
+        return f"{self.fmt.format(self.label, self.value)} ({word} {self.bound})"
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
-    detail: str
+    readings: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.readings)
 
     def line(self) -> str:
         tag = "pass" if self.passed else "FAIL"
-        return f"[{tag}] {self.name}: {self.detail}"
+        return f"[{tag}] {self.name}: {', '.join(r.text() for r in self.readings)}"
 
 
 @dataclass(frozen=True)
@@ -120,21 +144,18 @@ def constants_suite(samples: int = 8000, seed: int = 0):
             oracle_estimate=estimate, oracle_se=se, samples=samples, verdict=verdict))
     report = ConstantsReport(entries=tuple(entries))
 
-    checks = []
-    n_div = len(report.divergences)
-    checks.append(CheckResult(
-        "divergence count", n_div == 3, f"{n_div} divergent entries (want 3)"))
     worst_dev = max(abs(e.oracle_estimate - e.derived_value) / e.oracle_se
                     for e in entries)
-    checks.append(CheckResult(
-        "oracle matches derived values", worst_dev <= 4.0,
-        f"max |oracle - derived| = {worst_dev:.2f} SE (tol 4)"))
     worst_rel = max(e.oracle_se / abs(e.derived_value) for e in report.divergences) \
         if report.divergences else np.inf
-    checks.append(CheckResult(
-        "divergence SEs under 5%", worst_rel < 0.05,
-        f"max SE/|derived| = {100 * worst_rel:.2f}%"))
-    return SuiteResult("constants", tuple(checks)), report
+    checks = (
+        CheckResult("divergence count", (
+            Reading("divergent entries", len(report.divergences), "==", "3", "{1} {0}"),)),
+        CheckResult("oracle matches derived values", (
+            Reading("max |oracle - derived|", worst_dev, "<=", "4", "{} = {:.2f} SE"),)),
+        CheckResult("divergence SEs under 5%", (
+            Reading("max SE/|derived|", worst_rel, "<", "0.05", "{} = {:.2%}"),)))
+    return SuiteResult("constants", checks), report
 
 
 # --- invariants ------------------------------------------------------------
@@ -147,21 +168,18 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     worst = max(np.max(np.abs(np.trace(drift_J_spectral(_seeded_spd(rng, n, count=40)),
                                        axis1=1, axis2=2) - n * (n - 1) / 2.0))
                 for n in range(2, 7))
-    checks.append(CheckResult(
-        "drift trace identity", worst <= 1e-12,
-        f"max |tr J - n(n-1)/2| = {worst:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("drift trace identity", (
+        Reading("max |tr J - n(n-1)/2|", worst, "<=", "1e-12"),)))
 
     worst = max(np.max(np.abs(drift_J_spectral(np.eye(n)) - (n - 1) / 2.0 * np.eye(n)))
                 for n in range(2, 7))
-    checks.append(CheckResult(
-        "identity-point drift", worst <= 1e-12,
-        f"max |J(I) - (n-1)/2 I| = {worst:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("identity-point drift", (
+        Reading("max |J(I) - (n-1)/2 I|", worst, "<=", "1e-12"),)))
 
     p = _seeded_spd(rng, 2, count=40)
     worst = np.max(np.abs(drift_J_spectral(p) - p / np.trace(p, axis1=1, axis2=2)[:, None, None]))
-    checks.append(CheckResult(
-        "2x2 drift closed form", worst <= 1e-12,
-        f"max |J - P/tr P| = {worst:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("2x2 drift closed form", (
+        Reading("max |J - P/tr P|", worst, "<=", "1e-12"),)))
 
     # vertical/horizontal splitting under identity and non-identity metrics
     worst = 0.0
@@ -176,9 +194,8 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
                                 vertical_project(m, h, metric)))
             worst = max(worst, np.max(np.abs(defects).max(axis=(-2, -1)) / scale),
                         np.max(np.abs(metric.inner(v, h)) / scale ** 2))
-    checks.append(CheckResult(
-        "projection split", worst <= 1e-10,
-        f"max split/idempotence/orthogonality defect = {worst:.2e} (tol 1e-10)"))
+    checks.append(CheckResult("projection split", (
+        Reading("max split/idempotence/orthogonality defect", worst, "<=", "1e-10"),)))
 
     # Ito-correction identity, Euclidean and metric versions
     worst = 0.0
@@ -189,42 +206,38 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
             p = m @ mT(m)
             want = drift_J_R(p, metric) if with_r else drift_J_spectral(p)
             worst = max(worst, np.max(np.abs(ito_correction_sum(m, metric) - want)))
-    checks.append(CheckResult(
-        "Ito-correction identity", worst <= 1e-10,
-        f"max |sum xi xi^T - J| = {worst:.2e} (tol 1e-10)"))
+    checks.append(CheckResult("Ito-correction identity", (
+        Reading("max |sum xi xi^T - J|", worst, "<=", "1e-10"),)))
 
     # gram determinant and orbit-volume invariance
     p = _seeded_spd(rng, 2, count=40)
     worst = np.max(np.abs(np.linalg.det(metric_gram(p)) - 0.5 * np.trace(p, axis1=1, axis2=2)))
-    checks.append(CheckResult(
-        "2x2 gram determinant", worst <= 1e-12,
-        f"max |det g - tr P / 2| = {worst:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("2x2 gram determinant", (
+        Reading("max |det g - tr P / 2|", worst, "<=", "1e-12"),)))
 
     worst = 0.0
     for n, k in [(3, 3), (4, 2)]:
         z = rng.standard_normal((10, n * k + k * k))
         m, q = z[:, :n * k].reshape(10, n, k), _frames(z[:, n * k:].reshape(10, k, k))
         worst = max(worst, np.max(np.abs(orbit_log_volume(m @ q) - orbit_log_volume(m))))
-    checks.append(CheckResult(
-        "orbit volume right-invariance", worst <= 1e-10,
-        f"max |log vol(MQ) - log vol(M)| = {worst:.2e} (tol 1e-10)"))
+    checks.append(CheckResult("orbit volume right-invariance", (
+        Reading("max |log vol(MQ) - log vol(M)|", worst, "<=", "1e-10"),)))
 
     # quick manifold preservation: O(3) frame and a Grassmann projector
     cfg = ProcessConfig(t_end=0.5, dt=1e-3, seed=seed)
     q = orthogonal_ensemble(3, cfg, paths=4)
     defect = np.max(np.linalg.norm(mT(q) @ q - np.eye(3), axis=(-2, -1)))
-    checks.append(CheckResult(
-        "orthogonal frame defect", defect <= 1e-3,
-        f"max |Q^T Q - I| = {defect:.2e} (tol 1e-3)"))
+    checks.append(CheckResult("orthogonal frame defect", (
+        Reading("max |Q^T Q - I|", defect, "<=", "1e-3"),)))
 
     # the projectors Q I_1 Q^T of the same O(3) paths, as
     # grassmann_pushforward_ensemble(3, 1, cfg, paths=4) would integrate them
     p = gram(q[..., :1])
     defect = np.max(np.linalg.norm(p @ p - p, axis=(-2, -1)))
     tr_defect = np.max(np.abs(np.trace(p, axis1=1, axis2=2) - 1.0))
-    checks.append(CheckResult(
-        "grassmann projector defect", defect <= 1e-3 and tr_defect <= 1e-6,
-        f"max |P^2 - P| = {defect:.2e} (tol 1e-3), max |tr P - k| = {tr_defect:.2e} (tol 1e-6)"))
+    checks.append(CheckResult("grassmann projector defect", (
+        Reading("max |P^2 - P|", defect, "<=", "1e-3"),
+        Reading("max |tr P - k|", tr_defect, "<=", "1e-6"))))
 
     # the direct Ito route conserves tr P exactly; its projector defect is
     # O(sqrt(dt)) by construction and passes the default 1e-2 projector
@@ -232,24 +245,25 @@ def invariants_suite(seed: int = 0) -> SuiteResult:
     # run to t = 0.5 and only the trace is asserted here
     p = grassmann_ito_ensemble(3, 1, cfg, paths=4, guard_tol=0.25)
     tr_defect = np.max(np.abs(np.trace(p, axis1=1, axis2=2) - 1.0))
-    checks.append(CheckResult(
-        "grassmann ito-route trace", tr_defect <= 1e-12,
-        f"max |tr P - k| = {tr_defect:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("grassmann ito-route trace", (
+        Reading("max |tr P - k|", tr_defect, "<=", "1e-12"),)))
 
     return SuiteResult("invariants", tuple(checks))
 
 
 # --- eigen-consistency -----------------------------------------------------
 
-def _moment_gap(vals_a, vals_b):
-    """Max over (component, moment 1|2) of |mean gap| in combined SEs."""
-    worst = 0.0
+def _moments_check(name, vals_a, vals_b, alive):
+    """A check of the max over (component, moment 1|2) of |mean gap| in
+    combined SEs, and of the fraction `alive` of paths that never stopped."""
+    gap = 0.0
     for power in (1, 2):
         a = vals_a ** power
         b = vals_b ** power
         se = np.sqrt(a.var(axis=0) / a.shape[0] + b.var(axis=0) / b.shape[0])
-        worst = max(worst, float(np.max(np.abs(a.mean(axis=0) - b.mean(axis=0)) / se)))
-    return worst
+        gap = max(gap, float(np.max(np.abs(a.mean(axis=0) - b.mean(axis=0)) / se)))
+    return CheckResult(name, (Reading("max moment gap", gap, "<=", "3", "{} = {:.2f} SE"),
+                              Reading("alive", alive, ">=", "0.99", "{} {:.1%}")))
 
 
 def eigen_consistency_suite(paths: int = 2000, seed: int = 0) -> SuiteResult:
@@ -258,7 +272,6 @@ def eigen_consistency_suite(paths: int = 2000, seed: int = 0) -> SuiteResult:
     n = k = 2
     t_end, dt = 0.1, 1e-3
     lam0 = np.array([5.0, 1.0])
-    checks = []
 
     # matrix routes and eigenvalue SDEs consume independent noise streams
     w = wishart_ensemble(n, k, ProcessConfig(t_end, dt, seed=seed, stream=0),
@@ -267,24 +280,17 @@ def eigen_consistency_suite(paths: int = 2000, seed: int = 0) -> SuiteResult:
                       axis=1)[:, ::-1]
     eig_lam, alive = eigen_ensemble("wishart", lam0, n, k,
                                     ProcessConfig(t_end, dt, seed=seed, stream=1), paths)
-    frac = alive.mean()
-    gap = _moment_gap(mat_lam, eig_lam[alive])
-    checks.append(CheckResult(
-        "wishart eigenvalue moments", gap <= 3.0 and frac >= 0.99,
-        f"max moment gap = {gap:.2f} SE (tol 3), alive {100 * frac:.1f}%"))
+    wishart = _moments_check("wishart eigenvalue moments", mat_lam, eig_lam[alive],
+                             alive.mean())
 
     pb, alive_b = bw_ensemble(np.diag(lam0),
                               ProcessConfig(t_end, dt, seed=seed, stream=2), paths)
     mat_lam = np.sort(np.linalg.eigvalsh(pb[alive_b]), axis=1)[:, ::-1]
     eig_lam, alive = eigen_ensemble("bw", lam0, n, k,
                                     ProcessConfig(t_end, dt, seed=seed, stream=3), paths)
-    frac = min(alive.mean(), alive_b.mean())
-    gap = _moment_gap(mat_lam, eig_lam[alive])
-    checks.append(CheckResult(
-        "bures-wasserstein eigenvalue moments", gap <= 3.0 and frac >= 0.99,
-        f"max moment gap = {gap:.2f} SE (tol 3), alive {100 * frac:.1f}%"))
-
-    return SuiteResult("eigen-consistency", tuple(checks))
+    bw = _moments_check("bures-wasserstein eigenvalue moments", mat_lam, eig_lam[alive],
+                        min(alive.mean(), alive_b.mean()))
+    return SuiteResult("eigen-consistency", (wishart, bw))
 
 
 # --- mcf-match -------------------------------------------------------------
@@ -296,9 +302,8 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
     p0 = np.diag([3.0, 1.0])
     path = mcf_ode(p0, t_end=4.0, steps=800)
     err = np.max(np.abs(path.final - 2.0 * p0))
-    checks.append(CheckResult(
-        "2x2 doubling closed form", err <= 1e-6,
-        f"|P(4) - 2 P0| = {err:.2e} (tol 1e-6)"))
+    checks.append(CheckResult("2x2 doubling closed form", (
+        Reading("|P(4) - 2 P0|", err, "<=", "1e-6"),)))
 
     # ten starts, one stacked flow
     p0 = _seeded_spd(rng, 2, count=10)
@@ -307,16 +312,14 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
     want = (1.0 + t_end / np.trace(p0, axis1=1, axis2=2))[:, None, None] * p0
     worst = np.max(np.max(np.abs(path.final - want), axis=(-2, -1))
                    / np.max(np.abs(want), axis=(-2, -1)))
-    checks.append(CheckResult(
-        "2x2 scaling law", worst <= 1e-8,
-        f"max relative error vs (1 + t/tr P0) P0 = {worst:.2e} (tol 1e-8)"))
+    checks.append(CheckResult("2x2 scaling law", (
+        Reading("max relative error vs (1 + t/tr P0) P0", worst, "<=", "1e-8"),)))
 
     p0 = 1.7 * np.eye(3)
     path = mcf_ode(p0, t_end=2.0, steps=50)
     err = np.max(np.abs(path.final - (p0 + 2.0 * np.eye(3))))
-    checks.append(CheckResult(
-        "isotropic affine flow", err <= 1e-12,
-        f"|P(2) - (P0 + (n-1)/2 t I)| = {err:.2e} (tol 1e-12)"))
+    checks.append(CheckResult("isotropic affine flow", (
+        Reading("|P(2) - (P0 + (n-1)/2 t I)|", err, "<=", "1e-12"),)))
 
     # image of vertical noise follows the curvature ODE path by path
     m0 = np.diag([np.sqrt(3.0), 1.0])
@@ -327,8 +330,8 @@ def mcf_match_suite(seed: int = 0) -> SuiteResult:
         _, image = vertical_bm(m0, cfg, metric=metric)
         ref = mcf_ode(m0 @ m0.T, t_end=1.0, steps=200, metric=metric).final
         err = np.max(np.abs(image.final - ref)) / np.max(np.abs(ref))
-        checks.append(CheckResult(name, err <= 2e-2,
-                                  f"relative endpoint gap = {err:.2e} (tol 2e-2)"))
+        checks.append(CheckResult(name, (
+            Reading("relative endpoint gap", err, "<=", "2e-2"),)))
 
     return SuiteResult("mcf-match", tuple(checks))
 
@@ -345,42 +348,38 @@ def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
     rng = np.random.default_rng(seed)
     checks = []
 
-    exact = True
+    differ = 0
     for _ in range(100):
         n = int(rng.integers(2, 7))
         lam = np.exp(rng.standard_normal(n))
-        exact = exact and np.array_equal(alpha(lam), alpha_from_pairs(lam))
-    checks.append(CheckResult(
-        "cone identity exact", exact,
-        "alpha equals pair-accumulated route bit for bit" if exact
-        else "routes disagree"))
+        differ += not np.array_equal(alpha(lam), alpha_from_pairs(lam))
+    checks.append(CheckResult("cone identity exact", (
+        Reading("samples where alpha and the pair-accumulated route differ", differ,
+                "==", "0", "{} = {:d}"),)))
 
     worst = max(float(np.linalg.eigvalsh(alpha_jacobian(np.exp(rng.standard_normal((250, n)))))
                       [:, -1].max())
                 for n in range(3, 7))
-    checks.append(CheckResult(
-        "jacobian negative definite (n>=3)", worst < 0.0,
-        f"max eigenvalue over seeds = {worst:.2e}"))
+    checks.append(CheckResult("jacobian negative definite (n>=3)", (
+        Reading("max eigenvalue over seeds", worst, "<", "0"),)))
 
     ev = np.linalg.eigvalsh(alpha_jacobian(np.exp(rng.standard_normal((100, 2)))))
     worst = np.max(np.abs(ev[:, -1]) / np.abs(ev[:, 0]))
-    checks.append(CheckResult(
-        "jacobian singular at n=2", worst <= 1e-13,
-        f"max |top eigenvalue| / |bottom| = {worst:.2e} (tol 1e-13)"))
+    checks.append(CheckResult("jacobian singular at n=2", (
+        Reading("max |top eigenvalue| / |bottom|", worst, "<=", "1e-13"),)))
 
     worst = 0.0
-    ladder_ok = True
+    breaks = 0
     for n in range(2, 7):
         lam = np.exp(rng.standard_normal((20, n)))
         worst = max(worst, np.max(np.abs(alpha_sos_sum(lam) + alpha_jacobian(lam))))
         mats = alpha_sos(lam)  # (n - 1, 20, n, n)
         tol = 1e-8 * np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1.0)
         ranks = np.sum(np.linalg.svd(mats, compute_uv=False) > tol[..., None], axis=-1)
-        ladder_ok = ladder_ok and (ranks == np.arange(n - 1, 0, -1)[:, None]).all()
-    checks.append(CheckResult(
-        "sum-of-squares certificate", worst <= 1e-12 and ladder_ok,
-        f"max residual = {worst:.2e} (tol 1e-12), rank ladder "
-        f"{'ok' if ladder_ok else 'broken'}"))
+        breaks += int(np.sum(ranks != np.arange(n - 1, 0, -1)[:, None]))
+    checks.append(CheckResult("sum-of-squares certificate", (
+        Reading("max residual", worst, "<=", "1e-12"),
+        Reading("rank ladder breaks", breaks, "==", "0", "{} = {:d}"))))
 
     # each start draws its schedule before the next start: one loop draws
     # them, one stacked integration runs them
@@ -389,9 +388,8 @@ def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
     paths = integrate_control(np.stack(starts), drawn, substeps=32)
     worst = min(float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())
                 for path in paths)
-    checks.append(CheckResult(
-        "loewner monotonicity", worst > -1e-10,
-        f"min eigenvalue of increments = {worst:.2e} (tol -1e-10)"))
+    checks.append(CheckResult("loewner monotonicity", (
+        Reading("min eigenvalue of increments", worst, ">", "-1e-10"),)))
 
     worst = 0.0
     for _ in range(50):
@@ -404,31 +402,32 @@ def control_suite(seed: int = 0, schedules: int = 25) -> SuiteResult:
         lhs = drift_J_R(a.T @ p @ a, MetricR(r_conj))
         rhs = a.T @ drift_J_R(p, MetricR(r)) @ a
         worst = max(worst, np.max(np.abs(lhs - rhs)))
-    checks.append(CheckResult(
-        "conjugation identity", worst <= 1e-10,
-        f"max defect = {worst:.2e} (tol 1e-10)"))
+    checks.append(CheckResult("conjugation identity", (
+        Reading("max defect", worst, "<=", "1e-10"),)))
 
     p0 = np.diag([2.0, 1.0])
     rep = reach_probe(p0, np.eye(2), {(0, 1): 0.4})
-    ok = rep.log_gain_error <= 1e-2 and rep.loewner_min > -1e-10
-    checks.append(CheckResult(
-        "reach probe gain", ok,
-        f"log-gain error = {rep.log_gain_error:.2e} (tol 1e-2), "
-        f"loewner min = {rep.loewner_min:.2e}"))
+    checks.append(CheckResult("reach probe gain", (
+        Reading("log-gain error", rep.log_gain_error, "<=", "1e-2"),
+        Reading("loewner min", rep.loewner_min, ">", "-1e-10"))))
 
     return SuiteResult("control", tuple(checks))
 
 
+# suite name -> runner of (SuiteResult, ConstantsReport | None); a runner looks
+# its suite up when called, so a rebound module attribute is the one that runs
+SUITES = {
+    "constants": lambda **kw: constants_suite(**kw),
+    "invariants": lambda **kw: (invariants_suite(**kw), None),
+    "eigen-consistency": lambda **kw: (eigen_consistency_suite(**kw), None),
+    "mcf-match": lambda **kw: (mcf_match_suite(**kw), None),
+    "control": lambda **kw: (control_suite(**kw), None),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **kwargs):
     """Run one named suite; returns (SuiteResult, ConstantsReport | None)."""
-    if name == "constants":
-        return constants_suite(**kwargs)
-    if name == "invariants":
-        return invariants_suite(**kwargs), None
-    if name == "eigen-consistency":
-        return eigen_consistency_suite(**kwargs), None
-    if name == "mcf-match":
-        return mcf_match_suite(**kwargs), None
-    if name == "control":
-        return control_suite(**kwargs), None
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    return SUITES[name](**kwargs)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from orbitflow import sde
 from orbitflow.cli import main as cli_main
 from orbitflow.ensembles import (bw_ensemble, cartan_hadamard_ensemble,
                                  grassmann_pushforward_ensemble,
@@ -179,8 +180,7 @@ def test_criterion_08_eigenvalue_matrix_consistency():
     # autonomous eigenvalue diffusions against eigenvalues of the matrix
     # simulations, both cones, first and second moments within 3 pooled SE
     result = eigen_consistency_suite(paths=2000, seed=0)
-    detail = "; ".join(c.detail for c in result.checks)
-    _report(8, result.passed, detail)
+    _report(8, result.passed, "; ".join(c.line() for c in result.checks))
 
 
 def test_criterion_09_control_certificates():
@@ -210,18 +210,23 @@ def test_criterion_10_constants_adjudication(capsys):
                         f"oracle SEs below 5% of derived: {tight}")
 
 
-def test_criterion_11_worker_count_independence(tmp_path, monkeypatch):
-    # identical bytes from the simulate command regardless of thread count
+def test_criterion_11_chunking_independence(tmp_path, monkeypatch):
+    # identical bytes from the simulate command however its paths are split:
+    # the default word budget draws all 4 paths in one block, a budget of 5
+    # words makes every chunk one path drawn from the source itself, and a
+    # lone path is a run of 1
     args = ["simulate", "--process", "wishart", "--n", "2", "--k", "2",
-            "--t", "0.1", "--dt", "1e-3", "--paths", "4", "--seed", "3"]
-    monkeypatch.setenv("ORBITFLOW_THREADS", "1")
-    rc1 = cli_main(args + ["--out", str(tmp_path / "serial")])
-    monkeypatch.setenv("ORBITFLOW_THREADS", "3")
-    rc2 = cli_main(args + ["--out", str(tmp_path / "pooled")])
+            "--t", "0.1", "--dt", "1e-3", "--seed", "3"]
+    rcs = [cli_main(args + ["--paths", "4", "--out", str(tmp_path / "block")]),
+           cli_main(args + ["--paths", "1", "--out", str(tmp_path / "lone")])]
+    monkeypatch.setattr(sde, "_WINDOW_WORDS", 5)
+    rcs.append(cli_main(args + ["--paths", "4", "--out", str(tmp_path / "split")]))
     names = [f"path_{p:04d}.csv" for p in range(4)] + ["manifest.json"]
-    same = all((tmp_path / "serial" / name).read_bytes()
-               == (tmp_path / "pooled" / name).read_bytes() for name in names)
-    man = json.loads((tmp_path / "serial" / "manifest.json").read_text())
-    ok = rc1 == 0 and rc2 == 0 and same and man["config"]["paths"] == 4
-    _report(11, ok, f"4 path files + manifest byte-identical across "
-                    f"ORBITFLOW_THREADS=1 and 3: {same}")
+    budgets = all((tmp_path / "block" / name).read_bytes()
+                  == (tmp_path / "split" / name).read_bytes() for name in names)
+    lone = ((tmp_path / "lone" / names[0]).read_bytes()
+            == (tmp_path / "block" / names[0]).read_bytes())
+    man = json.loads((tmp_path / "block" / "manifest.json").read_text())
+    ok = rcs == [0, 0, 0] and budgets and lone and man["config"]["paths"] == 4
+    _report(11, ok, f"4 path files + manifest byte-identical across word budgets "
+                    f"2^14 and 5: {budgets}; path 0 of 4 paths = the lone path: {lone}")

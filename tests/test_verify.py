@@ -1,22 +1,68 @@
-"""Self-check suite plumbing: result formatting, suite dispatch, and the
-structure of the adjudicated-constants report."""
+"""Self-check suite plumbing: readings and their verdicts, result
+formatting, suite dispatch, and the structure of the adjudicated-constants
+report."""
 
+import numpy as np
 import pytest
 
 from orbitflow import control, geom, verify
-from orbitflow.verify import (SUITE_NAMES, CheckResult, SuiteResult,
+from orbitflow.verify import (SUITE_NAMES, CheckResult, Reading, SuiteResult,
                               constants_suite, control_suite, run_suite)
+
+# the rules as plain comparisons, written apart from the module's table
+RULES = {"<=": lambda v, b: v <= b, "<": lambda v, b: v < b, ">=": lambda v, b: v >= b,
+         ">": lambda v, b: v > b, "==": lambda v, b: v == b}
 
 
 def test_check_result_lines():
-    ok = CheckResult("trace identity", True, "max 2e-13")
-    bad = CheckResult("trace identity", False, "max 0.5")
-    assert ok.line() == "[pass] trace identity: max 2e-13"
-    assert bad.line() == "[FAIL] trace identity: max 0.5"
+    ok = CheckResult("trace identity", (Reading("max |tr J|", 2e-13, "<=", "1e-12"),))
+    bad = CheckResult("trace identity", (
+        Reading("max |tr J|", 2e-13, "<=", "1e-12"),
+        Reading("breaks", 1, "==", "0", "{} = {:d}")))
+    assert ok.passed and not bad.passed
+    assert ok.line() == "[pass] trace identity: max |tr J| = 2.00e-13 (tol 1e-12)"
+    assert bad.line() == ("[FAIL] trace identity: max |tr J| = 2.00e-13 (tol 1e-12), "
+                          "breaks = 1 (want 0)")
     suite = SuiteResult("invariants", (ok, bad))
     assert not suite.passed
     assert suite.lines() == [ok.line(), bad.line(),
                              "suite invariants: FAILED (1/2 checks)"]
+
+
+# (rule, verdict one ulp below the bound, at it, one ulp above it)
+RULE_TABLE = [("<=", True, True, False), ("<", True, False, False),
+              (">=", False, True, True), (">", False, False, True),
+              ("==", False, True, False)]
+
+
+@pytest.mark.parametrize("rule, below, at, above", RULE_TABLE)
+def test_reading_rules_at_and_beside_their_bounds(rule, below, at, above):
+    # the literal is printed as written, not as its float's shortest form
+    bound = "1e-3"
+    assert f"{float(bound):g}" != bound
+    b = float(bound)
+    for value, want in ((np.nextafter(b, -np.inf), below), (b, at),
+                        (np.nextafter(b, np.inf), above)):
+        reading = Reading("gap", value, rule, bound)
+        assert reading.passed is want
+        line = CheckResult("check", (reading,)).line()
+        assert line.startswith("[pass]" if want else "[FAIL]")
+        assert line.endswith(f"({'want' if rule == '==' else 'tol'} 1e-3)")
+        assert "0.001" not in line
+
+
+def test_every_check_of_every_suite_reads_its_bounds():
+    # at seed 0, each verdict is the conjunction of its readings' rules, and
+    # each reading's bound is printed as written
+    for name in SUITE_NAMES:
+        result, _ = run_suite(name, seed=0)
+        for check in result.checks:
+            assert check.readings, check.name
+            want = all(RULES[r.rule](r.value, float(r.bound)) for r in check.readings)
+            assert check.passed == want, check.name
+            line = check.line()
+            for r in check.readings:
+                assert f" {r.bound})" in line, (check.name, r.label)
 
 
 def test_run_suite_rejects_unknown_name():
