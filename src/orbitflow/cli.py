@@ -6,7 +6,7 @@ each output directory carries a manifest with the resolved config and content
 hashes of the inputs.  Every subcommand fails one way, and `main` alone maps
 it to an exit code and one `error:` line: bad input (`ConfigError`) is found
 before any output exists and exits 2; a run that fails after it started
-(`RunError`) exits 1, names the path or file, and writes no manifest.  A
+(`RunError`) exits 1, names the path, file or flag, and writes no manifest.  A
 failed verify suite also exits 1.
 """
 
@@ -312,7 +312,7 @@ def cmd_simulate(args) -> int:
                 if row.image is not None:
                     path = dataclasses.replace(path, states=row.image(path.states, k, opts))
                 _write(out / outputs[p], lambda fh: emit(path.times, path.states, fh))
-            except (ValueError, FloatingPointError, RunError) as exc:
+            except (ValueError, FloatingPointError, MemoryError, RunError) as exc:
                 raise RunError(f"simulate failed at path {p}: {exc}") from exc
             if path.stopped:
                 stopped.append({"path": p, "step": path.stopped_step,
@@ -391,10 +391,13 @@ def cmd_control(args) -> int:
     p0 = _read_matrix(args.P0)
     try:
         check_control_inputs(p0, schedule, args.substeps)
-        out = _out_dir(args.out)
-        path = integrate_control(p0, schedule, substeps=args.substeps)
     except ValueError as exc:
         raise ConfigError(f"--schedule {args.schedule} --P0 {args.P0}: {exc}") from exc
+    out = _out_dir(args.out)
+    try:
+        path = integrate_control(p0, schedule, substeps=args.substeps)
+    except (ValueError, MemoryError) as exc:
+        raise RunError(f"control failed at --substeps {args.substeps}: {exc}") from exc
     _write(out / "trajectory.csv", lambda fh: emit_csv(path.times, path.states, fh))
     loewner_min = float(np.linalg.eigvalsh(np.diff(path.states, axis=0))[:, 0].min())
     config = {"subcommand": "control", "schedule": args.schedule,

@@ -211,8 +211,9 @@ def poincare_problem(z0: tuple[float, float] = (0.0, 1.0)) -> SdeProblem:
     """
 
     def guard(m):
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        height = det / (m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2)
+        c, d = m[..., 1, 0], m[..., 1, 1]
+        det = m[..., 0, 0] * d - m[..., 0, 1] * c
+        height = det / (c * c + d * d)
         return (np.abs(det - 1.0) <= 1e-2) & (height > 1e-8)
 
     return invariant_problem(sl2_basis(), halfplane_start(*z0), guard=guard,

@@ -10,7 +10,7 @@ Entries:
 * `control/<file>`: `trajectory.csv`, `manifest.json` and the stdout of one
   `orbitflow control` run on a fixed two-segment 3 x 3 schedule;
 * `simulate/<run>/<file>`: every file and the stdout of `orbitflow simulate`
-  for each process at the CI smoke settings (`--t 0.1 --paths 2`), of one
+  for each process at `--t 0.1 --paths 2`, of one
   `grassmann --route ito` run whose guard stops three of its four paths, and
   of one run each from a `--P0`, `--M0`, `--lam0` and `--z0` start;
 * `drift/<route>/stdout`: `orbitflow drift` by the three routes;

@@ -742,9 +742,40 @@ def test_control_run_writes_artifacts(tmp_path, capsys):
     assert "min increment eigenvalue" in text
     t, vals, _ = read_path_csv(out / "trajectory.csv")
     assert t.shape == (33,)
+    # closed form: each leg scales P by 1 + t / tr(R P), so the first ends at
+    # P1 = 1.05 diag(3, 1) and the second at (1 + 0.2 / tr(R P1)) P1, R = G^T G
+    g = np.array([[1.0, 0.5], [0.0, 1.0]])
+    p1 = 1.05 * np.diag([3.0, 1.0])
+    want = (1.0 + 0.2 / np.trace(g.T @ g @ p1)) * p1
+    assert np.abs(vals[-1].reshape(2, 2) - want).max() <= 1e-12 * np.abs(want).max()
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["segments"] == 2
+    # every increment of the flow is positive semidefinite up to rounding
+    assert man["config"]["loewner_min"] >= -1e-10
     assert set(man["inputs"]) == {"P0", "schedule"}
+
+
+@pytest.mark.parametrize("argv, named", [
+    # 10^18 steps: the time grid alone asks for 6.94 EiB
+    (["simulate", "--process", "wishart", "--t", "1e12", "--dt", "1e-6"],
+     "simulate failed at path 0: "),
+    # 10^17 and 10^18 substeps: the trajectory asks for 1.39 EiB, and then
+    # for more than numpy can index
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}", "--substeps", str(10**17)],
+     f"control failed at --substeps {10**17}: "),
+    (["control", "--schedule", "{SCHED}", "--P0", "{P}", "--substeps", str(10**18)],
+     f"control failed at --substeps {10**18}: "),
+], ids=["simulate-1e18-steps", "control-1e17-substeps", "control-1e18-substeps"])
+def test_a_run_too_large_to_allocate_exits_one_with_one_error_line(tmp_path, capsys, argv,
+                                                                    named):
+    # every allocation asked for is above 2^57 bytes, so it fails at once
+    out = tmp_path / "run"
+    files = {"{SCHED}": _write(tmp_path / "sched.txt", "0.2; R = [1, 0, 0, 1]\n"),
+             "{P}": _spd_csv(tmp_path)}
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}")
+    assert not (out / "manifest.json").exists()
 
 
 def test_control_bad_schedule_returns_two(tmp_path, capsys):

@@ -146,6 +146,20 @@ def test_poincare_zero_noise_is_constant():
                     rtol=0, atol=1e-13)
 
 
+def test_poincare_guard_bounds_det_and_height():
+    # rows [[a, b], [c, d]] on each side of |det - 1| <= 1e-2 and of
+    # height = det / (c^2 + d^2) > 1e-8
+    def state(det, c, d):
+        return [[det / d, 0.0], [c, d]]
+
+    cases = [(state(1.009, 0.0, 1.0), True), (state(1.011, 0.0, 1.0), False),
+             (state(0.991, 0.5, 2.0), True), (state(0.989, 0.5, 2.0), False),
+             (state(1.0, 0.0, 0.9e4), True), (state(1.0, 0.0, 1.1e4), False),
+             (state(1.0, 6e3, 6e3), True), (state(1.0, 8e3, 8e3), False)]
+    states = np.array([m for m, _ in cases])
+    assert_array_equal(poincare_problem().guard(states), [ok for _, ok in cases])
+
+
 def test_poincare_stays_in_upper_half_plane():
     path = bm_poincare(_cfg(0.5, 1e-3, seed=4))
     assert not path.stopped
