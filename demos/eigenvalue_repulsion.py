@@ -36,7 +36,7 @@ def main() -> None:
     print(f"  difference            = {wi - bw}  (the quotient drift J_i = {j})")
 
     cfg = ProcessConfig(t_end=0.5, dt=1e-3, seed=11)
-    path = eigen_sde("wishart", [5.0, 1.0], n=2, k=2, cfg=cfg)
+    path = eigen_sde("wishart", [5.0, 1.0], n=2, cfg=cfg)
     gap = float((path.states[:, 0] - path.states[:, 1]).min())
     print(f"one path from (5, 1): min eigenvalue gap along t in [0, 0.5] = {gap:.3f}")
     with open(OUT / "eigen_path.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -48,7 +48,7 @@ def main() -> None:
 
     # near-degenerate start: the interaction term is singular at collisions,
     # so the integrator stops rather than clamping through the guard
-    tight = eigen_sde("wishart", [1.0 + 1e-9, 1.0], n=2, k=2, cfg=cfg)
+    tight = eigen_sde("wishart", [1.0 + 1e-9, 1.0], n=2, cfg=cfg)
     print(f"near-collision start (gap 1e-9): stopped = {tight.stopped}, "
           f"reason = {tight.stop_reason!r}, at step {tight.stopped_step}")
     print(f"wrote {OUT / 'eigen_path.csv'} and {OUT / 'eigen_path.svg'}")

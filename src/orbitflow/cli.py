@@ -25,7 +25,7 @@ from .processes import (ProcessConfig, bures_wasserstein_problem, cartan_hadamar
                         eigen_problem, gram, grassmann_ito_problem, orthogonal_problem,
                         poincare_problem, sl2_to_halfplane, sphere_problem,
                         vertical_problem, wishart_problem)
-from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg,
+from .reporting import (build_manifest, emit_csv, emit_eigen_csv, emit_svg, parse_entries,
                         read_matrix_csv, write_manifest, write_matrix_csv)
 from .sde import QV_KINDS, integrate, path_chunks, qv_kind, qv_oracle
 from .verify import SUITE_NAMES, run_suite
@@ -65,16 +65,16 @@ _PROCESSES = {
                      lambda s, k, o: sl2_to_halfplane(s), "matrix", ("z0",)),
     "cartan-hadamard": _Row(lambda n, k, o: cartan_hadamard_problem(n),
                             lambda s, k, o: gram(s), "matrix", ("n",)),
-    "wishart": _Row(lambda n, k, o: wishart_problem(n, k), lambda s, k, o: gram(s),
+    "wishart": _Row(lambda n, k, o: wishart_problem(np.eye(n, k)), lambda s, k, o: gram(s),
                     "matrix", ("n", "k"), wide_k=True),
     "bw-bm": _Row(lambda n, k, o: bures_wasserstein_problem(o["P0"]), None,
                   "matrix", ("n", "P0"), wide_k=True),
     "vertical-bm": _Row(lambda n, k, o: vertical_problem(o["M0"]), lambda s, k, o: gram(s),
                         "matrix", ("n", "k", "M0"), wide_k=True),
     "sphere-vertical": _Row(lambda n, k, o: sphere_problem(n), None, "matrix", ("n",)),
-    "eigen-wishart": _Row(lambda n, k, o: eigen_problem("wishart", o["lam0"], n, k), None,
+    "eigen-wishart": _Row(lambda n, k, o: eigen_problem("wishart", o["lam0"], n), None,
                           "eigen", ("n", "k", "lam0"), wide_k=True),
-    "eigen-bw": _Row(lambda n, k, o: eigen_problem("bw", o["lam0"], n, k), None,
+    "eigen-bw": _Row(lambda n, k, o: eigen_problem("bw", o["lam0"], n), None,
                      "eigen", ("n", "k", "lam0"), wide_k=True),
 }
 PROCESSES = tuple(_PROCESSES)
@@ -189,17 +189,6 @@ def _read_metric(path: str, input_path: str, x: np.ndarray) -> MetricR:
         raise ConfigError(f"--R {path}: {exc}") from exc
 
 
-def _parse_floats(text: str, what: str) -> np.ndarray:
-    """Comma-separated floats; an empty or blank entry is an error."""
-    tokens = text.split(",")
-    if not all(tok.strip() for tok in tokens):
-        raise ConfigError(f"bad {what} {text!r}: empty entry")
-    try:
-        return np.array([float(tok) for tok in tokens])
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
-
-
 def _svg_series(process: str, kind: str, n: int, paths: list) -> tuple:
     """Plot series for the given paths (simulate passes at most the first 8);
     returns (times, {label: values})."""
@@ -221,15 +210,15 @@ def _svg_series(process: str, kind: str, n: int, paths: list) -> tuple:
 
 class _Input(NamedTuple):
     """How simulate reads one input flag of a process."""
-    parse: Callable  # the flag's text -> value
+    parse: Callable  # the flag's text -> value; a ValueError names what is bad in it
     default: Callable  # (n, k) -> value when the flag is not given
-    sizes: tuple = ()  # for a start file, the size ("n" or "k") each axis of its shape sets
+    sizes: tuple = ()  # for a start, the size ("n" or "k") each axis of its shape sets
 
 
 def _parse_z0(text: str) -> tuple:
-    z0 = _parse_floats(text, "--z0")
+    z0 = parse_entries(text)
     if z0.shape[0] != 2:
-        raise ConfigError(f"bad --z0 {text!r}: need two entries x,y")
+        raise ValueError("need two entries x,y")
     return float(z0[0]), float(z0[1])
 
 
@@ -237,8 +226,7 @@ _INPUTS = {
     "route": _Input(str, lambda n, k: "pushforward"),
     "P0": _Input(_read_matrix, lambda n, k: np.eye(n), ("n", "n")),
     "M0": _Input(_read_matrix, lambda n, k: np.eye(n, k), ("n", "k")),
-    "lam0": _Input(lambda text: _parse_floats(text, "--lam0"),
-                   lambda n, k: np.arange(k, 0, -1, dtype=float)),
+    "lam0": _Input(parse_entries, lambda n, k: np.arange(k, 0, -1, dtype=float), ("k",)),
     "z0": _Input(_parse_z0, lambda n, k: (0.0, 1.0)),
 }
 
@@ -253,23 +241,28 @@ def cmd_simulate(args) -> int:
     row = _PROCESSES[process]
     _reject_unread(args, f"--process {process}",
                    [flag for flag in _PROCESS_FLAGS if flag not in row.reads], file_cfg)
-    # each input flag given is parsed once (unread ones are rejected above);
-    # a start file's shape sets the sizes it spans, and a size given that
-    # disagrees with it is an error
+    # each input flag given is parsed once (unread ones are rejected above); a
+    # start's shape sets the sizes it spans, and a size that disagrees is an error
     size = {"n": _resolve(args, file_cfg, "n", int, None),
             "k": _resolve(args, file_cfg, "k", int, None)}
-    opts = {flag: spec.parse(getattr(args, flag)) for flag, spec in _INPUTS.items()
-            if getattr(args, flag) is not None}
-    files = {flag: getattr(args, flag) for flag in opts if _INPUTS[flag].sizes}
-    for flag, path in files.items():
-        shape = opts[flag].shape
-        for axis, dim in zip(_INPUTS[flag].sizes, shape):
+    texts = {flag: getattr(args, flag) for flag in _INPUTS if getattr(args, flag) is not None}
+    opts = {}
+    for flag, text in texts.items():
+        axes = _INPUTS[flag].sizes
+        try:
+            opts[flag] = _INPUTS[flag].parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad --{flag} {text!r}: {exc}") from exc
+        shape = np.shape(opts[flag])[:len(axes)]
+        for axis, dim in zip(axes, shape):
             if size[axis] is None:
                 size[axis] = dim
-        asked = tuple(size[axis] for axis in _INPUTS[flag].sizes)
-        if asked != shape:
-            raise ConfigError(f"--{flag} {path} is {shape[0]}x{shape[1]}, but the sizes "
-                              f"ask for {asked[0]}x{asked[1]}")
+        asked = tuple(size[axis] for axis in axes)
+        if asked != shape:  # named as 4x3 for a matrix, k=3 for a vector
+            have, want = ("x".join(map(str, s)) if len(s) > 1 else f"{axes[0]}={s[0]}"
+                          for s in (shape, asked))
+            raise ConfigError(f"--{flag} {text} is {have}, but the sizes ask for {want}")
+    files = {flag: text for flag, text in texts.items() if flag in _PATH_FLAGS}
     n = 2 if size["n"] is None else size["n"]
     k = (n if row.wide_k else 1) if size["k"] is None else size["k"]
     t_end = _resolve(args, file_cfg, "t", float, 1.0)
@@ -466,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate a named process and write CSV paths")
     sim.add_argument("--process", choices=PROCESSES, default=None)
     sim.add_argument("--n", type=int, default=None, help="ambient dimension")
-    sim.add_argument("--k", type=int, default=None, help="factor width / subspace dimension")
+    sim.add_argument("--k", type=int, default=None,
+                     help="factor width / subspace dimension / number of eigenvalues")
     sim.add_argument("--t", type=float, default=None, help="end time")
     sim.add_argument("--dt", type=float, default=None, help="step size")
     sim.add_argument("--paths", type=int, default=None, help="number of paths")
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="on-bm only; no effect: every on-bm step stays on O(n) to rounding")
     sim.add_argument("--P0", default=None, help="initial SPD matrix CSV (bw-bm)")
     sim.add_argument("--M0", default=None, help="initial factor CSV (vertical-bm)")
-    sim.add_argument("--lam0", default=None, help="initial eigenvalues, comma separated")
+    sim.add_argument("--lam0", default=None, help="initial eigenvalues, comma separated; sets k")
     sim.add_argument("--z0", default=None, help="half-plane start x,y (poincare)")
     sim.set_defaults(fn=cmd_simulate)
 

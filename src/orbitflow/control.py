@@ -19,6 +19,7 @@ import numpy as np
 from .matcore import (add_in_order, as_matrix, mT, pair_index, require_spd,
                       sqrtm_spd_kernel, sym_part)
 from .geom import MetricR, quotient_flow
+from .reporting import parse_entries
 from .sde import Path, require_count, rk4
 
 
@@ -129,8 +130,8 @@ def parse_schedule(text: str) -> ControlSchedule:
 
     One segment per line: `duration; R = [r11, r12, ..., rnn]` with the n^2
     entries row-major, or `G = [...]` for a factor (the metric is then
-    G^T G).  `#` starts a comment; blank lines are skipped, but an empty or
-    blank matrix entry, `[]` included, is an error.
+    G^T G).  `#` starts a comment and blank lines are skipped; the entries
+    keep `reporting.parse_entries`'s rule, so `[]` holds one empty entry.
     """
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,17 +148,11 @@ def parse_schedule(text: str) -> ControlSchedule:
             payload = payload.strip()
             if not (payload.startswith("[") and payload.endswith("]")):
                 raise ValueError("matrix entries must be bracketed")
-            tokens = payload[1:-1].split(",")
-            if not all(tok.strip() for tok in tokens):
-                raise ValueError(f"empty entry in {payload}")
-            entries = [float(tok) for tok in tokens]
-            bad = [x for x in entries if not np.isfinite(x)]
-            if bad:
-                raise ValueError(f"matrix entry {bad[0]} is not finite")
-            n = int(round(np.sqrt(len(entries))))
-            if n * n != len(entries):
-                raise ValueError(f"{len(entries)} entries do not form a square matrix")
-            mat = np.array(entries).reshape(n, n)
+            entries = parse_entries(payload[1:-1])
+            n = int(round(np.sqrt(entries.size)))
+            if n * n != entries.size:
+                raise ValueError(f"{entries.size} entries do not form a square matrix")
+            mat = entries.reshape(n, n)
             r = mat.T @ mat if name == "G" else mat
             segments.append(ScheduleSegment(duration=duration, R=r))
         except ValueError as exc:

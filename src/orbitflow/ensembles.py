@@ -46,10 +46,9 @@ def cartan_hadamard_ensemble(n: int, cfg: ProcessConfig, paths: int) -> np.ndarr
     return _run(cartan_hadamard_problem(n), cfg, paths)[0]
 
 
-def wishart_ensemble(n: int, k: int, cfg: ProcessConfig, paths: int,
-                     w0=None) -> np.ndarray:
-    """Final Wiener factors W_t; the Wishart states are W W^T."""
-    return _run(wishart_problem(n, k, w0=w0), cfg, paths)[0]
+def wishart_ensemble(w0, cfg: ProcessConfig, paths: int) -> np.ndarray:
+    """Final Wiener factors W_t from the factor w0; the Wishart states are W W^T."""
+    return _run(wishart_problem(w0), cfg, paths)[0]
 
 
 def bw_ensemble(p0, cfg: ProcessConfig, paths: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,10 +63,10 @@ def poincare_ensemble(cfg: ProcessConfig, paths: int,
     return sl2_to_halfplane(m), alive
 
 
-def eigen_ensemble(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
+def eigen_ensemble(kind: str, lam0, n: int, cfg: ProcessConfig,
                    paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Final eigenvalue vectors and alive mask for the eigenvalue diffusions."""
-    return _run(eigen_problem(kind, lam0, n, k), cfg, paths)
+    return _run(eigen_problem(kind, lam0, n), cfg, paths)
 
 
 def sphere_ensemble(n: int, cfg: ProcessConfig, paths: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,17 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - mT(a))
 
 
+def require_finite(a) -> np.ndarray:
+    """`a` as float64 once every entry is finite; the error names the first
+    entry that is not by its value and index."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        what = "matrix entry" if a.ndim >= 2 else "entry"
+        raise ValueError(f"{what} {float(a[idx])!r} at index {idx} is not finite")
+    return a
+
+
 def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
     """`a` as float64 once each matrix equals sign times its transpose to tol
     (relative to that matrix's largest entry, at least 1)."""
@@ -62,10 +73,7 @@ def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
         raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
     # the tolerance test cannot see a non-finite entry: an inf scale passes
     # any deviation, and a NaN deviation passes every comparison
-    finite = np.isfinite(a)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValueError(f"matrix entry {float(a[idx])!r} at index {idx} is not finite")
+    require_finite(a)
     dev = np.abs(a - sign * mT(a))
     # every scale is at least 1, so a deviation within tol passes every
     # matrix without the per-matrix scales

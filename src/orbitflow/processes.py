@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_spd, \
-    sl2_basis, so_basis, sym_part
+from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_finite, \
+    require_spd, sl2_basis, so_basis, sym_part
 from .geom import MetricR, quotient_flow, vertical_project
 from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, require_count
 
@@ -194,7 +194,8 @@ def sl2_to_halfplane(m) -> np.ndarray:
 
 
 def halfplane_start(x: float, y: float) -> np.ndarray:
-    """A determinant-one matrix sending i to x + i y (y > 0)."""
+    """A determinant-one matrix sending i to x + i y (x, y finite, y > 0)."""
+    x, y = require_finite([x, y])
     if y <= 0:
         raise ValueError(f"need y > 0; got y={y:g}")
     s = np.sqrt(y)
@@ -260,32 +261,27 @@ def bm_cartan_hadamard(n: int, cfg: ProcessConfig,
     return gp, _pushforward(gp, gram(gp.states))
 
 
-def wishart_problem(n: int, k: int, w0=None) -> SdeProblem:
-    """Wishart process: P = W W^T along an n x k matrix Wiener path W.
+def wishart_problem(w0) -> SdeProblem:
+    """Wishart process: P = W W^T along an n x k matrix Wiener path W from
+    the finite n x k factor w0, whose shape sets n and k.
 
     The Wiener path is exact (cumulative increments), so P is a Gram matrix
     at every grid point and stays positive semidefinite by construction.
     Ito form: dP = dW W^T + W dW^T + k I dt, the additive constant being the
     column count k (the square-dimension constant in circulation is only
-    correct for k = n).  The start is w0, else I_nk.  No guard.
+    correct for k = n).  No guard.
     """
-    if w0 is None:
-        w0 = np.eye(n, k)
-    else:
-        w0 = as_matrix(w0)
-        if w0.shape != (n, k):
-            raise ValueError("w0 must be n x k")
+    w0 = require_finite(as_matrix(w0))
 
     def diffusion(t, w, dw):
         return dw
 
-    return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=(n, k))
+    return SdeProblem(x0=w0, diffusion=diffusion, noise_shape=w0.shape)
 
 
-def wishart(n: int, k: int, cfg: ProcessConfig, w0=None,
-            path_index: int = 0) -> tuple[Path, Path]:
+def wishart(w0, cfg: ProcessConfig, path_index: int = 0) -> tuple[Path, Path]:
     """One factor path of `wishart_problem` and its Wishart image W W^T."""
-    wp = _run(wishart_problem(n, k, w0), cfg, path_index)
+    wp = _run(wishart_problem(w0), cfg, path_index)
     return wp, _pushforward(wp, gram(wp.states))
 
 
@@ -370,21 +366,20 @@ def eigen_drift(kind: str, lam, n: int) -> np.ndarray:
     return n + term.sum(axis=-1)
 
 
-def eigen_problem(kind: str, lam0, n: int, k: int) -> SdeProblem:
+def eigen_problem(kind: str, lam0, n: int) -> SdeProblem:
     """Autonomous eigenvalue diffusion d l_i = 2 sqrt(l_i) d b_i + drift dt.
 
-    lam0 holds the k nonzero eigenvalues in strictly descending order; the
-    additive drift constant is n.  Paths stop (never clamp) when positivity
-    or the strict ordering is about to fail, since the interaction terms are
-    singular at collisions: when an entry is not finite, the smallest
-    eigenvalue falls to 1e-12, or a gap falls to 1e-10.
+    lam0 holds k finite eigenvalues in strictly descending order (a last 0
+    leaves 0 at the drift rate n - k + 1); the drift constant is n.  Paths
+    stop (never clamp) when positivity or the strict ordering is about to
+    fail, since the interaction terms are singular at collisions: when an
+    entry is not finite, the smallest eigenvalue falls to 1e-12, or a gap
+    falls to 1e-10.  The guard judges each step's state, not the start.
     """
     if kind not in ("wishart", "bw"):
         raise ValueError(f"unknown kind {kind!r}")
-    lam0 = np.asarray(lam0, dtype=np.float64)
-    if lam0.shape != (k,):
-        raise ValueError(f"lam0 must hold k={k} eigenvalues; got {lam0.tolist()}")
-    if np.any(np.diff(lam0) >= 0) and k > 1:
+    lam0 = require_finite(lam0)
+    if np.any(np.diff(lam0) >= 0):
         raise ValueError("lam0 must be strictly descending")
 
     def drift(t, lam):
@@ -399,20 +394,19 @@ def eigen_problem(kind: str, lam0, n: int, k: int) -> SdeProblem:
                 & (gaps > 1e-10).all(axis=-1))
 
     return SdeProblem(x0=lam0, drift=drift, diffusion=diffusion,
-                      noise_shape=(k,), guard=guard,
+                      noise_shape=lam0.shape, guard=guard,
                       guard_name="spectrum guard")
 
 
-def eigen_sde(kind: str, lam0, n: int, k: int, cfg: ProcessConfig,
-              path_index: int = 0) -> Path:
+def eigen_sde(kind: str, lam0, n: int, cfg: ProcessConfig, path_index: int = 0) -> Path:
     """One path of `eigen_problem`; states are eigenvalue vectors."""
-    return _run(eigen_problem(kind, lam0, n, k), cfg, path_index)
+    return _run(eigen_problem(kind, lam0, n), cfg, path_index)
 
 
 # --- fiber-valued noise and the quotient flow --------------------------------
 
 def vertical_problem(m0, metric: MetricR | None = None) -> SdeProblem:
-    """Fiber-valued Brownian motion dX = Pr_vertical(dW), started at m0.
+    """Fiber-valued Brownian motion dX = Pr_vertical(dW), started at finite m0.
 
     Paths stop when the smallest singular value of X falls to 1e-8 times the
     largest.  m0 is rejected when the Lyapunov solve of vertical_project
@@ -421,7 +415,7 @@ def vertical_problem(m0, metric: MetricR | None = None) -> SdeProblem:
     The diffusion and the guard take a leading path axis, as vertical_project
     and the SVD do.
     """
-    m0 = as_matrix(m0)
+    m0 = require_finite(as_matrix(m0))
     gi = None if metric is None else metric.factor_inv
     try:
         vertical_project(m0, np.zeros_like(m0), metric)

@@ -81,26 +81,35 @@ def read_path_csv(path):
     return data[:, 0], data[:, 1:], header[1:]
 
 
+def parse_entries(text: str) -> np.ndarray:
+    """Comma-separated finite numbers, the rule of every list a user types; the
+    error names the entry, and the caller says where the list stands."""
+    values = []
+    for tok in (tok.strip() for tok in text.split(",")):
+        if not tok:
+            raise ValueError("empty entry")
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"entry {tok!r} is not a number") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"entry {tok!r} is not finite")
+    return np.array(values)
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless matrix CSV (one row per line, comma separated).
-    Every entry must be a finite number; an error names the file and line."""
+    Every line keeps `parse_entries`'s rule; an error names the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = []
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            rows.append([])
-            for tok in line.split(","):
-                try:
-                    x = float(tok)
-                except ValueError:
-                    raise ValueError(f"{path} line {lineno}: entry {tok.strip()!r} "
-                                     f"is not a number") from None
-                if not np.isfinite(x):
-                    raise ValueError(f"{path} line {lineno}: entry {tok.strip()!r} "
-                                     f"is not finite")
-                rows[-1].append(x)
+            try:
+                rows.append(parse_entries(line))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     width = len(rows[0])

@@ -269,16 +269,16 @@ def _moments_check(name, vals_a, vals_b, alive):
 def eigen_consistency_suite(paths: int = 2000, seed: int = 0) -> SuiteResult:
     # wide starting gap: near-collisions that stop the eigenvalue SDE are
     # genuine dynamics (Bessel-type gap), kept below 1% by the spectrum choice
-    n = k = 2
+    n = 2
     t_end, dt = 0.1, 1e-3
     lam0 = np.array([5.0, 1.0])
 
     # matrix routes and eigenvalue SDEs consume independent noise streams
-    w = wishart_ensemble(n, k, ProcessConfig(t_end, dt, seed=seed, stream=0),
-                         paths, w0=np.diag(np.sqrt(lam0)))
+    w = wishart_ensemble(np.diag(np.sqrt(lam0)), ProcessConfig(t_end, dt, seed=seed, stream=0),
+                         paths)
     mat_lam = np.sort(np.linalg.eigvalsh(w @ np.transpose(w, (0, 2, 1))),
                       axis=1)[:, ::-1]
-    eig_lam, alive = eigen_ensemble("wishart", lam0, n, k,
+    eig_lam, alive = eigen_ensemble("wishart", lam0, n,
                                     ProcessConfig(t_end, dt, seed=seed, stream=1), paths)
     wishart = _moments_check("wishart eigenvalue moments", mat_lam, eig_lam[alive],
                              alive.mean())
@@ -286,7 +286,7 @@ def eigen_consistency_suite(paths: int = 2000, seed: int = 0) -> SuiteResult:
     pb, alive_b = bw_ensemble(np.diag(lam0),
                               ProcessConfig(t_end, dt, seed=seed, stream=2), paths)
     mat_lam = np.sort(np.linalg.eigvalsh(pb[alive_b]), axis=1)[:, ::-1]
-    eig_lam, alive = eigen_ensemble("bw", lam0, n, k,
+    eig_lam, alive = eigen_ensemble("bw", lam0, n,
                                     ProcessConfig(t_end, dt, seed=seed, stream=3), paths)
     bw = _moments_check("bures-wasserstein eigenvalue moments", mat_lam, eig_lam[alive],
                         min(alive.mean(), alive_b.mean()))

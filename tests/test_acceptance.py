@@ -151,7 +151,7 @@ def test_criterion_07_expectation_laws():
     target = 2.0 * np.exp(3.0 * t_end)
     gaps["full-group trace"] = abs(trp.mean() - target) / (trp.std() / np.sqrt(n_paths))
 
-    w = wishart_ensemble(3, 2, ProcessConfig(t_end, dt, seed=0, stream=1), n_paths)
+    w = wishart_ensemble(np.eye(3, 2), ProcessConfig(t_end, dt, seed=0, stream=1), n_paths)
     trw = np.einsum("pij,pij->p", w, w)
     target = 2.0 + 3 * 2 * t_end
     gaps["wishart trace slope"] = abs(trw.mean() - target) / (trw.std() / np.sqrt(n_paths))

@@ -4,6 +4,8 @@ resolution, and byte-identical output across worker counts and path chunks."""
 import dataclasses
 import io
 import json
+import re
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -181,6 +183,19 @@ def test_simulate_lam0_length_mismatch(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("process", ["eigen-wishart", "eigen-bw"])
+def test_lam0_sets_k_and_is_not_an_input_file(tmp_path, process):
+    # k comes from --lam0 alone, below n; the manifest hashes start files only
+    out = tmp_path / "run"
+    assert main(["simulate", "--process", process, "--n", "4", "--lam0", "5,2,1",
+                 "--t", "0.01", "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["config"]["n"], man["config"]["k"], man["inputs"]) == (4, 3, {})
+    _, vals, cols = read_path_csv(out / "path_0000.csv")
+    assert cols == ["l_1", "l_2", "l_3"]
+    assert_allclose(vals[0], [5.0, 2.0, 1.0], rtol=0, atol=0)
+
+
 def test_simulate_flags_beat_config_file(tmp_path):
     out = tmp_path / "run"
     cfg = _write(tmp_path / "run.cfg",
@@ -351,6 +366,22 @@ def test_every_process_runs_with_default_flags(tmp_path, process):
     assert route == ("pushforward" if process == "grassmann" else None)
 
 
+def test_readme_process_table_lists_the_flags_each_process_reads():
+    # README's "reads" column is the claim that any other process flag exits 2
+    readme = (FsPath(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Named processes", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")[1:3]
+        if not line.startswith("| `") or cells[0].strip() == "`--process`":
+            continue  # not a table row, or the header
+        reads = tuple(flag[2:] for flag in re.findall(r"`([^`]+)`", cells[1]))
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            assert name not in table, f"{name} has two rows"
+            table[name] = reads
+    assert table == {name: row.reads for name, row in cli._PROCESSES.items()}
+
+
 def test_oracle_defaults_are_resolved_to_the_same_values(capsys):
     assert main(["oracle", "--target", "qv", "--samples", "10"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
@@ -392,12 +423,12 @@ _CHUNK_CASES = [
     ("grassmann", [], lambda cfg, p: bm_grassmann(2, 1, cfg, "pushforward", p)),
     ("poincare", [], lambda cfg, p: bm_poincare(cfg, (0.0, 1.0), p)),
     ("cartan-hadamard", [], lambda cfg, p: bm_cartan_hadamard(2, cfg, p)[1]),
-    ("wishart", [], lambda cfg, p: wishart(2, 2, cfg, path_index=p)[1]),
+    ("wishart", [], lambda cfg, p: wishart(np.eye(2), cfg, path_index=p)[1]),
     ("bw-bm", [], lambda cfg, p: bm_bures_wasserstein(np.eye(2), cfg, p)),
     ("vertical-bm", [], lambda cfg, p: vertical_bm(np.eye(2), cfg, path_index=p)[1]),
     ("sphere-vertical", [], lambda cfg, p: sphere_vertical_bm(2, cfg, p)[0]),
-    ("eigen-wishart", [], lambda cfg, p: eigen_sde("wishart", [2.0, 1.0], 2, 2, cfg, p)),
-    ("eigen-bw", [], lambda cfg, p: eigen_sde("bw", [2.0, 1.0], 2, 2, cfg, p)),
+    ("eigen-wishart", [], lambda cfg, p: eigen_sde("wishart", [2.0, 1.0], 2, cfg, p)),
+    ("eigen-bw", [], lambda cfg, p: eigen_sde("bw", [2.0, 1.0], 2, cfg, p)),
     ("grassmann", ["--n", "3", "--k", "2", "--route", "ito"],
      lambda cfg, p: bm_grassmann(3, 2, cfg, "ito", p)),
     ("bw-bm", ["--P0", "{P_LOW}"],
@@ -643,7 +674,7 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "--P0 {M43} is 4x3, but the sizes ask for 4x4"),
     (["simulate", "--process", "eigen-wishart", "--n", "3", "--k", "3", "--lam0", "2,1",
       "--t", "0.01", "--out", "{OUT}"],
-     "--process eigen-wishart: lam0 must hold k=3 eigenvalues; got [2.0, 1.0]"),
+     "--lam0 2,1 is k=2, but the sizes ask for k=3"),
     (["simulate", "--process", "poincare", "--z0", "0,-1", "--t", "0.01", "--out", "{OUT}"],
      "--process poincare: need y > 0; got y=-1"),
     (["simulate", "--process", "poincare", "--z0", "0,1,2", "--t", "0.01", "--out", "{OUT}"],
@@ -685,7 +716,24 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
      "seed=18446744073709551615"),
     # an empty schedule matrix
     (["control", "--schedule", "{SCHED_EMPTY}", "--P0", "{P}", "--out", "{OUT}"],
-     "schedule line 1: empty entry in []"),
+     "schedule line 1: empty entry"),
+    # a start entry that is not finite never reaches a builder
+    (["simulate", "--process", "eigen-bw", "--lam0", "nan,1", "--t", "0.01", "--out", "{OUT}"],
+     "bad --lam0 'nan,1': entry 'nan' is not finite"),
+    (["simulate", "--process", "eigen-bw", "--lam0", "inf,1", "--t", "0.01", "--out", "{OUT}"],
+     "bad --lam0 'inf,1': entry 'inf' is not finite"),
+    (["simulate", "--process", "poincare", "--z0", "nan,1", "--t", "0.01", "--out", "{OUT}"],
+     "bad --z0 'nan,1': entry 'nan' is not finite"),
+    (["simulate", "--process", "poincare", "--z0", "0,inf", "--t", "0.01", "--out", "{OUT}"],
+     "bad --z0 '0,inf': entry 'inf' is not finite"),
+    (["simulate", "--process", "eigen-wishart", "--lam0", "5,x", "--t", "0.01", "--out", "{OUT}"],
+     "bad --lam0 '5,x': entry 'x' is not a number"),
+    # --lam0 sets k, as a start file sets its sizes; a k that disagrees,
+    # from a flag or a config key, is named with both sizes
+    (["simulate", "--process", "eigen-bw", "--n", "3", "--k", "2", "--lam0", "5,2,1",
+      "--t", "0.01", "--out", "{OUT}"], "--lam0 5,2,1 is k=3, but the sizes ask for k=2"),
+    (["simulate", "--process", "eigen-bw", "--config", "{K2}", "--n", "3", "--lam0", "5,2,1",
+      "--t", "0.01", "--out", "{OUT}"], "--lam0 5,2,1 is k=3, but the sizes ask for k=2"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),
@@ -710,7 +758,8 @@ def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
              "{NODIR}": str(tmp_path / "nodir" / "J.csv"),
              "{WORD}": _write(tmp_path / "WORD.csv", "1, 0\n0, x\n"),
              "{T_INF}": _write(tmp_path / "t_inf.cfg", "t = inf\n"),
-             "{SEED_2_64}": _write(tmp_path / "seed.cfg", "seed = 18446744073709551616\n")}
+             "{SEED_2_64}": _write(tmp_path / "seed.cfg", "seed = 18446744073709551616\n"),
+             "{K2}": _write(tmp_path / "k2.cfg", "k = 2\n")}
     assert main([files.get(a, a) for a in argv]) == 2
     for key, path in files.items():
         named = named.replace(key, path)

@@ -177,13 +177,14 @@ def test_parse_schedule_r_and_g_forms():
     ("1.0; R = [1, 0, 0, -1]", "line 1"),      # not positive definite
     ("nan; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
     ("inf; R = [1, 0, 0, 1]", "line 1: segment duration must be finite"),
-    ("1.0; R = [1, 0, 0, inf]", "line 1: matrix entry inf is not finite"),
+    ("1.0; R = [1, 0, 0, inf]", "line 1: entry 'inf' is not finite"),
     # an empty or blank entry is not skipped, and an empty matrix is refused
-    ("1; R = [1,,0,0,1]", "line 1: empty entry in [1,,0,0,1]"),
-    ("1; R = [1,0,0,1,]", "line 1: empty entry in [1,0,0,1,]"),
-    ("1; R = [,1,0,0,1]", "line 1: empty entry in [,1,0,0,1]"),
-    ("1; G = [2, ,0, 0, 1]", "line 1: empty entry in [2, ,0, 0, 1]"),
-    ("1; R = []", "line 1: empty entry in []"),
+    ("1; R = [1,,0,0,1]", "line 1: empty entry"),
+    ("1; R = [1,0,0,1,]", "line 1: empty entry"),
+    ("1; R = [,1,0,0,1]", "line 1: empty entry"),
+    ("1; G = [2, ,0, 0, 1]", "line 1: empty entry"),
+    ("1; R = []", "line 1: empty entry"),
+    ("1; R = [1, x, 0, 1]", "line 1: entry 'x' is not a number"),
 ])
 def test_parse_schedule_errors_carry_line_numbers(bad, frag):
     with pytest.raises(ValueError, match=re.escape(frag)):

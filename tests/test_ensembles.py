@@ -41,8 +41,8 @@ CASES = {
         lambda: ensembles.cartan_hadamard_ensemble(3, CFG, PATHS),
         lambda p: processes.bm_cartan_hadamard(3, CFG, path_index=p)[0]),
     "wishart": (
-        lambda: ensembles.wishart_ensemble(3, 2, CFG, PATHS),
-        lambda p: processes.wishart(3, 2, CFG, path_index=p)[0]),
+        lambda: ensembles.wishart_ensemble(np.eye(3, 2), CFG, PATHS),
+        lambda p: processes.wishart(np.eye(3, 2), CFG, path_index=p)[0]),
     "bw": (
         lambda: ensembles.bw_ensemble(P0, CFG, PATHS),
         lambda p: processes.bm_bures_wasserstein(P0, CFG, path_index=p)),
@@ -50,11 +50,11 @@ CASES = {
         lambda: ensembles.poincare_ensemble(CFG, PATHS, z0=(0.3, 1.2)),
         lambda p: processes.bm_poincare(CFG, z0=(0.3, 1.2), path_index=p)),
     "eigen-wishart": (
-        lambda: ensembles.eigen_ensemble("wishart", LAM0, 3, 3, CFG, PATHS),
-        lambda p: processes.eigen_sde("wishart", LAM0, 3, 3, CFG, path_index=p)),
+        lambda: ensembles.eigen_ensemble("wishart", LAM0, 3, CFG, PATHS),
+        lambda p: processes.eigen_sde("wishart", LAM0, 3, CFG, path_index=p)),
     "eigen-bw": (
-        lambda: ensembles.eigen_ensemble("bw", LAM0, 3, 3, CFG, PATHS),
-        lambda p: processes.eigen_sde("bw", LAM0, 3, 3, CFG, path_index=p)),
+        lambda: ensembles.eigen_ensemble("bw", LAM0, 3, CFG, PATHS),
+        lambda p: processes.eigen_sde("bw", LAM0, 3, CFG, path_index=p)),
     "sphere": (
         lambda: ensembles.sphere_ensemble(3, CFG, PATHS)[0],
         lambda p: processes.sphere_vertical_bm(3, CFG, path_index=p)[0]),
@@ -96,11 +96,11 @@ def test_tripped_guard_freezes_at_last_valid_state():
     # pair across the gap floor within a few steps on most paths
     cfg = ProcessConfig(t_end=0.05, dt=1e-3, seed=0)
     lam0 = [1.0 + 1e-3, 1.0]
-    rows, alive = ensembles.eigen_ensemble("bw", lam0, 2, 2, cfg, PATHS)
-    problem = processes.eigen_problem("bw", lam0, 2, 2)
+    rows, alive = ensembles.eigen_ensemble("bw", lam0, 2, cfg, PATHS)
+    problem = processes.eigen_problem("bw", lam0, 2)
     assert not alive.all()
     for p in range(PATHS):
-        path = processes.eigen_sde("bw", lam0, 2, 2, cfg, path_index=p)
+        path = processes.eigen_sde("bw", lam0, 2, cfg, path_index=p)
         assert path.stopped == (not alive[p])
         assert_array_equal(rows[p], path.final)
         assert problem.guard(rows[p])

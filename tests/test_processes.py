@@ -189,24 +189,26 @@ def test_cartan_hadamard_image_is_gram():
 
 def test_wishart_zero_noise_freezes_the_factor():
     w0 = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]])
-    wp = _zero_noise_path(wishart_problem(3, 2, w0=w0), 0.5, 0.1)
+    wp = _zero_noise_path(wishart_problem(w0), 0.5, 0.1)
     assert_array_equal(wp.states, np.tile(w0, (6, 1, 1)))
     assert_allclose(gram(wp.final), w0 @ w0.T, rtol=0, atol=1e-15)
 
 
 def test_wishart_start_options():
-    with pytest.raises(ValueError):
-        wishart(2, 2, _cfg(0.1, 1e-2), w0=np.eye(3))
-    # default start is the truncated identity
-    wp2, _ = wishart(3, 2, _cfg(0.1, 1e-2, seed=1))
+    # the start's shape sets the sizes: an n x k factor draws n x k noise
+    assert wishart_problem(np.eye(3, 2)).noise_shape == (3, 2)
+    wp2, _ = wishart(np.eye(3, 2), _cfg(0.1, 1e-2, seed=1))
     assert_array_equal(wp2.states[0], np.eye(3, 2))
+    assert wp2.states.shape == (11, 3, 2)
+    with pytest.raises(ValueError, match="2-D"):
+        wishart(np.ones(3), _cfg(0.1, 1e-2))
 
 
 def test_wishart_image_is_gram_at_every_step():
-    wp, pp = wishart(2, 2, _cfg(0.2, 1e-2, seed=6))
+    wp, pp = wishart(np.eye(2), _cfg(0.2, 1e-2, seed=6))
     for w, p in zip(wp.states, pp.states):
         assert_allclose(p, w @ w.T, rtol=0, atol=1e-15)
-    again = wishart(2, 2, _cfg(0.2, 1e-2, seed=6))[1]
+    again = wishart(np.eye(2), _cfg(0.2, 1e-2, seed=6))[1]
     assert_array_equal(pp.states, again.states)
 
 
@@ -252,13 +254,13 @@ def test_eigen_drift_kinds_differ_by_quotient_drift(n, k):
 def test_eigen_sde_validates_start():
     cfg = _cfg(0.1, 1e-2)
     with pytest.raises(ValueError):
-        eigen_sde("wishart", [1.0, 2.0], 2, 2, cfg)  # ascending
-    with pytest.raises(ValueError):
-        eigen_sde("wishart", [1.0], 2, 2, cfg)  # wrong length
+        eigen_sde("wishart", [1.0, 2.0], 2, cfg)  # ascending
+    # the start's length sets k, and one eigenvalue is a start
+    assert eigen_sde("wishart", [1.0], 2, cfg).states.shape == (11, 1)
 
 
 def test_eigen_sde_zero_noise_follows_drift():
-    path = _zero_noise_path(eigen_problem("wishart", [2.0, 1.0], 2, 2), 0.05, 1e-2)
+    path = _zero_noise_path(eigen_problem("wishart", [2.0, 1.0], 2), 0.05, 1e-2)
     lam = np.array([2.0, 1.0])
     for _ in range(5):
         lam = lam + 1e-2 * eigen_drift("wishart", lam, 2)
@@ -268,10 +270,26 @@ def test_eigen_sde_zero_noise_follows_drift():
 def test_eigen_sde_stops_at_near_collision():
     # the interaction blows up across a tiny gap; the guard must stop the
     # path at the last valid state instead of clamping
-    path = eigen_sde("wishart", [1.0 + 2e-10, 1.0], 2, 2, _cfg(0.1, 1e-3))
+    path = eigen_sde("wishart", [1.0 + 2e-10, 1.0], 2, _cfg(0.1, 1e-3))
     assert path.stopped
     assert path.stop_reason == "spectrum guard"
     assert path.states.shape[0] == path.stopped_step + 1
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda cfg: bm_poincare(cfg, (0.0, np.inf)), "entry inf at index (1,) is not finite"),
+    (lambda cfg: eigen_sde("bw", [np.nan, 1.0], 2, cfg), "entry nan at index (0,) is not finite"),
+    (lambda cfg: wishart([[np.nan, 0.0], [0.0, 1.0]], cfg),
+     "matrix entry nan at index (0, 0) is not finite"),
+    (lambda cfg: vertical_bm([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], cfg),
+     "matrix entry nan at index (1, 1) is not finite"),
+    (lambda cfg: bm_bures_wasserstein([[2.0, 0.0], [0.0, np.nan]], cfg),
+     "matrix entry nan at index (1, 1) is not finite"),
+], ids=["poincare", "eigen-bw", "wishart", "vertical", "bw"])
+def test_a_non_finite_start_is_rejected_and_named(run, named):
+    # no path may start from a NaN or inf state: the builder names the entry
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run(_cfg(0.01, 1e-3))
 
 
 # ---------------------------------------------------------------------------

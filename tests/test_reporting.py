@@ -3,6 +3,7 @@ hashing, and the constants-report container."""
 
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,8 +12,8 @@ from numpy.testing import assert_array_equal
 
 from orbitflow.reporting import (_BLOCK_ROWS, ConstantsEntry, ConstantsReport,
                                  build_manifest, content_hash, emit_csv, emit_eigen_csv,
-                                 emit_svg, format_float, read_matrix_csv, read_path_csv,
-                                 write_manifest, write_matrix_csv)
+                                 emit_svg, format_float, parse_entries, read_matrix_csv,
+                                 read_path_csv, write_manifest, write_matrix_csv)
 
 # values whose text is easiest to get wrong: signed zero, subnormals, the
 # extremes of the exponent range, infinities and nan
@@ -139,6 +140,21 @@ def test_read_matrix_csv_comments_and_errors(tmp_path):
         read_matrix_csv(f)
     f.write_text("# only commentary\n")
     with pytest.raises(ValueError, match="no numeric rows"):
+        read_matrix_csv(f)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("1,,2", "empty entry"), (",1", "empty entry"), ("1, ", "empty entry"), (" , ", "empty entry"),
+    ("1, x", "entry 'x' is not a number"), ("1e", "entry '1e' is not a number"),
+    ("1, inf", "entry 'inf' is not finite"), (" -nan ,1", "entry '-nan' is not finite"),
+])
+def test_parse_entries_names_the_bad_entry(tmp_path, text, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        parse_entries(text)
+    # a matrix file keeps the rule and adds its file and line
+    f = tmp_path / "m.csv"
+    f.write_text(f"1, 2\n{text}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{f} line 2: {named}")):
         read_matrix_csv(f)
 
 
