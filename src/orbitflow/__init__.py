@@ -24,9 +24,11 @@ positive semidefinite matrices as a Riemannian submersion.  It provides
   (`reporting`), with self-check suites (`verify`) and a CLI (`cli`).
 """
 
-from .matcore import (LieBasis, eigh_desc, fd_gradient, require_skew,
-                      require_spd, require_symmetric, sl2_basis, skew_part,
-                      so_basis, solve_lyapunov, sqrtm_spd, sym_part)
+import types
+
+from .matcore import (eigh_desc, fd_gradient, require_skew, require_spd,
+                      require_symmetric, sl2_basis, skew_part, so_basis,
+                      solve_lyapunov, sqrtm_spd, sym_part)
 from .geom import (KAPPA_DRIFT, MetricR, drift_J_R, drift_J_gradient,
                    drift_J_spectral, fiber_dim, horizontal_project,
                    ito_correction_sum, mean_curvature, metric_gram,
@@ -51,28 +53,8 @@ from .verify import run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LieBasis", "eigh_desc", "fd_gradient",
-    "require_skew", "require_spd", "require_symmetric", "sl2_basis",
-    "skew_part", "so_basis", "solve_lyapunov", "sqrtm_spd", "sym_part",
-    "KAPPA_DRIFT", "MetricR", "drift_J_R", "drift_J_gradient",
-    "drift_J_spectral", "fiber_dim", "horizontal_project",
-    "ito_correction_sum", "mean_curvature", "metric_gram",
-    "orbit_log_volume", "sff_vertical", "vertical_onb", "vertical_project",
-    "NoiseSource", "Path", "QvEstimate", "SdeProblem", "TimeGrid",
-    "integrate", "integrate_batch", "qv_kind", "qv_oracle", "rk4",
-    "ProcessConfig", "bm_bures_wasserstein",
-    "bm_cartan_hadamard", "bm_grassmann", "bm_orthogonal", "bm_poincare",
-    "bm_stiefel", "eigen_drift", "eigen_sde", "halfplane_start",
-    "invariant_bm", "mcf_ode", "sl2_to_halfplane", "sphere_vertical_bm",
-    "vertical_bm", "wishart",
-    "ControlSchedule", "ProbeReport", "ScheduleSegment",
-    "alpha", "alpha_from_pairs", "alpha_jacobian",
-    "alpha_sos", "alpha_sos_sum", "integrate_control", "load_schedule",
-    "parse_schedule", "reach_probe",
-    "ConstantsEntry", "ConstantsReport", "build_manifest", "content_hash",
-    "emit_csv", "emit_eigen_csv", "emit_svg", "read_matrix_csv",
-    "read_path_csv", "write_matrix_csv",
-    "run_suite",
-    "__version__",
-]
+# every name imported above, and the version; the submodules that those
+# imports bind on the package are not part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__.append("__version__")

@@ -1,6 +1,6 @@
 """Dense matrix kernels: validators, spectral ops, Lyapunov solves, the
-in-order adder, finite-difference gradients, and the Lie-algebra bases and
-pair index used by the geometry layer.
+in-order adder, finite-difference gradients, the pair index used by the
+geometry layer, and the Lie-algebra bases as (d, n, n) generator stacks.
 
 Everything operates on plain float64 ndarrays.  The require_* validators check
 a caller's matrix where it enters: sqrtm_spd here, and elsewhere MetricR, the
@@ -10,15 +10,12 @@ input (as sym_part and require_symmetric leave it), because np.linalg.eigh
 reads only the lower triangle.
 """
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-# Shared tolerances. SPD and rank checks are relative to the largest
-# eigenvalue/singular value; TAU_LYAP is absolute on unit-scale residuals.
+# Shared tolerances, relative to the largest eigenvalue/singular value.
 TAU_SPD = 1e-10
-TAU_LYAP = 1e-10
 TAU_RANK = 1e-8
 
 
@@ -55,9 +52,12 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_finite(a) -> np.ndarray:
-    """`a` as float64 once every entry is finite; the error names the first
-    entry that is not by its value and index."""
+    """`a` as float64 once it has an entry and every entry is finite; the
+    error names an empty array by its shape and the first entry that is not
+    finite by its value and index."""
     a = np.asarray(a, dtype=np.float64)
+    if not a.size:
+        raise ValueError(f"an array of shape {a.shape} has no entries")
     if not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         what = "matrix entry" if a.ndim >= 2 else "entry"
@@ -72,8 +72,10 @@ def _require_class(a, tol: float, sign: int, name: str) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"expected square matrices over the last two axes, got shape {a.shape}")
     # the tolerance test cannot see a non-finite entry: an inf scale passes
-    # any deviation, and a NaN deviation passes every comparison
-    require_finite(a)
+    # any deviation, and a NaN deviation passes every comparison; an empty
+    # stack of matrices has no entry to check
+    if a.size:
+        require_finite(a)
     dev = np.abs(a - sign * mT(a))
     # every scale is at least 1, so a deviation within tol passes every
     # matrix without the per-matrix scales
@@ -205,28 +207,6 @@ def fd_gradient(f, m) -> np.ndarray:
     return ((fp - fm) / (2.0 * h)).reshape(m.shape)
 
 
-@dataclass(frozen=True)
-class LieBasis:
-    """An ordered basis of a matrix Lie algebra."""
-
-    name: str
-    mats: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.mats)
-
-    @cached_property
-    def _stacked(self) -> np.ndarray:
-        return np.stack(self.mats)
-
-    def combine(self, coeffs) -> np.ndarray:
-        """Linear combination sum_a coeffs[..., a] * mats[a] over any leading
-        axes of coeffs."""
-        return np.einsum("...a,aij->...ij", np.asarray(coeffs, dtype=np.float64),
-                         self._stacked)
-
-
 @cache
 def pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (i, j, units): the pairs i < j < n in lexicographic order and
@@ -241,21 +221,22 @@ def pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, units
 
 
-def so_basis(n: int) -> LieBasis:
-    """Frobenius-orthonormal basis of the skew matrices: (E_ij - E_ji)/sqrt(2)."""
+def so_basis(n: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of the skew matrices, (E_ij - E_ji)/sqrt(2)
+    in pair_index order, as one (n(n-1)/2, n, n) generator stack."""
     if n < 2:
         raise ValueError(f"so(n) needs n >= 2; got n={n}")
-    return LieBasis(name=f"so({n})", mats=tuple(pair_index(n)[2] / np.sqrt(2.0)))
+    return pair_index(n)[2] / np.sqrt(2.0)
 
 
-def sl2_basis() -> LieBasis:
-    """Traceless 2x2 basis (symmetric off-diag, diagonal, rotation generator).
+def sl2_basis() -> np.ndarray:
+    """Traceless 2x2 basis (symmetric off-diag, diagonal, rotation generator)
+    as one (3, 2, 2) generator stack.
 
     The three matrices are orthonormal for the inner product in which the
     hyperbolic-plane projection of the group diffusion is standard Brownian
     motion; the rotation generator spans the stabilizer of the base point.
     """
-    x = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    y = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
-    z = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
-    return LieBasis(name="sl2", mats=(x, y, z))
+    return 0.5 * np.array([[[0.0, 1.0], [1.0, 0.0]],
+                           [[1.0, 0.0], [0.0, -1.0]],
+                           [[0.0, -1.0], [1.0, 0.0]]])

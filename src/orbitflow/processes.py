@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import TAU_SPD, LieBasis, as_matrix, eigh_desc, mT, require_finite, \
+from .matcore import TAU_SPD, as_matrix, eigh_desc, mT, require_finite, \
     require_spd, sl2_basis, so_basis, sym_part
 from .geom import MetricR, quotient_flow, vertical_project
 from .sde import NoiseSource, Path, SdeProblem, TimeGrid, integrate, require_count
@@ -71,14 +71,15 @@ def squared_norm(x) -> np.ndarray:
 
 # --- group-valued diffusions -------------------------------------------------
 
-def invariant_problem(basis: LieBasis, x0, guard=None,
+def invariant_problem(basis: np.ndarray, x0, guard=None,
                       guard_name: str = "group guard") -> SdeProblem:
     """Right-invariant Brownian motion dX = X o dW on a matrix group.
 
-    dW = sum_a B_a dW^a over the given Lie-algebra basis with independent
-    standard Wiener coefficients.  Each step multiplies by the Cayley map of
-    the increment A, cay(A) = (I - A/2)^-1 (I + A/2), written as the Euler
-    increment X (cay(A) - I) = X (I - A/2)^-1 A.  cay agrees with exp through
+    dW = sum_a B_a dW^a over the Lie-algebra basis, a (d, n, n) generator
+    stack B, with independent standard Wiener coefficients.  Each step
+    multiplies by the Cayley map of the increment A,
+    cay(A) = (I - A/2)^-1 (I + A/2), written as the Euler increment
+    X (cay(A) - I) = X (I - A/2)^-1 A.  cay agrees with exp through
     second order, which gives the Stratonovich law at weak order one, and it
     maps every quadratic Lie algebra (so(n), and sl(2) = sp(2)) into its
     group exactly, so such paths stay on the group to rounding.
@@ -87,14 +88,14 @@ def invariant_problem(basis: LieBasis, x0, guard=None,
     eye = np.eye(x0.shape[-1])
 
     def diffusion(t, x, dw):
-        a = basis.combine(dw)
+        a = np.einsum("...a,aij->...ij", dw, basis)
         return x @ np.linalg.solve(eye - 0.5 * a, a)
 
-    return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(basis.dim,),
+    return SdeProblem(x0=x0, diffusion=diffusion, noise_shape=(len(basis),),
                       guard=guard, guard_name=guard_name)
 
 
-def invariant_bm(basis: LieBasis, x0, cfg: ProcessConfig, guard=None,
+def invariant_bm(basis: np.ndarray, x0, cfg: ProcessConfig, guard=None,
                  guard_name: str = "group guard", path_index: int = 0) -> Path:
     """One path of `invariant_problem`."""
     return _run(invariant_problem(basis, x0, guard, guard_name), cfg, path_index)
@@ -148,7 +149,7 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
     basis = so_basis(n)
 
     def diffusion(t, p, dw):
-        a = basis.combine(dw)
+        a = np.einsum("...a,aij->...ij", dw, basis)
         u = eigh_desc(p)[1]
         return u @ (a @ ikn - ikn @ a) @ mT(u)
 
@@ -160,7 +161,7 @@ def grassmann_ito_problem(n: int, k: int, guard_tol: float = 1e-2) -> SdeProblem
                 & (np.abs(np.trace(p, axis1=-2, axis2=-1) - k) <= guard_tol))
 
     return SdeProblem(x0=ikn, drift=drift, diffusion=diffusion,
-                      noise_shape=(basis.dim,), guard=guard,
+                      noise_shape=(len(basis),), guard=guard,
                       guard_name="projector guard", post_step=sym_part)
 
 
@@ -369,18 +370,23 @@ def eigen_drift(kind: str, lam, n: int) -> np.ndarray:
 def eigen_problem(kind: str, lam0, n: int) -> SdeProblem:
     """Autonomous eigenvalue diffusion d l_i = 2 sqrt(l_i) d b_i + drift dt.
 
-    lam0 holds k finite eigenvalues in strictly descending order (a last 0
-    leaves 0 at the drift rate n - k + 1); the drift constant is n.  Paths
-    stop (never clamp) when positivity or the strict ordering is about to
-    fail, since the interaction terms are singular at collisions: when an
-    entry is not finite, the smallest eigenvalue falls to 1e-12, or a gap
-    falls to 1e-10.  The guard judges each step's state, not the start.
+    lam0 is a 1-D array of k >= 1 finite eigenvalues in strictly descending
+    order whose last entry is >= 0 (a last 0 leaves 0 at the drift rate
+    n - k + 1); the drift constant is n.  Paths stop (never clamp) when
+    positivity or the strict ordering is about to fail, since the
+    interaction terms are singular at collisions: when an entry is not
+    finite, the smallest eigenvalue falls to 1e-12, or a gap falls to
+    1e-10.  The guard judges each step's state, not the start.
     """
     if kind not in ("wishart", "bw"):
         raise ValueError(f"unknown kind {kind!r}")
     lam0 = require_finite(lam0)
+    if lam0.ndim != 1:
+        raise ValueError(f"lam0 must be a 1-D spectrum; got shape {lam0.shape}")
     if np.any(np.diff(lam0) >= 0):
         raise ValueError("lam0 must be strictly descending")
+    if lam0[-1] < 0:
+        raise ValueError(f"lam0 ends in the negative eigenvalue {float(lam0[-1])!r}")
 
     def drift(t, lam):
         return eigen_drift(kind, lam, n)

@@ -130,8 +130,7 @@ def content_hash(data: bytes) -> str:
     return h.hexdigest()
 
 
-def build_manifest(config: dict, inputs: dict | None = None,
-                   outputs: list | None = None) -> dict:
+def build_manifest(config: dict, inputs: dict, outputs: list) -> dict:
     """Assemble a run manifest: config echo, config and input hashes, and
     output names.
 
@@ -143,8 +142,8 @@ def build_manifest(config: dict, inputs: dict | None = None,
     manifest = {
         "config": config,
         "config_hash": content_hash(cfg_json.encode()),
-        "inputs": {name: content_hash(data) for name, data in (inputs or {}).items()},
-        "outputs": sorted(outputs or []),
+        "inputs": {name: content_hash(data) for name, data in inputs.items()},
+        "outputs": sorted(outputs),
     }
     return manifest
 

@@ -40,10 +40,6 @@ class TimeGrid:
             raise ValueError(f"dt must be finite and positive; got dt={self.dt:g}")
         require_count(self.steps)
 
-    @property
-    def t_end(self) -> float:
-        return self.dt * self.steps
-
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.steps + 1)
 
@@ -195,7 +191,6 @@ class Path:
 
     times: np.ndarray
     states: np.ndarray
-    path_index: int = 0
     stopped_step: int | None = None
     stop_reason: str | None = None
 
@@ -285,7 +280,7 @@ def integrate(problem: SdeProblem, grid: TimeGrid, source: NoiseSource | None = 
     end = int(stop[0])
     stopped = end < grid.steps
     return Path(times=grid.times()[:end + 1], states=states[:end + 1, 0],
-                path_index=path_index, stopped_step=end if stopped else None,
+                stopped_step=end if stopped else None,
                 stop_reason=problem.guard_name if stopped else None)
 
 
@@ -351,7 +346,6 @@ class QvEstimate:
     inner_se: np.ndarray
     square: np.ndarray | None
     square_se: np.ndarray | None
-    samples: int
 
 
 def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
@@ -407,7 +401,7 @@ def qv_oracle(diffusion, state, noise_shape, dt: float, samples: int,
     est = [moments(s, s2) for s, s2 in zip(sums, sums2)] + [(None, None)]
     (outer, outer_se), (inner, inner_se), (square, square_se) = est[:3]
     return QvEstimate(outer=outer, outer_se=outer_se, inner=inner, inner_se=inner_se,
-                      square=square, square_se=square_se, samples=samples)
+                      square=square, square_se=square_se)
 
 
 QV_KINDS = ("wiener", "skew", "sphere")
@@ -416,14 +410,15 @@ QV_KINDS = ("wiener", "skew", "sphere")
 def qv_kind(kind: str, n: int, k: int | None = None) -> tuple:
     """The (diffusion, state, noise_shape) that `qv_oracle` takes for a named
     kind: "wiener" is dX = dW at the n x k zero matrix (k = n unless given),
-    "skew" is dX = dA = so_basis(n).combine(dw) at I, and "sphere" is the
+    "skew" is dX = dA = sum_a dw_a so_basis(n)[a] at I, and "sphere" is the
     tangent-projected dX = dW - x x^T dW at the unit point e_1 of R^n."""
     if kind == "wiener":
         k = n if k is None else k
         return (lambda t, s, dw: dw), np.zeros((n, k)), (n, k)
     if kind == "skew":
         basis = so_basis(n)
-        return (lambda t, s, dw: basis.combine(dw)), np.eye(n), (basis.dim,)
+        return ((lambda t, s, dw: np.einsum("...a,aij->...ij", dw, basis)), np.eye(n),
+                (len(basis),))
     if kind == "sphere":
         return (lambda t, s, dw: dw - s @ (mT(s) @ dw)), np.eye(n, 1), (n, 1)
     raise ValueError(f"unknown qv kind {kind!r}; choose from {', '.join(QV_KINDS)}")

@@ -734,6 +734,11 @@ def test_drift_rejects_indefinite_input(tmp_path, capsys):
       "--t", "0.01", "--out", "{OUT}"], "--lam0 5,2,1 is k=3, but the sizes ask for k=2"),
     (["simulate", "--process", "eigen-bw", "--config", "{K2}", "--n", "3", "--lam0", "5,2,1",
       "--t", "0.01", "--out", "{OUT}"], "--lam0 5,2,1 is k=3, but the sizes ask for k=2"),
+    # a spectrum that ends below 0 is a start the builder rejects
+    (["simulate", "--process", "eigen-bw", "--n", "2", "--lam0", "5,-1", "--t", "0.01",
+      "--out", "{OUT}"], "--process eigen-bw: lam0 ends in the negative eigenvalue -1.0"),
+    (["simulate", "--process", "eigen-wishart", "--n", "2", "--lam0", "5,-1", "--t", "0.01",
+      "--out", "{OUT}"], "--process eigen-wishart: lam0 ends in the negative eigenvalue -1.0"),
 ])
 def test_bad_input_exits_two_and_names_the_value(tmp_path, capsys, argv, named):
     files = {"{P}": _spd_csv(tmp_path),

@@ -191,7 +191,7 @@ def test_metric_gram_matches_frame_inner_products(k):
     # dual route: entry (a, b) is tr(A_a^T P A_b) over the normalized skew basis
     rng = np.random.default_rng(40 + k)
     p = _rand_spd(rng, k)
-    basis = so_basis(k).mats
+    basis = so_basis(k)
     want = np.array([[np.trace(a.T @ p @ b) for b in basis] for a in basis])
     assert_allclose(metric_gram(p), want, rtol=0, atol=1e-12)
 

@@ -19,8 +19,8 @@ from orbitflow.processes import (ProcessConfig, bm_bures_wasserstein,
                                  eigen_sde, gram, grassmann_ito_problem,
                                  halfplane_start, mcf_ode, orthogonal_problem,
                                  poincare_problem, sl2_to_halfplane,
-                                 sphere_vertical_bm, vertical_bm, wishart,
-                                 wishart_problem)
+                                 sphere_vertical_bm, vertical_bm, vertical_problem,
+                                 wishart, wishart_problem)
 from orbitflow.sde import NoiseSource, integrate, integrate_batch
 
 
@@ -257,6 +257,9 @@ def test_eigen_sde_validates_start():
         eigen_sde("wishart", [1.0, 2.0], 2, cfg)  # ascending
     # the start's length sets k, and one eigenvalue is a start
     assert eigen_sde("wishart", [1.0], 2, cfg).states.shape == (11, 1)
+    # a last eigenvalue of 0 is a start of both kinds
+    for kind in ("wishart", "bw"):
+        assert eigen_sde(kind, [5.0, 0.0], 2, cfg).states[0].tolist() == [5.0, 0.0]
 
 
 def test_eigen_sde_zero_noise_follows_drift():
@@ -288,6 +291,29 @@ def test_eigen_sde_stops_at_near_collision():
 ], ids=["poincare", "eigen-bw", "wishart", "vertical", "bw"])
 def test_a_non_finite_start_is_rejected_and_named(run, named):
     # no path may start from a NaN or inf state: the builder names the entry
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run(_cfg(0.01, 1e-3))
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda cfg: eigen_sde("bw", [], 2, cfg), "an array of shape (0,) has no entries"),
+    (lambda cfg: eigen_sde("bw", [[5.0, 1.0]], 2, cfg),
+     "lam0 must be a 1-D spectrum; got shape (1, 2)"),
+    (lambda cfg: eigen_sde("bw", [[5.0], [1.0]], 2, cfg),
+     "lam0 must be a 1-D spectrum; got shape (2, 1)"),
+    (lambda cfg: eigen_sde("bw", 3.0, 2, cfg), "lam0 must be a 1-D spectrum; got shape ()"),
+    (lambda cfg: eigen_sde("bw", [5.0, -1.0], 2, cfg),
+     "lam0 ends in the negative eigenvalue -1.0"),
+    (lambda cfg: eigen_sde("wishart", [5.0, -1.0], 2, cfg),
+     "lam0 ends in the negative eigenvalue -1.0"),
+    (lambda cfg: wishart(np.zeros((0, 2)), cfg), "an array of shape (0, 2) has no entries"),
+    (lambda cfg: vertical_problem(np.zeros((2, 0))), "an array of shape (2, 0) has no entries"),
+    (lambda cfg: vertical_problem(np.zeros((0, 2))), "an array of shape (0, 2) has no entries"),
+], ids=["eigen-empty", "eigen-row", "eigen-column", "eigen-scalar", "eigen-bw-negative",
+        "eigen-wishart-negative", "wishart-no-rows", "vertical-no-columns", "vertical-no-rows"])
+def test_a_start_of_the_wrong_shape_or_sign_is_rejected_and_named(run, named):
+    # a start fixes the sizes and the domain of its path, so an empty start,
+    # a spectrum that is not one vector, or one below 0 never runs
     with pytest.raises(ValueError, match=re.escape(named)):
         run(_cfg(0.01, 1e-3))
 

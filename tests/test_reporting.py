@@ -186,12 +186,12 @@ def test_build_manifest_structure():
     assert man["outputs"] == ["a.csv", "b.csv"]
     assert man["inputs"]["start"] == content_hash(b"xyz")
     # canonical JSON hashing is insensitive to dict insertion order
-    man2 = build_manifest({"a": 1, "b": 2})
+    man2 = build_manifest({"a": 1, "b": 2}, inputs={}, outputs=[])
     assert man2["config_hash"] == man["config_hash"]
 
 
 def test_write_manifest_is_deterministic():
-    man = build_manifest({"seed": 3}, outputs=["x.csv"])
+    man = build_manifest({"seed": 3}, inputs={}, outputs=["x.csv"])
     a, b = io.StringIO(), io.StringIO()
     write_manifest(man, a)
     write_manifest(man, b)
